@@ -8,7 +8,6 @@ the per-site toppling counts (odometer) do not depend on the order in
 which legal topplings are performed.
 """
 
-from collections import deque
 import itertools
 import math
 
@@ -67,26 +66,39 @@ def stabilize_from(lat, heights, seeds, odometer=None):
     """
     two_d = lat.threshold
     od = odometer if odometer is not None else np.zeros(lat.n_sites, dtype=np.int64)
-    queued = np.zeros(lat.n_sites, dtype=bool)
-    queue = deque()
-    for i in seeds:
-        i = int(i)
-        if heights[i] >= two_d and not queued[i]:
-            queued[i] = True
+    queued = bytearray(lat.n_sites)
+    queue = []
+    for i in map(int, seeds):
+        if not queued[i] and heights[i] >= two_d:
+            queued[i] = 1
             queue.append(i)
+    if not queue:
+        return od
+    # The loop runs on Python ints: indexing numpy scalars costs several
+    # times more per toppling than the toppling itself.
+    nbrs = lat.neighbours
+    h = heights.tolist()
+    fired = {}
     while queue:
-        x = queue.popleft()
-        queued[x] = False
-        k = heights[x] // two_d
-        if k <= 0:
-            continue
-        heights[x] -= k * two_d
+        later = []
+        for x in queue:
+            queued[x] = 0
+            k = h[x] // two_d
+            h[x] -= k * two_d
+            fired[x] = fired.get(x, 0) + k
+            for y in nbrs[x]:
+                hy = h[y] + k
+                h[y] = hy
+                if hy >= two_d and not queued[y]:
+                    queued[y] = 1
+                    later.append(y)
+        queue = later
+    # Only toppled sites and their neighbours changed.
+    for x, k in fired.items():
         od[x] += k
-        for y in lat.adjacency[x]:
-            heights[y] += k
-            if heights[y] >= two_d and not queued[y]:
-                queued[y] = True
-                queue.append(int(y))
+        heights[x] = h[x]
+        for y in nbrs[x]:
+            heights[y] = h[y]
     return od
 
 
@@ -94,11 +106,26 @@ def btw_stabilize(lat, heights):
     """Topple until stable; returns (stable_heights, odometer).
 
     Order-independent by abelianness; this implementation drains a FIFO
-    queue and topples each popped site floor(h/2d) times at once.
+    queue and topples each popped site floor(h/2d) times at once. It stays
+    independent of stabilize_many, which tests check against it.
     """
     h = _as_heights(lat, heights).copy()
-    od = stabilize_from(lat, h, range(lat.n_sites))
+    od = stabilize_from(lat, h, np.flatnonzero(h >= lat.threshold))
     return h, od
+
+
+def _shifts(ndim):
+    """(a, b) index pairs that add a grid's entries at b into the
+    neighbouring entries at a, for both directions of every axis after
+    the first (the replica axis)."""
+    pairs = []
+    for axis in range(1, ndim):
+        upper = [slice(None)] * ndim
+        lower = [slice(None)] * ndim
+        upper[axis] = slice(1, None)
+        lower[axis] = slice(None, -1)
+        pairs += [(tuple(upper), tuple(lower)), (tuple(lower), tuple(upper))]
+    return pairs
 
 
 def stabilize_many(lat, quanta):
@@ -107,18 +134,43 @@ def stabilize_many(lat, quanta):
     Mutates `quanta` in place and returns the odometer matrix. Each round
     topples every unstable site of every replica floor(h/2d) times, which
     is a legal parallel schedule, so the fixed point matches the scalar
-    stabilizer exactly.
+    stabilizer exactly. Rounds run on the lattice's bounding box with
+    sliced neighbour additions: a box lattice relaxes through a reshaped
+    view of `quanta`, and any other lattice on a copy whose cells outside
+    the site set are emptied every round, so they act as the sink.
     """
     two_d = lat.threshold
-    amat = lat.adjacency_matrix
-    od = np.zeros_like(quanta)
+    rows = quanta.shape[0]
+    shape = (rows,) + lat.grid_shape
+    if lat.cells is None:
+        grid = quanta.reshape(shape)
+        outside = None
+    else:
+        flat = np.zeros((rows, math.prod(lat.grid_shape)), dtype=quanta.dtype)
+        flat[:, lat.cells] = quanta
+        grid = flat.reshape(shape)
+        outside = np.ones(flat.shape[1], dtype=bool)
+        outside[lat.cells] = False
+        outside = outside.reshape(lat.grid_shape)
+    od = np.zeros_like(grid)
+    k = np.empty_like(grid)
+    shifts = _shifts(grid.ndim)
     while True:
-        k = quanta // two_d
+        np.floor_divide(grid, two_d, out=k)
         if not k.any():
-            return od
-        quanta -= k * two_d
-        quanta += k @ amat
+            break
+        grid -= k * two_d
         od += k
+        for a, b in shifts:
+            grid[a] += k[b]
+        if outside is not None:
+            grid[:, outside] = 0
+    if lat.cells is not None:
+        quanta[...] = flat[:, lat.cells]
+        return od.reshape(rows, -1)[:, lat.cells]
+    if not np.may_share_memory(grid, quanta):
+        quanta[...] = grid.reshape(quanta.shape)
+    return od.reshape(quanta.shape)
 
 
 def btw_add(lat, heights, x, amount=1):
@@ -127,8 +179,8 @@ def btw_add(lat, heights, x, amount=1):
         raise DomainError("cannot add a negative number of grains")
     h = _as_heights(lat, heights).copy()
     h[x] += amount
-    stable, _ = btw_stabilize(lat, h)
-    return stable
+    stabilize_from(lat, h, np.flatnonzero(h >= lat.threshold))
+    return h
 
 
 def is_allowed_bruteforce(lat, heights):
@@ -184,8 +236,7 @@ def is_recurrent_burning(lat, heights):
     h = _as_heights(lat, heights)
     if (h >= lat.threshold).any():
         raise DomainError("burning test requires a stable configuration")
-    adj = [tuple(int(y) for y in a) for a in lat.adjacency]
-    return _burns_completely(tuple(int(v) for v in h), adj)
+    return _burns_completely(tuple(int(v) for v in h), lat.neighbours)
 
 
 def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
@@ -199,9 +250,8 @@ def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
     if total > cap:
         raise CapacityError(
             f"{total} stable configurations exceeds the enumeration cap {cap}")
-    adj = [tuple(int(y) for y in a) for a in lat.adjacency]
     rows = [h for h in itertools.product(range(two_d), repeat=lat.n_sites)
-            if _burns_completely(h, adj)]
+            if _burns_completely(h, lat.neighbours)]
     return np.array(rows, dtype=np.int64).reshape(len(rows), lat.n_sites)
 
 
@@ -220,9 +270,11 @@ def addition_order(lat, x, recurrent=None):
     for i, row in enumerate(recurrent):
         img = tuple(int(v) for v in btw_add(lat, row, x))
         j = index.get(img)
-        assert j is not None, "recurrent set is not closed under addition"
+        if j is None:
+            raise DomainError("recurrent set is not closed under addition")
         perm[i] = j
-    assert len(set(perm)) == n, "addition is not a bijection on the recurrent set"
+    if len(set(perm)) != n:
+        raise DomainError("addition is not a bijection on the recurrent set")
     seen = [False] * n
     order = 1
     for i in range(n):

@@ -112,7 +112,8 @@ def _check_config_values(cfg):
         raise DomainError("quanta and frac must be 1-d arrays of equal length")
     if (cfg.quanta < 0).any():
         raise DomainError("quanta must be nonnegative")
-    if (cfg.frac < 0).any() or (cfg.frac >= cfg.cell).any():
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not ((cfg.frac >= 0) & (cfg.frac < cfg.cell)).all():
         raise DomainError(f"frac entries must lie in [0, {cfg.cell})")
 
 
@@ -222,7 +223,10 @@ def _add_inplace(lat, quanta, frac, x, u, add_counts=None, base_frac=None):
             if f_new >= cell - SNAP:
                 carry += 1
                 f_new = 0.0
-    assert carry >= 0
+    if carry < 0:
+        raise DomainError(
+            f"addition at site {x} would remove quanta: fractional part {frac[x]} "
+            f"lies outside [0, {cell})")
     frac[x] = f_new
     quanta[x] += carry
     btw.stabilize_from(lat, quanta, (x,))

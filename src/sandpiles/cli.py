@@ -122,6 +122,18 @@ def setting(args, config, key, default=None):
     return config.get(key, default)
 
 
+def count_setting(args, config, key, default=None):
+    """A nonnegative integer setting such as --steps or --samples."""
+    value = require(setting(args, config, key, default), f"--{key}")
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"--{key}: expected an integer, got {value!r}") from None
+    if count < 0:
+        raise ConfigError(f"--{key} must be >= 0, got {count}")
+    return count
+
+
 def common_settings(args, need_dims=True):
     config = load_config(args.config) if getattr(args, "config", None) else {}
     dims_value = setting(args, config, "dims")
@@ -243,10 +255,7 @@ def cmd_simulate(args):
     a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
     b_raw = setting(args, config, "b", None)
     b = a if b_raw is None else parse_real(b_raw, "--b")
-    steps = setting(args, config, "steps", None)
-    if steps is None:
-        raise ConfigError("missing --steps")
-    steps = int(steps)
+    steps = count_setting(args, config, "steps")
     lat = build_lattice(dims)
     try:
         params = cbtw.AdditionParams(a, b)
@@ -289,7 +298,7 @@ def cmd_simulate(args):
 
 def cmd_invariance(args):
     config, dims, seed, out, fmt = common_settings(args)
-    samples = int(setting(args, config, "samples", 100000))
+    samples = count_setting(args, config, "samples", 100000)
     bins = int(setting(args, config, "bins", 8))
     tolerance = float(setting(args, config, "tolerance", 0.01))
     lat = build_lattice(dims)
@@ -347,8 +356,8 @@ def cmd_couple(args):
 def cmd_limit_rational(args):
     config, dims, seed, out, fmt = common_settings(args)
     a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
-    steps = int(setting(args, config, "steps", 2000))
-    samples = int(setting(args, config, "samples", 20000))
+    steps = count_setting(args, config, "steps", 2000)
+    samples = count_setting(args, config, "samples", 20000)
     bins = int(setting(args, config, "bins", 8))
     tolerance = float(setting(args, config, "tolerance", 0.02))
     lat = build_lattice(dims)
@@ -381,7 +390,7 @@ def cmd_fourier(args):
     if len(x) != len(k):
         raise ConfigError(f"--x has {len(x)} coordinates but --k has {len(k)}")
     n_terms = int(setting(args, config, "N", 100))
-    samples = int(setting(args, config, "samples", 200000))
+    samples = count_setting(args, config, "samples", 200000)
     if n_terms < 1:
         raise ConfigError("--N must be >= 1")
     (rng,) = spawn_rngs(seed, 1)
@@ -405,7 +414,7 @@ def cmd_fourier(args):
 def cmd_ergodic(args):
     config, dims, seed, out, fmt = common_settings(args)
     a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
-    steps = int(setting(args, config, "steps", 100000))
+    steps = count_setting(args, config, "steps", 100000)
     tolerance = float(setting(args, config, "tolerance", 0.02))
     lat = build_lattice(dims)
     if not 0.0 <= a < 1.0:

@@ -9,6 +9,7 @@ the package line up deterministically.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import itertools
 import math
 
@@ -20,6 +21,8 @@ from .errors import GeometryError
 class Lattice:
     """Immutable finite subset of Z^d with in-set adjacency tables.
 
+    Every table is O(n) in the number of sites.
+
     Attributes:
         d: ambient dimension.
         dims: box side lengths if built from a box, else None.
@@ -27,9 +30,18 @@ class Lattice:
         n_sites: number of sites.
         adjacency: tuple of int arrays; adjacency[i] lists the indices of
             the in-set nearest neighbours of site i.
+        neighbours: the same lists as tuples of Python ints, for the
+            scalar toppling loop.
         boundary_degree: int array; boundary_degree[i] counts the nearest
             neighbours of site i that fall outside the set (mass lost per
             toppling through those bonds).
+        grid_shape: side lengths of the bounding box of the sites.
+        cells: int array; cells[i] is the row-major index of site i in
+            the bounding box, or None when the sites fill the box in
+            row-major order (every box lattice), so that a configuration
+            is already the box in row-major layout.
+        adjacency_matrix: dense symmetric 0/1 n x n int matrix, built on
+            first read; no kernel uses it.
     """
 
     def __init__(self, d, sites, dims=None):
@@ -64,17 +76,30 @@ class Lattice:
                         boundary[i] += 1
                     else:
                         nbrs.append(j)
-            adjacency.append(np.array(sorted(nbrs), dtype=np.int64))
-        self.adjacency = tuple(adjacency)
+            adjacency.append(tuple(sorted(nbrs)))
+        self.neighbours = tuple(adjacency)
+        self.adjacency = tuple(np.array(a, dtype=np.int64) for a in adjacency)
         self.boundary_degree = boundary
         boundary.setflags(write=False)
 
-        # Dense symmetric 0/1 adjacency, used by the vectorized kernels.
+        coords = np.array(pts, dtype=np.int64)
+        coords -= coords.min(axis=0)
+        self.grid_shape = tuple(int(v) + 1 for v in coords.max(axis=0))
+        cells = np.ravel_multi_index(tuple(coords.T), self.grid_shape)
+        if np.array_equal(cells, np.arange(math.prod(self.grid_shape))):
+            self.cells = None
+        else:
+            cells.setflags(write=False)
+            self.cells = cells
+
+    @functools.cached_property
+    def adjacency_matrix(self):
+        """Dense symmetric 0/1 adjacency (n x n int64), built on first read."""
         amat = np.zeros((self.n_sites, self.n_sites), dtype=np.int64)
         for i, nbrs in enumerate(self.adjacency):
             amat[i, nbrs] = 1
         amat.setflags(write=False)
-        self.adjacency_matrix = amat
+        return amat
 
     @property
     def threshold(self):

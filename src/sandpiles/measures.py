@@ -82,11 +82,16 @@ class Histogram:
             raise DomainError("batch contains unstable or negative quanta")
         bins = frac_bins(frac, self.d, self.binning)
         rows = np.concatenate([quanta.astype(np.int64), bins], axis=1)
-        uniq, cnt = np.unique(rows, axis=0, return_counts=True)
+        # Distinct rows in lexicographic order, with their counts.
+        rows = rows[np.lexsort(rows.T[::-1])]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        cnt = np.diff(starts, append=len(rows))
         m = self.n_sites
-        for row, c in zip(uniq, cnt):
-            key = (tuple(int(v) for v in row[:m]), tuple(int(v) for v in row[m:]))
-            self.counts[key] = self.counts.get(key, 0) + int(c)
+        for row, c in zip(rows[starts].tolist(), cnt.tolist()):
+            key = (tuple(row[:m]), tuple(row[m:]))
+            self.counts[key] = self.counts.get(key, 0) + c
         self.total += int(quanta.shape[0])
         return self
 

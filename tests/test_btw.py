@@ -7,7 +7,7 @@ from sandpiles import (CapacityError, DomainError, addition_order, btw_add,
                        btw_inverse_add, btw_stabilize, btw_topple,
                        build_lattice, enumerate_recurrent,
                        is_allowed_bruteforce, is_recurrent_burning, is_stable,
-                       max_stable, stabilize_many)
+                       lattice_from_sites, max_stable, stabilize_many)
 from oracles import lifo_stabilize, random_order_stabilize, stable_configurations
 
 
@@ -106,6 +106,32 @@ def test_stabilize_many_matches_scalar(grid33, rng):
         assert np.array_equal(row_od, od_ref)
 
 
+IRREGULAR = [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("lat, rows, high", [
+    (lattice_from_sites(2, IRREGULAR), 200, 12),
+    (lattice_from_sites(2, [(i, j) for i in (2, 1, 0) for j in (0, 1, 2)]), 50, 10),
+    (build_lattice([32, 32]), 8, 8),
+], ids=["irregular", "box-out-of-order", "32x32"])
+def test_stabilize_many_matches_scalar_on(lat, rows, high, rng):
+    batch = rng.integers(0, high, size=(rows, lat.n_sites))
+    work = batch.copy()
+    od = stabilize_many(lat, work)
+    for row_in, row_out, row_od in zip(batch, work, od):
+        ref, od_ref = btw_stabilize(lat, row_in)
+        assert np.array_equal(row_out, ref)
+        assert np.array_equal(row_od, od_ref)
+
+
+def test_stabilize_many_writes_through_strided_view(grid22, rng):
+    batch = rng.integers(0, 12, size=(10, 8))
+    view = batch[:, ::2]
+    expected = [btw_stabilize(grid22, row)[0] for row in view]
+    stabilize_many(grid22, view)
+    assert np.array_equal(batch[:, ::2], expected)
+
+
 def test_stabilize_rejects_bad_input(path2):
     with pytest.raises(DomainError):
         btw_stabilize(path2, [1, -1])
@@ -125,6 +151,15 @@ def test_add_examples_frozen(path2):
     assert list(btw_add(path2, [0, 0], 0, amount=5)) == [0, 1]
     with pytest.raises(DomainError):
         btw_add(path2, [0, 0], 0, amount=-1)
+
+
+def test_add_to_unstable_input_stabilizes_fully(path3, grid33):
+    assert list(btw_add(path3, [5, 0, 0], 2)) == list(btw_stabilize(path3, [5, 0, 1])[0])
+    h = np.full(9, 7, dtype=np.int64)
+    out = btw_add(grid33, h, 4)
+    h[4] += 1
+    assert np.array_equal(out, btw_stabilize(grid33, h)[0])
+    assert is_stable(grid33, out)
 
 
 def test_allowed_bruteforce_frozen_path2(path2):
@@ -192,6 +227,12 @@ def test_addition_order_frozen(path1, path2, path3):
 def test_addition_order_grid_frozen(grid22):
     rec = enumerate_recurrent(grid22)
     assert [addition_order(grid22, x, rec) for x in range(4)] == [24, 24, 24, 24]
+
+
+def test_addition_order_rejects_unclosed_set(path2):
+    rec = enumerate_recurrent(path2)
+    with pytest.raises(DomainError):
+        addition_order(path2, 0, recurrent=rec[:-1])
 
 
 def test_addition_power_order_is_identity(path3):

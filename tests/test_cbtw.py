@@ -11,6 +11,7 @@ from sandpiles import (AdditionParams, CbtwConfig, DomainError, btw_stabilize,
                        enumerate_recurrent, is_allowed_bruteforce,
                        is_allowed_cbtw, max_config, quantum_multiple,
                        recompose, sample_uniform_allowed, zero_config)
+from sandpiles.cbtw import _add_inplace
 from oracles import dense_add, dense_stabilize
 
 
@@ -224,6 +225,18 @@ def test_config_json_validation(path2):
         CbtwConfig.from_json(1, '{"quanta": [0, 0], "frac": [0.0, 0.9]}')
     with pytest.raises(DomainError):
         CbtwConfig.from_json(1, '{"quanta": [-1, 0], "frac": [0.0, 0.0]}')
+
+
+def test_config_json_rejects_nan_frac():
+    with pytest.raises(DomainError):
+        CbtwConfig.from_json(1, '{"quanta": [0, 0], "frac": [NaN, 0.0]}')
+
+
+def test_add_inplace_rejects_negative_frac(path2):
+    quanta = np.zeros(2, dtype=np.int64)
+    frac = np.array([-0.3, 0.0])
+    with pytest.raises(DomainError):
+        _add_inplace(path2, quanta, frac, 0, 0.1)
 
 
 def test_addition_params():

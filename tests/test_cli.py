@@ -281,3 +281,32 @@ def test_missing_dims_is_config_error(capsys):
     rc = run_cli(["invariance"])
     assert rc == 2
     assert "dims" in capsys.readouterr().err
+
+
+def test_init_with_nan_frac_is_config_error(capsys):
+    rc = run_cli(["simulate", "--dims", "2", "--a", "0.3", "--steps", "2",
+                  "--init", '{"quanta":[0,0],"frac":[NaN,0]}'])
+    assert rc == 2
+    assert "frac" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--dims", "2", "--a", "0.3", "--steps", "-5"],
+    ["ergodic", "--dims", "2", "--a", "0.3", "--steps", "-1"],
+    ["limit-rational", "--dims", "2", "--a", "0.5", "--steps", "-1"],
+    ["limit-rational", "--dims", "2", "--a", "0.5", "--samples", "-1"],
+    ["invariance", "--dims", "2", "--samples", "-1"],
+    ["fourier", "--a", "0.3", "--samples", "-1"],
+], ids=lambda args: f"{args[0]}{args[-2]}")
+def test_negative_count_flag_is_config_error(args, capsys):
+    assert run_cli(args) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [(-3, "must be >= 0"), ("abc", "expected an integer")])
+def test_bad_count_in_config_is_config_error(tmp_path, capsys, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"dims": [2]}, "steps": value}))
+    rc = run_cli(["simulate", "--config", str(cfg), "--a", "0.3"])
+    assert rc == 2
+    assert message in capsys.readouterr().err

@@ -66,6 +66,40 @@ def test_lattice_from_sites_keeps_order():
     assert list(lat.adjacency[1]) == [0, 2]
 
 
+def test_grid_layout():
+    box = build_lattice([2, 3])
+    assert box.grid_shape == (2, 3)
+    assert box.cells is None
+    lat = lattice_from_sites(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
+    assert lat.grid_shape == (3, 3)
+    assert lat.cells.tolist() == [0, 1, 4, 7, 8]
+    shifted = lattice_from_sites(1, [(5,), (3,)])
+    assert shifted.grid_shape == (3,)
+    assert shifted.cells.tolist() == [2, 0]
+
+
+def test_lattice_tables_are_linear_in_sites():
+    lat = build_lattice([128, 128])
+    for value in vars(lat).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                assert item.size <= lat.n_sites
+    assert "adjacency_matrix" not in vars(lat)
+
+
+@pytest.mark.parametrize("lat", [
+    build_lattice([3, 4]),
+    lattice_from_sites(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]),
+], ids=["box", "irregular"])
+def test_adjacency_matrix_matches_adjacency(lat):
+    amat = lat.adjacency_matrix
+    for i in range(lat.n_sites):
+        assert np.flatnonzero(amat[i]).tolist() == list(lat.adjacency[i])
+        assert list(lat.neighbours[i]) == list(lat.adjacency[i])
+    assert lat.adjacency_matrix is amat
+    assert not amat.flags.writeable
+
+
 def test_geometry_errors():
     with pytest.raises(GeometryError):
         build_lattice([])

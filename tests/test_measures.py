@@ -35,6 +35,16 @@ def test_histogram_add_and_batch_agree(path2, rng):
     assert one.total == batch.total == 200
 
 
+def test_histogram_batch_cells_in_lexicographic_order(grid22, rng):
+    rec = enumerate_recurrent(grid22)
+    quanta, frac = sample_uniform_allowed_batch(grid22, rng, 5000, rec)
+    hist = Histogram.from_samples(2, Binning(2), quanta, frac)
+    rows = np.concatenate([quanta, frac_bins(frac, 2, Binning(2))], axis=1)
+    uniq, cnt = np.unique(rows, axis=0, return_counts=True)
+    assert list(hist.counts.items()) == [
+        ((tuple(r[:4]), tuple(r[4:])), c) for r, c in zip(uniq.tolist(), cnt.tolist())]
+
+
 def test_histogram_rejects_unstable(path2):
     hist = Histogram(1, 2, Binning(4))
     with pytest.raises(DomainError):
