@@ -8,7 +8,7 @@ the per-site toppling counts (odometer) do not depend on the order in
 which legal topplings are performed.
 """
 
-import itertools
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -17,6 +17,7 @@ from .errors import CapacityError, DomainError
 
 BRUTEFORCE_MAX_SITES = 24
 ENUMERATION_CAP = 1_000_000
+ENUMERATION_CHUNK = 1 << 16
 
 
 def _as_heights(lat, heights):
@@ -243,65 +244,116 @@ def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
     """All recurrent stable configurations, in lexicographic order.
 
     Returns an int64 array of shape (count, n_sites). The scan covers all
-    (2d)^n_sites stable configurations, so it is capped.
+    (2d)^n_sites stable configurations, so it is capped. It burns chunks
+    of consecutive lexicographic indices at once: each round removes every
+    still-present site whose height reaches its count of still-present
+    neighbours. Removing a site only lowers its neighbours' counts, so the
+    parallel rounds burn the same sites as one sweep at a time, and n_sites
+    rounds always suffice.
     """
     two_d = lat.threshold
-    total = two_d ** lat.n_sites
+    n = lat.n_sites
+    total = two_d ** n
     if total > cap:
         raise CapacityError(
             f"{total} stable configurations exceeds the enumeration cap {cap}")
-    rows = [h for h in itertools.product(range(two_d), repeat=lat.n_sites)
-            if _burns_completely(h, lat.neighbours)]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), lat.n_sites)
+    # Neighbour table padded with column n, which is never present.
+    nbrs = np.full((n, two_d), n, dtype=np.intp)
+    for x, ys in enumerate(lat.neighbours):
+        nbrs[x, :len(ys)] = ys
+    place = two_d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # Heights below 2d fit int8: numpy caps a Lattice's bounding box at 64 axes.
+    found = []
+    for start in range(0, total, ENUMERATION_CHUNK):
+        index = np.arange(start, min(start + ENUMERATION_CHUNK, total), dtype=np.int64)
+        h = (index[:, None] // place % two_d).astype(np.int8)
+        present = np.ones((len(index), n + 1), dtype=np.int8)
+        present[:, n] = 0
+        for _ in range(n):
+            burns = present[:, :n] & (h >= present[:, nbrs].sum(axis=2, dtype=np.int8))
+            if not burns.any():
+                break
+            present[:, :n] -= burns
+        found.append(h[~present.any(axis=1)])
+    return np.concatenate(found).astype(np.int64)
+
+
+def _solve_toppling(lat, x):
+    """Exact solution y of Delta y = e_x and det Delta, for the integer
+    toppling matrix Delta (2d on the diagonal, -1 across each in-set bond).
+
+    Delta is symmetric positive definite, so Gaussian elimination needs no
+    pivoting, its Schur complements stay symmetric, and fill-in stays
+    inside the band of the site order. Only the upper triangle is kept,
+    one sparse row per site; the pivots multiply to det Delta.
+    """
+    n = lat.n_sites
+    rows = [{i: Fraction(lat.threshold)} for i in range(n)]
+    for i, ys in enumerate(lat.neighbours):
+        rows[i].update((j, Fraction(-1)) for j in ys if j > i)
+    rhs = [Fraction(0)] * n
+    rhs[x] = Fraction(1)
+    det = Fraction(1)
+    for k, row in enumerate(rows):
+        pivot = row[k]
+        det *= pivot
+        upper = sorted((j, v) for j, v in row.items() if j > k)
+        for j, a in upper:
+            factor = a / pivot
+            target = rows[j]
+            for l, b in upper:
+                if l >= j:
+                    target[l] = target.get(l, 0) - factor * b
+            rhs[j] -= factor * rhs[k]
+    y = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        acc = rhs[k] - sum(v * y[j] for j, v in row.items() if j > k)
+        y[k] = acc / row[k]
+    return y, int(det)
 
 
 def addition_order(lat, x, recurrent=None):
     """Order of grain addition at x acting on the recurrent set.
 
-    Addition-and-stabilize permutes the recurrent configurations; the
-    order returned is the lcm of its cycle lengths, i.e. the least n with
-    a_x^n = identity on every recurrent configuration.
+    The sandpile group Z^n / Delta Z^n acts simply transitively on the
+    recurrent configurations (Dhar 1990), so a_x^k is the identity iff
+    k e_x lies in Delta Z^n, i.e. iff k Delta^-1 e_x is integral. The
+    order is therefore the lcm of the denominators of the exact solution
+    of Delta y = e_x; it is a Python int of any size. When the enumerated
+    `recurrent` set is given, its size must equal det Delta.
     """
-    if recurrent is None:
-        recurrent = enumerate_recurrent(lat)
-    index = {tuple(int(v) for v in row): i for i, row in enumerate(recurrent)}
-    n = len(index)
-    perm = [0] * n
-    for i, row in enumerate(recurrent):
-        img = tuple(int(v) for v in btw_add(lat, row, x))
-        j = index.get(img)
-        if j is None:
-            raise DomainError("recurrent set is not closed under addition")
-        perm[i] = j
-    if len(set(perm)) != n:
-        raise DomainError("addition is not a bijection on the recurrent set")
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    y, det = _solve_toppling(lat, x)
+    if recurrent is not None and len(recurrent) != det:
+        raise DomainError(
+            f"{len(recurrent)} configurations given, but the recurrent set has {det}")
+    return math.lcm(*(v.denominator for v in y))
 
 
 def btw_inverse_add(lat, heights, x, power=1, order=None, recurrent=None):
     """Undo `power` grain additions at x on a recurrent configuration.
 
-    Realized as a forward power: a_x^-1 = a_x^(n-1) where n is the
-    addition order at x, so the inverse of `power` additions is
-    (-power) mod n further additions. Pass `order` (and optionally the
-    enumerated `recurrent` set) to skip recomputing it.
+    eps = 2m - stab(2m), with m the maximal stable configuration, is Delta
+    times an odometer, so it is zero in the sandpile group, and eps >= m
+    at every site. Hence a_x^-k eta = stab(eta - k e_x + c eps) with
+    c = ceil(k / (2d - 1)): the argument is at least eta, so its
+    stabilization is the recurrent representative of eta - k e_x. The
+    grains added grow with k, not with the addition order. Passing `order`
+    reduces `power` modulo it first; a negative power adds grains. The
+    `recurrent` set is accepted for compatibility and not needed.
     """
     h = _as_heights(lat, heights)
     if not is_recurrent_burning(lat, h):
         raise DomainError("inverse addition is defined only on recurrent configurations")
-    if order is None:
-        order = addition_order(lat, x, recurrent)
-    k = (-int(power)) % order
-    return btw_add(lat, h, x, amount=k)
+    k = int(power) if order is None else int(power) % int(order)
+    c = -(-k // (lat.threshold - 1)) if k > 0 else 0
+    eps = np.zeros_like(h)
+    if c:
+        twice = 2 * max_stable(lat)
+        eps = twice - btw_stabilize(lat, twice)[0]
+    if int(h.max()) + c * int(eps.max()) + max(-k, 0) >= 2**63:
+        raise DomainError(f"{abs(k)} additions at site {x} need more grains than int64 holds")
+    h += c * eps
+    h[x] -= k
+    stabilize_from(lat, h, np.flatnonzero(h >= lat.threshold))
+    return h

@@ -257,7 +257,10 @@ def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
     rolls back by u modulo the cell width; the quanta roll back by
     floor(2d u) quantum additions, plus one more when the fractional
     subtraction borrows a quantum (zeta's frac at x is below u mod 1/2d).
-    Quantum rollbacks use the forward addition powers of btw_inverse_add.
+    The quanta roll back through btw_inverse_add, which adds grains in
+    proportion to that count, never to the addition order, so it works
+    on lattices far too large to enumerate. `order` and `recurrent` are
+    passed on to it.
     """
     _check_config(lat, config)
     if not (0.0 <= u < 1.0):

@@ -9,7 +9,8 @@ the file. Real-valued flags accept decimal literals or the token
 timestamps, and a rerun with identical arguments writes identical bytes.
 
 Exit codes: 0 success (thresholds met), 1 a checked threshold failed,
-2 configuration error, 3 capacity exceeded.
+2 configuration error, 3 capacity exceeded (a lattice too large for
+recurrent enumeration or the subset scan).
 """
 
 import argparse
@@ -122,13 +123,26 @@ def setting(args, config, key, default=None):
     return config.get(key, default)
 
 
-def count_setting(args, config, key, default=None):
-    """A nonnegative integer setting such as --steps or --samples."""
+def number_setting(args, config, key, kind, default=None):
+    """A setting read as `kind` (int or float). Booleans, NaN and
+    fractional values of an integer setting are configuration errors."""
     value = require(setting(args, config, key, default), f"--{key}")
     try:
-        count = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key}: expected an integer, got {value!r}") from None
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(value)
+        number = kind(value)
+        if math.isnan(number):
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a real number"
+        raise ConfigError(f"--{key}: expected {what}, got {value!r}") from None
+    return number
+
+
+def count_setting(args, config, key, default=None):
+    """A nonnegative integer setting such as --steps, --samples or --seed."""
+    count = number_setting(args, config, key, int, default)
     if count < 0:
         raise ConfigError(f"--{key} must be >= 0, got {count}")
     return count
@@ -140,7 +154,7 @@ def common_settings(args, need_dims=True):
     if dims_value is None and need_dims:
         raise ConfigError("missing lattice dims: pass --dims or a config with lattice.dims")
     dims = parse_dims(dims_value) if dims_value is not None else None
-    seed = int(setting(args, config, "seed", 0))
+    seed = count_setting(args, config, "seed", 0)
     out = setting(args, config, "out")
     fmt = setting(args, config, "format")
     if fmt is not None and fmt not in ("json", "csv"):
@@ -299,8 +313,8 @@ def cmd_simulate(args):
 def cmd_invariance(args):
     config, dims, seed, out, fmt = common_settings(args)
     samples = count_setting(args, config, "samples", 100000)
-    bins = int(setting(args, config, "bins", 8))
-    tolerance = float(setting(args, config, "tolerance", 0.01))
+    bins = count_setting(args, config, "bins", 8)
+    tolerance = number_setting(args, config, "tolerance", float, 0.01)
     lat = build_lattice(dims)
     (rng,) = spawn_rngs(seed, 1)
     result = experiments.invariance_experiment(lat, measures.Binning(bins), samples, rng)
@@ -320,7 +334,7 @@ def cmd_couple(args):
     b = parse_real(require(setting(args, config, "b", None), "--b"), "--b")
     if not a < b:
         raise ConfigError(f"coupling needs a < b, got a={a}, b={b}")
-    max_epochs = int(setting(args, config, "max_epochs", 200000))
+    max_epochs = count_setting(args, config, "max_epochs", 200000)
     lat = build_lattice(dims)
     try:
         params = cbtw.AdditionParams(a, b)
@@ -358,8 +372,8 @@ def cmd_limit_rational(args):
     a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
     steps = count_setting(args, config, "steps", 2000)
     samples = count_setting(args, config, "samples", 20000)
-    bins = int(setting(args, config, "bins", 8))
-    tolerance = float(setting(args, config, "tolerance", 0.02))
+    bins = count_setting(args, config, "bins", 8)
+    tolerance = number_setting(args, config, "tolerance", float, 0.02)
     lat = build_lattice(dims)
     l = cbtw.quantum_multiple(a, lat.d)
     if l is None or not 1 <= l <= 2 * lat.d - 1:
@@ -389,7 +403,7 @@ def cmd_fourier(args):
     x = [0.0] * len(k) if x_raw is None else parse_real_list(x_raw, "--x")
     if len(x) != len(k):
         raise ConfigError(f"--x has {len(x)} coordinates but --k has {len(k)}")
-    n_terms = int(setting(args, config, "N", 100))
+    n_terms = number_setting(args, config, "N", int, 100)
     samples = count_setting(args, config, "samples", 200000)
     if n_terms < 1:
         raise ConfigError("--N must be >= 1")
@@ -415,7 +429,7 @@ def cmd_ergodic(args):
     config, dims, seed, out, fmt = common_settings(args)
     a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
     steps = count_setting(args, config, "steps", 100000)
-    tolerance = float(setting(args, config, "tolerance", 0.02))
+    tolerance = number_setting(args, config, "tolerance", float, 0.02)
     lat = build_lattice(dims)
     if not 0.0 <= a < 1.0:
         raise ConfigError(f"--a must lie in [0, 1), got {a}")

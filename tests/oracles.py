@@ -8,6 +8,8 @@ these are frozen in the test modules.
 """
 
 from fractions import Fraction
+import itertools
+import math
 
 import numpy as np
 
@@ -103,6 +105,54 @@ def cofactor_determinant(entries):
 
 def stable_configurations(lat):
     """All integer-stable configurations, lexicographic."""
-    import itertools
     two_d = 2 * lat.d
     return itertools.product(range(two_d), repeat=lat.n_sites)
+
+
+def burns_completely(adj, h):
+    """Sequential burning sweeps on adjacency lists `adj`: remove any site
+    whose height reaches its count of still-present neighbours until a
+    sweep removes nothing."""
+    count = [len(a) for a in adj]
+    present = [True] * len(adj)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(len(adj)):
+            if present[x] and h[x] >= count[x]:
+                present[x] = False
+                changed = True
+                for y in adj[x]:
+                    count[y] -= 1
+    return not any(present)
+
+
+def enumerate_recurrent(lat):
+    """Recurrent configurations, lexicographic: one burning test per
+    stable configuration."""
+    adj = [[int(y) for y in a] for a in lat.adjacency]
+    rows = [h for h in stable_configurations(lat) if burns_completely(adj, h)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), lat.n_sites)
+
+
+def permutation_order(lat, x, recurrent):
+    """Order of grain addition at x: the lcm of the cycle lengths of the
+    permutation it induces on the enumerated recurrent set."""
+    index = {tuple(int(v) for v in row): i for i, row in enumerate(recurrent)}
+    perm = []
+    for row in recurrent:
+        h = np.array(row, dtype=np.int64)
+        h[x] += 1
+        perm.append(index[tuple(int(v) for v in lifo_stabilize(lat, h)[0])])
+    assert sorted(perm) == list(range(len(perm)))
+    seen = [False] * len(perm)
+    order = 1
+    for i in range(len(perm)):
+        length = 0
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order

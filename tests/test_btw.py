@@ -8,6 +8,7 @@ from sandpiles import (CapacityError, DomainError, addition_order, btw_add,
                        build_lattice, enumerate_recurrent,
                        is_allowed_bruteforce, is_recurrent_burning, is_stable,
                        lattice_from_sites, max_stable, stabilize_many)
+import oracles
 from oracles import lifo_stabilize, random_order_stabilize, stable_configurations
 
 
@@ -263,3 +264,67 @@ def test_inverse_add_power(path2):
 def test_inverse_add_rejects_transient(path2):
     with pytest.raises(DomainError):
         btw_inverse_add(path2, [0, 0], 0)
+
+
+ORACLE_LATTICES = [build_lattice([n]) for n in range(1, 7)] + [
+    build_lattice([2, 2]), build_lattice([2, 3]), build_lattice([3, 3]),
+    lattice_from_sites(2, IRREGULAR)]
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=repr)
+def test_enumerate_recurrent_matches_oracle(lat):
+    ours = enumerate_recurrent(lat)
+    assert ours.dtype == np.int64
+    assert np.array_equal(ours, oracles.enumerate_recurrent(lat))
+
+
+@pytest.mark.parametrize("lat", [lat for lat in ORACLE_LATTICES if lat.n_sites < 9], ids=repr)
+def test_addition_order_matches_permutation_oracle(lat):
+    rec = oracles.enumerate_recurrent(lat)
+    for x in range(lat.n_sites):
+        assert addition_order(lat, x, rec) == oracles.permutation_order(lat, x, rec)
+
+
+def test_addition_order_3x3_frozen(grid33):
+    assert [addition_order(grid33, x) for x in (0, 4)] == [224, 16]
+
+
+def test_inverse_add_beyond_enumeration(rng):
+    lat = build_lattice([4, 4])
+    h = btw_stabilize(lat, max_stable(lat) + rng.integers(0, 6, size=16))[0]
+    back = btw_inverse_add(lat, h, 5)
+    assert np.array_equal(btw_add(lat, back, 5), h)
+    assert np.array_equal(btw_inverse_add(lat, h, 5, power=3),
+                          btw_inverse_add(lat, btw_inverse_add(lat, back, 5), 5))
+
+
+def test_inverse_add_roundtrip_16x16_is_bit_exact(rng):
+    lat = build_lattice([16, 16])
+    h = btw_stabilize(lat, max_stable(lat) + rng.integers(0, 8, size=256))[0]
+    for x, power in [(0, 1), (135, 1), (255, 7)]:
+        back = btw_inverse_add(lat, h, x, power=power)
+        assert is_recurrent_burning(lat, back)
+        assert np.array_equal(btw_add(lat, back, x, amount=power), h)
+        assert np.array_equal(btw_inverse_add(lat, btw_add(lat, h, x, amount=power), x,
+                                              power=power), h)
+
+
+def test_addition_order_16x16_exceeds_int64():
+    order = addition_order(build_lattice([16, 16]), 0)
+    assert type(order) is int
+    assert order > 2**63
+
+
+def test_inverse_add_huge_power_reduces_modulo_order(path3, grid22):
+    for lat, x in [(path3, 0), (grid22, 1)]:
+        order = addition_order(lat, x)
+        for h in enumerate_recurrent(lat)[::7]:
+            assert np.array_equal(btw_inverse_add(lat, h, x, power=2**70, order=order),
+                                  btw_inverse_add(lat, h, x, power=2**70 % order))
+
+
+def test_inverse_add_rejects_power_beyond_int64(path2):
+    with pytest.raises(DomainError):
+        btw_inverse_add(path2, [1, 1], 0, power=2**70)
+    with pytest.raises(DomainError):
+        btw_inverse_add(path2, [1, 1], 0, power=-2**70)

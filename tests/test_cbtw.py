@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandpiles import (AdditionParams, CbtwConfig, DomainError, btw_stabilize,
+                       max_stable,
                        build_lattice, cbtw_add, cbtw_inverse_add,
                        cbtw_stabilize, cbtw_topple, decompose,
                        enumerate_recurrent, is_allowed_bruteforce,
@@ -170,6 +171,21 @@ def test_inverse_add_roundtrip_both_ways(path2, rng):
         assert np.abs(back.frac - zeta.frac).max() < 1e-10
         forward = cbtw_add(path2, zeta, x, u)
         orig = cbtw_inverse_add(path2, forward, x, u, recurrent=rec)
+        assert np.array_equal(orig.quanta, zeta.quanta)
+        assert np.abs(orig.frac - zeta.frac).max() < 1e-10
+
+
+def test_inverse_add_roundtrip_beyond_enumeration(rng):
+    lat = build_lattice([4, 4])
+    for _ in range(10):
+        quanta = btw_stabilize(lat, max_stable(lat) + rng.integers(0, 6, size=16))[0]
+        zeta = CbtwConfig(d=2, quanta=quanta, frac=rng.uniform(0.0, 0.25, size=16))
+        x = int(rng.integers(16))
+        u = float(rng.uniform(0.0, 1.0))
+        back = cbtw_add(lat, cbtw_inverse_add(lat, zeta, x, u), x, u)
+        assert np.array_equal(back.quanta, zeta.quanta)
+        assert np.abs(back.frac - zeta.frac).max() < 1e-10
+        orig = cbtw_inverse_add(lat, cbtw_add(lat, zeta, x, u), x, u)
         assert np.array_equal(orig.quanta, zeta.quanta)
         assert np.abs(orig.frac - zeta.frac).max() < 1e-10
 

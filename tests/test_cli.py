@@ -310,3 +310,18 @@ def test_bad_count_in_config_is_config_error(tmp_path, capsys, value, message):
     rc = run_cli(["simulate", "--config", str(cfg), "--a", "0.3"])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    (["invariance", "--samples", "10"], "bins"),
+    (["invariance", "--samples", "10"], "tolerance"),
+    (["couple", "--a", "0.2", "--b", "0.8"], "max_epochs"),
+    (["fourier", "--a", "0.3", "--samples", "10"], "N"),
+    (["simulate", "--a", "0.3", "--steps", "2"], "seed"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_non_numeric_setting_in_config_is_config_error(tmp_path, capsys, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"dims": [2]}, key: "abc"}))
+    rc = run_cli(command + ["--config", str(cfg)])
+    assert rc == 2
+    assert f"--{key}: expected" in capsys.readouterr().err
