@@ -15,6 +15,14 @@ instead of raw masses: stabilization is exact integer work, and the
 fractional parts are preserved bit for bit by construction. Mass
 additions are the only operation that moves weight between the two parts.
 
+Fractional parts live on a fixed-point grid: frac = F / S with an integer
+F in [0, 2^50) and S = 2d * 2^50, so one quantum is 2^50 grid units. They
+are stored as float64 (the conversion F -> F/S -> rint(frac * S) is
+lossless), but every addition converts its amount once to U = rint(u * S)
+and runs in integers through `_carry`: F + U splits into whole quanta and
+a new F, so chains never accumulate rounding error, an addition is
+inverted bit for bit, and coupled chains coalesce exactly.
+
 Configurations may hold arbitrarily large mass before stabilization;
 `quanta` is an unbounded int64 array, so additions that push a height
 past 1 need no special handling.
@@ -28,9 +36,29 @@ import numpy as np
 from . import btw
 from .errors import DomainError
 
-# Fractional parts within this distance of the cell width 1/2d are snapped
-# to 0 and the quantum carried, so equality checks across code paths agree.
-SNAP = 1e-15
+# One quantum (1/2d of mass) is 2^FRAC_BITS grid units. With F < 2^50 the
+# float round trip rint((F/S) * S) is off by at most F * 2^-52 < 1/2 before
+# rounding, so it returns F, and F + U stays inside int64 for d < 4096.
+FRAC_BITS = 50
+FRAC_MASK = (1 << FRAC_BITS) - 1
+
+
+def grid_scale(d):
+    """S = 2d * 2^50, the grid units in one unit of mass (exact as a float)."""
+    return float(2 * d << FRAC_BITS)
+
+
+def grid_units(values, d):
+    """Amounts or fractional parts as int64 grid units, rint(values * S)."""
+    return np.rint(np.asarray(values, dtype=np.float64) * grid_scale(d)).astype(np.int64)
+
+
+def _carry(F, U):
+    """Add U grid units to fractional parts F: returns (carry, F') with
+    F + U = carry * 2^50 + F' and F' in [0, 2^50). A negative sum borrows.
+    Works on Python ints and on int64 arrays alike."""
+    t = F + U
+    return t >> FRAC_BITS, t & FRAC_MASK
 
 
 @dataclass
@@ -38,19 +66,14 @@ class CbtwConfig:
     """Decomposed continuous configuration.
 
     quanta: int64 array, nonnegative.
-    frac: float64 array with entries in [0, 1/2d).
-    add_counts / base_frac: optional per-site bookkeeping for chains with a
-        fixed addition amount `a`. When present, cbtw_add recomputes the
-        fractional part at the touched site as
-        (base_frac + add_counts * a) mod 1/2d instead of accumulating
-        floating-point increments, so long runs do not drift.
+    frac: float64 array with entries in [0, 1/2d). Every fractional part
+        the package writes is a grid value F/S (see the module docstring);
+        frac read from elsewhere joins the grid at its first addition.
     """
 
     d: int
     quanta: np.ndarray
     frac: np.ndarray
-    add_counts: np.ndarray = None
-    base_frac: np.ndarray = None
 
     @property
     def cell(self):
@@ -69,25 +92,7 @@ class CbtwConfig:
         return bool((self.quanta < 2 * self.d).all())
 
     def copy(self):
-        return CbtwConfig(
-            d=self.d,
-            quanta=self.quanta.copy(),
-            frac=self.frac.copy(),
-            add_counts=None if self.add_counts is None else self.add_counts.copy(),
-            base_frac=self.base_frac,
-        )
-
-    def with_tracking(self):
-        """Copy with fixed-amount bookkeeping switched on from this state."""
-        base = self.frac.copy()
-        base.setflags(write=False)
-        return CbtwConfig(
-            d=self.d,
-            quanta=self.quanta.copy(),
-            frac=self.frac.copy(),
-            add_counts=np.zeros(self.n_sites, dtype=np.int64),
-            base_frac=base,
-        )
+        return CbtwConfig(d=self.d, quanta=self.quanta.copy(), frac=self.frac.copy())
 
     def to_json(self):
         return json.dumps({
@@ -98,11 +103,19 @@ class CbtwConfig:
     @classmethod
     def from_json(cls, d, text):
         data = json.loads(text)
-        if set(data) != {"quanta", "frac"}:
-            raise DomainError('configuration JSON must have exactly the keys "quanta" and "frac"')
-        quanta = np.asarray(data["quanta"], dtype=np.int64)
-        frac = np.asarray(data["frac"], dtype=np.float64)
-        cfg = cls(d=d, quanta=quanta, frac=frac)
+        if not isinstance(data, dict) or set(data) != {"quanta", "frac"}:
+            raise DomainError(
+                'configuration JSON must be an object with exactly the keys "quanta" and "frac"')
+        quanta, frac = data["quanta"], data["frac"]
+        int64 = np.iinfo(np.int64)
+        # bool is an int subclass; JSON true/false are not heights.
+        if not (isinstance(quanta, list) and all(
+                type(q) is int and int64.min <= q <= int64.max for q in quanta)):
+            raise DomainError("quanta must be a list of integers in the int64 range")
+        if not (isinstance(frac, list) and all(type(f) in (int, float) for f in frac)):
+            raise DomainError("frac must be a list of numbers")
+        cfg = cls(d=d, quanta=np.array(quanta, dtype=np.int64),
+                  frac=np.array(frac, dtype=np.float64))
         _check_config_values(cfg)
         return cfg
 
@@ -126,26 +139,19 @@ def _check_config(lat, cfg):
 
 
 def decompose(lat, heights):
-    """Split dense real heights into (quanta, frac).
+    """Split dense real heights into (quanta, frac) on the grid.
 
-    Fractional parts within SNAP of the cell width roll into the next
-    quantum, so heights like 0.9999999999999999 * (1/2d) land on the
-    quantum boundary they mean.
+    A fractional part that rounds to a whole cell, as for heights like
+    0.9999999999999999 * (1/2d), carries into the next quantum.
     """
     h = np.asarray(heights, dtype=np.float64)
     if h.shape != (lat.n_sites,):
         raise DomainError(f"heights must have shape ({lat.n_sites},), got {h.shape}")
     if (h < 0).any():
         raise DomainError("heights must be nonnegative")
-    two_d = 2 * lat.d
-    cell = 1.0 / two_d
-    quanta = np.floor(h * two_d).astype(np.int64)
-    frac = h - quanta * cell
-    roll = frac >= cell - SNAP
-    quanta[roll] += 1
-    frac[roll] = 0.0
-    np.clip(frac, 0.0, None, out=frac)
-    return CbtwConfig(d=lat.d, quanta=quanta, frac=frac)
+    quanta = np.floor(h * (2 * lat.d)).astype(np.int64)
+    carry, F = _carry(grid_units(h - quanta / (2 * lat.d), lat.d), 0)
+    return CbtwConfig(d=lat.d, quanta=quanta + carry, frac=F / grid_scale(lat.d))
 
 
 def recompose(cfg):
@@ -188,46 +194,21 @@ def cbtw_stabilize(lat, config):
     """
     _check_config(lat, config)
     quanta, od = btw.btw_stabilize(lat, config.quanta)
-    return CbtwConfig(d=config.d, quanta=quanta, frac=config.frac.copy(),
-                      add_counts=None if config.add_counts is None else config.add_counts.copy(),
-                      base_frac=config.base_frac), od
+    return CbtwConfig(d=config.d, quanta=quanta, frac=config.frac.copy()), od
 
 
-def _add_inplace(lat, quanta, frac, x, u, add_counts=None, base_frac=None):
-    """Add mass u at site x and stabilize, mutating the arrays in place.
-
-    Shared kernel for cbtw_add and the chain drivers. When add_counts is
-    given the new fractional part is recomputed from base_frac (fixed
-    amount u every call), and the quantum carry is reconciled from mass
-    conservation so it stays correct even when the recomputed value lands
-    across a cell boundary from the accumulated one.
-    """
-    two_d = 2 * lat.d
-    cell = 1.0 / two_d
-    if add_counts is not None:
-        add_counts[x] += 1
-        f_new = (base_frac[x] + add_counts[x] * u) % cell
-        if f_new >= cell - SNAP:
-            f_new = 0.0
-        carry = int(round((frac[x] + u - f_new) * two_d))
-    else:
-        total = frac[x] + u
-        carry = int(total / cell)
-        f_new = total - carry * cell
-        if f_new >= cell - SNAP:
-            carry += 1
-            f_new = 0.0
-        elif f_new < 0.0:
-            carry -= 1
-            f_new += cell
-            if f_new >= cell - SNAP:
-                carry += 1
-                f_new = 0.0
+def _add_inplace(lat, quanta, frac, x, u):
+    """Add mass u at site x and stabilize, mutating the arrays in place:
+    the kernel of cbtw_add and the scalar chain drivers. A float u is
+    converted to grid units rint(u * S); an int is grid units already."""
+    scale = grid_scale(lat.d)
+    units = round(u * scale) if isinstance(u, float) else u
+    carry, F = _carry(round(frac.item(x) * scale), units)
     if carry < 0:
         raise DomainError(
             f"addition at site {x} would remove quanta: fractional part {frac[x]} "
-            f"lies outside [0, {cell})")
-    frac[x] = f_new
+            f"lies outside [0, {1.0 / (2 * lat.d)})")
+    frac[x] = F / scale
     quanta[x] += carry
     btw.stabilize_from(lat, quanta, (x,))
 
@@ -237,30 +218,27 @@ def cbtw_add(lat, config, x, u):
 
     Total mass quanta/2d + frac is conserved by the add itself: the
     fractional overflow is carried into quanta before stabilization.
+    The amount is rounded to the grid, u -> rint(u * S) / S.
     """
     _check_config(lat, config)
     if not (0.0 <= u < 1.0):
         raise DomainError(f"addition amount must lie in [0, 1), got {u}")
     quanta = config.quanta.copy()
     frac = config.frac.copy()
-    counts = None if config.add_counts is None else config.add_counts.copy()
-    _add_inplace(lat, quanta, frac, x, u,
-                 add_counts=counts, base_frac=config.base_frac)
-    return CbtwConfig(d=config.d, quanta=quanta, frac=frac,
-                      add_counts=counts, base_frac=config.base_frac)
+    _add_inplace(lat, quanta, frac, x, float(u))
+    return CbtwConfig(d=config.d, quanta=quanta, frac=frac)
 
 
 def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
     """Invert cbtw_add: recover eta from zeta = cbtw_add(eta, x, u).
 
-    Defined on stable allowed configurations. The fractional part at x
-    rolls back by u modulo the cell width; the quanta roll back by
-    floor(2d u) quantum additions, plus one more when the fractional
-    subtraction borrows a quantum (zeta's frac at x is below u mod 1/2d).
-    The quanta roll back through btw_inverse_add, which adds grains in
-    proportion to that count, never to the addition order, so it works
-    on lattices far too large to enumerate. `order` and `recurrent` are
-    passed on to it.
+    Defined on stable allowed configurations. In grid units, F - U at x
+    splits through `_carry` into the old fractional part and a borrow of
+    k quanta, the carry cbtw_add made, so add(inverse_add(zeta)) == zeta
+    bit for bit. The quanta roll back by k quantum additions through
+    btw_inverse_add, which adds grains in proportion to k, never to the
+    addition order, so it works on lattices far too large to enumerate.
+    `order` and `recurrent` are passed on to it.
     """
     _check_config(lat, config)
     if not (0.0 <= u < 1.0):
@@ -269,26 +247,12 @@ def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
         raise DomainError("inverse addition needs a stable configuration")
     if not is_allowed_cbtw(lat, config):
         raise DomainError("inverse addition is defined only on allowed configurations")
-    two_d = 2 * lat.d
-    cell = 1.0 / two_d
-    r = int(u / cell)
-    u_mod = u - r * cell
-    if u_mod >= cell - SNAP:
-        r += 1
-        u_mod = 0.0
-    fx = config.frac[x]
-    if fx >= u_mod:
-        k = r
-        f_new = fx - u_mod
-    else:
-        k = r + 1
-        f_new = fx - u_mod + cell
-    if f_new >= cell - SNAP:
-        f_new = 0.0
-    quanta = btw.btw_inverse_add(lat, config.quanta, x, power=k,
+    scale = grid_scale(lat.d)
+    borrow, F = _carry(round(config.frac.item(x) * scale), -round(u * scale))
+    quanta = btw.btw_inverse_add(lat, config.quanta, x, power=-borrow,
                                  order=order, recurrent=recurrent)
     frac = config.frac.copy()
-    frac[x] = max(f_new, 0.0)
+    frac[x] = F / scale
     return CbtwConfig(d=config.d, quanta=quanta, frac=frac)
 
 

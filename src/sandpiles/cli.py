@@ -51,32 +51,25 @@ def parse_real(value, what="value"):
     raise ConfigError(f"{what}: expected a real number, got {value!r}")
 
 
-def parse_dims(value):
-    if isinstance(value, str):
-        parts = [p for p in value.replace("x", ",").split(",") if p]
-        try:
-            dims = [int(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"--dims: expected comma-separated integers, got {value!r}") from None
-    elif isinstance(value, (list, tuple)):
-        try:
-            dims = [int(v) for v in value]
-        except (TypeError, ValueError):
-            raise ConfigError(f"lattice dims must be a list of integers, got {value!r}") from None
-    else:
-        raise ConfigError(f"cannot read lattice dims from {value!r}")
-    if not dims:
-        raise ConfigError("lattice dims must be non-empty")
-    return dims
-
-
 def parse_int_list(value, what):
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+    """A non-empty integer list from a JSON list or a comma-separated
+    string. Booleans, fractional numbers and other types are errors."""
+    items = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
     try:
-        return [int(p) for p in str(value).split(",") if p.strip() != ""]
+        if not isinstance(items, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, (int, str)) for v in items):
+            raise ValueError(value)
+        ints = [int(v) for v in items]
     except ValueError:
         raise ConfigError(f"{what}: expected comma-separated integers, got {value!r}") from None
+    if not ints:
+        raise ConfigError(f"{what}: expected at least one integer, got {value!r}")
+    return ints
+
+
+def parse_dims(value):
+    return parse_int_list(value.replace("x", ",") if isinstance(value, str) else value,
+                          "--dims")
 
 
 def parse_real_list(value, what):

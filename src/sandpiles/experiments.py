@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from . import btw
-from .cbtw import SNAP, AdditionParams, CbtwConfig, quantum_multiple, _add_inplace
+from .cbtw import FRAC_BITS, AdditionParams, CbtwConfig, _add_inplace, _carry, \
+    grid_scale, grid_units, quantum_multiple
 from .errors import DomainError
 from .measures import Binning, Histogram, estimate_tv, \
     sample_rational_limit_batch, sample_uniform_allowed_batch, tv_noise_floor
@@ -37,54 +38,39 @@ class ChainState:
 def run_chain(lat, initial, params, steps, rng, on_step=None):
     """Run the randomized-addition chain for `steps` steps.
 
-    Each step draws the site first, then the amount. In fixed-amount mode
-    the configuration is switched to tracked bookkeeping so fractional
-    parts are recomputed, not accumulated. on_step(t, x, u, quanta, frac)
-    is called after each step with live views (copy them to keep them).
+    Each step draws the site first, then the amount, and adds it in grid
+    units rint(u * S): a fixed amount moves the fractional parts by the
+    same integer every step, so long runs cannot drift. on_step(t, x, u,
+    quanta, frac) is called after each step with live views (copy them to
+    keep them).
     """
     cfg = initial.copy()
-    if params.mode == "fixed" and cfg.add_counts is None:
-        cfg = cfg.with_tracking()
     quanta, frac = cfg.quanta, cfg.frac
     theta = np.zeros(lat.n_sites)
     for t in range(1, steps + 1):
         x = int(rng.integers(lat.n_sites))
         u = float(params.a) if params.mode == "fixed" else float(rng.uniform(params.a, params.b))
-        _add_inplace(lat, quanta, frac, x, u,
-                     add_counts=cfg.add_counts, base_frac=cfg.base_frac)
+        _add_inplace(lat, quanta, frac, x, u)
         theta[x] += u
         if on_step is not None:
             on_step(t, x, u, quanta, frac)
     return ChainState(t=steps, config=cfg, theta=theta)
 
 
-def step_ensemble(lat, quanta, frac, xs, us, counts=None, base_frac=None, amount=None):
+def step_ensemble(lat, quanta, frac, xs, us):
     """Apply one addition to every replica row, in place.
 
     Row i receives mass us[i] at site xs[i]; all rows are then stabilized
-    together. With `counts`/`base_frac`/`amount` given (fixed-amount
-    chains) the fractional parts are recomputed from the counts and the
-    quantum carry reconciled from mass conservation.
+    together. Float amounts are converted to grid units rint(us * S);
+    an integer array is taken as grid units already. The carry is the
+    same integer rule as the scalar kernel's, so a row evolves bit for
+    bit like _add_inplace on that replica.
     """
-    two_d = 2 * lat.d
-    cell = 1.0 / two_d
+    us = np.asarray(us)
+    units = us if us.dtype.kind in "iu" else grid_units(us, lat.d)
     rows = np.arange(quanta.shape[0])
-    if counts is not None:
-        counts[rows, xs] += 1
-        f_new = (base_frac[rows, xs] + counts[rows, xs] * amount) % cell
-        f_new[f_new >= cell - SNAP] = 0.0
-        carry = np.round((frac[rows, xs] + us - f_new) * two_d).astype(np.int64)
-    else:
-        total = frac[rows, xs] + us
-        carry = np.floor(total / cell).astype(np.int64)
-        f_new = total - carry * cell
-        lo = f_new < 0.0
-        carry[lo] -= 1
-        f_new[lo] += cell
-        hi = f_new >= cell - SNAP
-        carry[hi] += 1
-        f_new[hi] = 0.0
-    frac[rows, xs] = f_new
+    carry, F = _carry(grid_units(frac[rows, xs], lat.d), units)
+    frac[rows, xs] = F / grid_scale(lat.d)
     quanta[rows, xs] += carry
     btw.stabilize_many(lat, quanta)
 
@@ -93,19 +79,15 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots=()):
     """Evolve replica rows of (quanta, frac) in place for `steps` steps.
 
     Returns {t: (quanta copy, frac copy)} for each requested snapshot
-    time. Fixed-amount mode tracks per-site addition counts per replica.
+    time.
     """
     n = quanta.shape[0]
-    fixed = params.mode == "fixed"
-    counts = np.zeros_like(quanta) if fixed else None
-    base = frac.copy() if fixed else None
     out = {}
     want = set(int(t) for t in snapshots)
     for t in range(1, steps + 1):
         xs = rng.integers(lat.n_sites, size=n)
         us = params.draw(rng, size=n)
-        step_ensemble(lat, quanta, frac, xs, us,
-                      counts=counts, base_frac=base, amount=params.a)
+        step_ensemble(lat, quanta, frac, xs, us)
         if t in want:
             out[t] = (quanta.copy(), frac.copy())
     return out
@@ -153,48 +135,63 @@ class CouplingResult:
     zeta: CbtwConfig
 
 
-FRAC_MATCH_TOL = 1e-10
+def _coupling_grid(lat, params):
+    """M, L, the middle half [mid_lo, mid_hi] of [a, b], and the amount
+    grid: A = rint(a S) and W = rint(b S) - A. Shifting amounts modulo W
+    on [A, A + W) is a bijection of that grid, so it preserves their law."""
+    M, L = epoch_shape(lat, params)
+    a, b = params.a, params.b
+    scale = grid_scale(lat.d)
+    A = round(a * scale)
+    return M, L, (3 * a + b) / 4, (a + 3 * b) / 4, A, round(b * scale) - A
 
 
-def _pair_coalesced(eta_q, eta_f, zeta_q, zeta_f):
-    return bool(np.array_equal(eta_q, zeta_q)
-                and np.max(np.abs(eta_f - zeta_f), initial=0.0) <= FRAC_MATCH_TOL)
+def _epoch_shifts(lat, M, eta_q, eta_f, zeta_q, zeta_f):
+    """floor(G/M) and G mod M for the per-site gap G = eta - zeta in grid
+    units. The M visits of a site in an epoch shift by floor(G/M), plus
+    one on each of the first G mod M visits, which sums to G exactly."""
+    G = (((eta_q - zeta_q) << FRAC_BITS)
+         + grid_units(eta_f, lat.d) - grid_units(zeta_f, lat.d))
+    return np.divmod(G, M)
 
 
 def run_coupling(lat, eta0, zeta0, params, rng, max_epochs=200000):
     """Couple two chains until they coalesce (or give up).
 
     Both chains see the same random sites. The first chain draws amounts
-    uniformly on [a, b]; the second receives the measure-preserving shift
-    u_hat = ((u + D(x) - a) mod (b-a)) + a, where D is the per-site height
-    gap frozen at the start of each epoch, divided by M. When an epoch
-    draws every site exactly M times with every raw amount in the middle
-    half of [a, b] (the event recorded as o_occurred), the shift never
-    wraps and the chains agree exactly at the epoch end; the driver raises
-    if that fails, since it would mean the dynamics are broken. Equality
-    is only ever checked at epoch boundaries.
+    uniformly on [a, b]; the second receives, in grid units, the
+    measure-preserving shift U_hat = ((U + part - A) mod W) + A, where the
+    parts split the per-site gap frozen at the start of each epoch (see
+    _epoch_shifts). When an epoch draws every site exactly M times with
+    every raw amount in the middle half of [a, b] (the event recorded as
+    o_occurred), the shift never wraps, each site of the second chain
+    receives exactly the gap more than the first, and by abelianness the
+    chains end the epoch bit-identical; the driver raises if that fails,
+    since it would mean the dynamics are broken. Equality is only ever
+    checked at epoch boundaries.
     """
-    M, L = epoch_shape(lat, params)
-    a, b = params.a, params.b
-    mid_lo = (3 * a + b) / 4
-    mid_hi = (a + 3 * b) / 4
+    M, L, mid_lo, mid_hi, A, W = _coupling_grid(lat, params)
+    scale = grid_scale(lat.d)
     eta = eta0.copy()
     zeta = zeta0.copy()
     records = []
     for epoch in range(1, max_epochs + 1):
-        D = (eta.heights() - zeta.heights()) / M
-        seen = np.zeros(lat.n_sites, dtype=np.int64)
+        base, extra = (v.tolist() for v in _epoch_shifts(
+            lat, M, eta.quanta, eta.frac, zeta.quanta, zeta.frac))
+        seen = [0] * lat.n_sites
         all_mid = True
         for _ in range(L):
             x = int(rng.integers(lat.n_sites))
-            u = float(rng.uniform(a, b))
-            u_hat = ((u + D[x] - a) % (b - a)) + a
-            _add_inplace(lat, eta.quanta, eta.frac, x, u)
-            _add_inplace(lat, zeta.quanta, zeta.frac, x, u_hat)
+            u = float(rng.uniform(params.a, params.b))
+            U = round(u * scale)
+            part = base[x] + (seen[x] < extra[x])
+            _add_inplace(lat, eta.quanta, eta.frac, x, U)
+            _add_inplace(lat, zeta.quanta, zeta.frac, x, (U + part - A) % W + A)
             seen[x] += 1
             all_mid = all_mid and mid_lo <= u <= mid_hi
-        o_occurred = bool(all_mid and (seen == M).all())
-        coalesced = _pair_coalesced(eta.quanta, eta.frac, zeta.quanta, zeta.frac)
+        o_occurred = all_mid and all(c == M for c in seen)
+        coalesced = (np.array_equal(eta.quanta, zeta.quanta)
+                     and np.array_equal(eta.frac, zeta.frac))
         records.append(EpochRecord(epoch, o_occurred, coalesced))
         if o_occurred and not coalesced:
             raise RuntimeError("coalescence event occurred but the chains differ; "
@@ -222,35 +219,31 @@ def run_coupling_ensemble(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac,
     never on the state, so every (replica, epoch) cell is an independent
     trial with the exact per-epoch probability; this is the driver for
     frequency statistics. o_events marks the cells where the event
-    occurred, o_verified the subset where the pair really did agree at the
-    epoch end (they must all match).
+    occurred, o_verified the subset where the pair really did agree bit
+    for bit at the epoch end (they must all match).
     """
-    M, L = epoch_shape(lat, params)
-    a, b = params.a, params.b
-    mid_lo = (3 * a + b) / 4
-    mid_hi = (a + 3 * b) / 4
+    M, L, mid_lo, mid_hi, A, W = _coupling_grid(lat, params)
     n = eta_quanta.shape[0]
-    cell = 1.0 / (2 * lat.d)
     rows = np.arange(n)
     o_events = np.zeros((n_epochs, n), dtype=bool)
     o_verified = np.zeros((n_epochs, n), dtype=bool)
     for e in range(n_epochs):
-        D = ((eta_quanta - zeta_quanta) * cell + (eta_frac - zeta_frac)) / M
+        base, extra = _epoch_shifts(lat, M, eta_quanta, eta_frac, zeta_quanta, zeta_frac)
         seen = np.zeros((n, lat.n_sites), dtype=np.int64)
         all_mid = np.ones(n, dtype=bool)
         for _ in range(L):
             xs = rng.integers(lat.n_sites, size=n)
-            us = rng.uniform(a, b, size=n)
-            u_hat = ((us + D[rows, xs] - a) % (b - a)) + a
-            step_ensemble(lat, eta_quanta, eta_frac, xs, us)
-            step_ensemble(lat, zeta_quanta, zeta_frac, xs, u_hat)
+            us = rng.uniform(params.a, params.b, size=n)
+            units = grid_units(us, lat.d)
+            part = base[rows, xs] + (seen[rows, xs] < extra[rows, xs])
+            step_ensemble(lat, eta_quanta, eta_frac, xs, units)
+            step_ensemble(lat, zeta_quanta, zeta_frac, xs, (units + part - A) % W + A)
             seen[rows, xs] += 1
             all_mid &= (us >= mid_lo) & (us <= mid_hi)
         occurred = all_mid & (seen == M).all(axis=1)
-        same_q = (eta_quanta == zeta_quanta).all(axis=1)
-        same_f = np.abs(eta_frac - zeta_frac).max(axis=1) <= FRAC_MATCH_TOL
+        same = (eta_quanta == zeta_quanta).all(axis=1) & (eta_frac == zeta_frac).all(axis=1)
         o_events[e] = occurred
-        o_verified[e] = occurred & same_q & same_f
+        o_verified[e] = occurred & same
     return CouplingEnsembleResult(n, n_epochs, M, L, o_events, o_verified)
 
 
@@ -274,12 +267,12 @@ def ergodic_average(lat, initial, amount, steps, observable, rng):
     The observable is called once per step with a live view of the
     configuration (copy it to keep it); values may be scalars or arrays.
     """
-    state = initial.copy().with_tracking()
+    state = initial.copy()
+    units = round(amount * grid_scale(lat.d))
     total = None
     for _ in range(steps):
         x = int(rng.integers(lat.n_sites))
-        _add_inplace(lat, state.quanta, state.frac, x, amount,
-                     add_counts=state.add_counts, base_frac=state.base_frac)
+        _add_inplace(lat, state.quanta, state.frac, x, units)
         val = observable(state)
         total = np.asarray(val) * 1.0 if total is None else total + np.asarray(val)
     return total / steps

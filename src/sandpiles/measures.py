@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import btw
-from .cbtw import CbtwConfig, quantum_multiple
+from .cbtw import CbtwConfig, grid_scale, quantum_multiple
 from .errors import DomainError
 
 
@@ -58,20 +58,10 @@ class Histogram:
     def _shape_key(self):
         return (self.d, self.n_sites, self.binning.bins_per_site)
 
-    def key_for(self, config):
-        if config.d != self.d or config.n_sites != self.n_sites:
-            raise DomainError("configuration does not match histogram shape")
-        if not config.is_stable():
-            raise DomainError("histograms hold stable configurations only")
-        q = tuple(int(v) for v in config.quanta)
-        b = tuple(int(v) for v in frac_bins(config.frac, self.d, self.binning))
-        return q, b
-
     def add(self, config):
-        key = self.key_for(config)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        self.total += 1
-        return self
+        if config.d != self.d:
+            raise DomainError("configuration does not match histogram shape")
+        return self.add_batch(config.quanta[None, :], config.frac[None, :])
 
     def add_batch(self, quanta, frac):
         """Accumulate many configurations at once (rows are replicas)."""
@@ -184,44 +174,35 @@ def estimate_tv(hist_p, hist_q):
 
 def sample_uniform_allowed(lat, rng, recurrent=None):
     """One draw from the uniform law on stable allowed configurations:
-    quanta uniform over the recurrent set, frac uniform per site."""
-    if recurrent is None:
-        recurrent = btw.enumerate_recurrent(lat)
-    quanta = recurrent[rng.integers(len(recurrent))].copy()
-    frac = rng.uniform(0.0, 1.0 / (2 * lat.d), size=lat.n_sites)
-    return CbtwConfig(d=lat.d, quanta=quanta, frac=frac)
+    row 0 of sample_uniform_allowed_batch."""
+    quanta, frac = sample_uniform_allowed_batch(lat, rng, 1, recurrent)
+    return CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
 
 
 def sample_uniform_allowed_batch(lat, rng, n, recurrent=None):
-    """n independent uniform-allowed draws as (quanta, frac) matrices."""
+    """n independent uniform-allowed draws as (quanta, frac) matrices:
+    quanta uniform over the recurrent set, frac uniform per site, floored
+    onto the fixed-point grid (floor keeps it below the cell width)."""
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
     rows = rng.integers(len(recurrent), size=n)
     quanta = recurrent[rows].copy()
+    scale = grid_scale(lat.d)
     frac = rng.uniform(0.0, 1.0 / (2 * lat.d), size=(n, lat.n_sites))
-    return quanta, frac
+    return quanta, np.floor(frac * scale) / scale
 
 
 def sample_rational_limit(lat, base, amount, rng, recurrent=None):
     """One draw from the long-run law of the fixed-amount chain when the
-    amount is a quantum multiple l/2d: add l quanta at every site of a
-    uniform recurrent configuration to `base` and stabilize. The frac
-    part of `base` is untouched."""
-    l = quantum_multiple(amount, lat.d)
-    if l is None or not (1 <= l <= 2 * lat.d - 1):
-        raise DomainError(f"amount {amount} is not a quantum multiple l/2d with 0 < l < 1 mass")
-    if not base.is_stable():
-        raise DomainError("base configuration must be stable")
-    if recurrent is None:
-        recurrent = btw.enumerate_recurrent(lat)
-    xi = recurrent[rng.integers(len(recurrent))]
-    quanta = base.quanta + l * xi
-    quanta, _ = btw.btw_stabilize(lat, quanta)
-    return CbtwConfig(d=lat.d, quanta=quanta, frac=base.frac.copy())
+    amount is a quantum multiple l/2d: row 0 of sample_rational_limit_batch."""
+    quanta, frac = sample_rational_limit_batch(lat, base, amount, rng, 1, recurrent)
+    return CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
 
 
 def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None):
-    """n independent rational-limit draws as (quanta, frac) matrices."""
+    """n independent rational-limit draws as (quanta, frac) matrices: add
+    l quanta at every site of a uniform recurrent configuration to `base`
+    and stabilize. The frac part of `base` is untouched."""
     l = quantum_multiple(amount, lat.d)
     if l is None or not (1 <= l <= 2 * lat.d - 1):
         raise DomainError(f"amount {amount} is not a quantum multiple l/2d with 0 < l < 1 mass")

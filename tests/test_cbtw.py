@@ -12,12 +12,17 @@ from sandpiles import (AdditionParams, CbtwConfig, DomainError, btw_stabilize,
                        enumerate_recurrent, is_allowed_bruteforce,
                        is_allowed_cbtw, max_config, quantum_multiple,
                        recompose, sample_uniform_allowed, zero_config)
-from sandpiles.cbtw import _add_inplace
+from sandpiles.cbtw import FRAC_BITS, FRAC_MASK, _add_inplace, grid_scale, grid_units
 from oracles import dense_add, dense_stabilize
 
 
 def total_mass(lat, cfg):
     return cfg.quanta.sum() / (2 * lat.d) + cfg.frac.sum()
+
+
+def grid_frac(lat, frac):
+    """Fractional parts floored onto the fixed-point grid."""
+    return np.floor(np.asarray(frac) * grid_scale(lat.d)) / grid_scale(lat.d)
 
 
 def test_decompose_frozen(path2):
@@ -32,6 +37,13 @@ def test_decompose_snaps_to_cell_boundary(path1):
     cfg = decompose(path1, [almost_half])
     assert cfg.quanta.tolist() == [1]
     assert cfg.frac.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 32, 64])
+def test_grid_round_trip_is_lossless(d):
+    F = np.random.default_rng(d).integers(0, FRAC_MASK + 1, size=20000)
+    F[:3] = [0, 1, FRAC_MASK]
+    assert np.array_equal(grid_units(F / grid_scale(d), d), F)
 
 
 def test_decompose_rejects_negative(path2):
@@ -147,16 +159,34 @@ def test_add_matches_dense_oracle(path3, rng):
 
 
 def test_tracked_add_matches_untracked(path2, rng):
+    # A fixed amount does not drift: after N_x additions at each site x the
+    # state is the closed form of the integer carry rule, F = (F0 + N U) mod
+    # 2^50 and quanta = stab(q0 + ((F0 + N U) >> 50)) by abelianness.
     a = np.sqrt(2.0) - 1.0
-    plain = sample_uniform_allowed(path2, rng)
-    tracked = plain.with_tracking()
+    cfg = sample_uniform_allowed(path2, rng)
+    F0 = grid_units(cfg.frac, 1)
+    U = int(grid_units(a, 1))
+    visits = np.zeros(2, dtype=np.int64)
+    plain = cfg
     for _ in range(300):
         x = int(rng.integers(2))
         plain = cbtw_add(path2, plain, x, a)
-        tracked = cbtw_add(path2, tracked, x, a)
-    assert np.array_equal(plain.quanta, tracked.quanta)
-    assert np.allclose(plain.frac, tracked.frac, atol=1e-12)
-    assert tracked.add_counts.sum() == 300
+        visits[x] += 1
+    total = F0 + visits * U
+    assert (plain.frac == (total & FRAC_MASK) / grid_scale(1)).all()
+    expected, _ = btw_stabilize(path2, cfg.quanta + (total >> FRAC_BITS))
+    assert np.array_equal(plain.quanta, expected)
+
+
+def test_repeated_irrational_addition_is_exact(path1):
+    cfg = decompose(path1, [0.123456789])
+    quanta, frac = cfg.quanta.copy(), cfg.frac.copy()
+    a = np.sqrt(2.0) - 1.0
+    n = 10**5
+    for _ in range(n):
+        _add_inplace(path1, quanta, frac, 0, a)
+    F0, U = int(grid_units(cfg.frac, 1)[0]), int(grid_units(a, 1))
+    assert frac[0] == ((F0 + n * U) & FRAC_MASK) / grid_scale(1)
 
 
 def test_inverse_add_roundtrip_both_ways(path2, rng):
@@ -168,26 +198,27 @@ def test_inverse_add_roundtrip_both_ways(path2, rng):
         eta = cbtw_inverse_add(path2, zeta, x, u, recurrent=rec)
         back = cbtw_add(path2, eta, x, u)
         assert np.array_equal(back.quanta, zeta.quanta)
-        assert np.abs(back.frac - zeta.frac).max() < 1e-10
+        assert (back.frac == zeta.frac).all()
         forward = cbtw_add(path2, zeta, x, u)
         orig = cbtw_inverse_add(path2, forward, x, u, recurrent=rec)
         assert np.array_equal(orig.quanta, zeta.quanta)
-        assert np.abs(orig.frac - zeta.frac).max() < 1e-10
+        assert (orig.frac == zeta.frac).all()
 
 
 def test_inverse_add_roundtrip_beyond_enumeration(rng):
     lat = build_lattice([4, 4])
     for _ in range(10):
         quanta = btw_stabilize(lat, max_stable(lat) + rng.integers(0, 6, size=16))[0]
-        zeta = CbtwConfig(d=2, quanta=quanta, frac=rng.uniform(0.0, 0.25, size=16))
+        frac = grid_frac(lat, rng.uniform(0.0, 0.25, size=16))
+        zeta = CbtwConfig(d=2, quanta=quanta, frac=frac)
         x = int(rng.integers(16))
         u = float(rng.uniform(0.0, 1.0))
         back = cbtw_add(lat, cbtw_inverse_add(lat, zeta, x, u), x, u)
         assert np.array_equal(back.quanta, zeta.quanta)
-        assert np.abs(back.frac - zeta.frac).max() < 1e-10
+        assert (back.frac == zeta.frac).all()
         orig = cbtw_inverse_add(lat, cbtw_add(lat, zeta, x, u), x, u)
         assert np.array_equal(orig.quanta, zeta.quanta)
-        assert np.abs(orig.frac - zeta.frac).max() < 1e-10
+        assert (orig.frac == zeta.frac).all()
 
 
 def test_inverse_add_requires_allowed(path2):

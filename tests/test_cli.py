@@ -325,3 +325,40 @@ def test_non_numeric_setting_in_config_is_config_error(tmp_path, capsys, command
     rc = run_cli(command + ["--config", str(cfg)])
     assert rc == 2
     assert f"--{key}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "5",
+    "null",
+    '{"quanta": ["x", 0], "frac": [0.0, 0.0]}',
+    '{"quanta": [0.5, 0], "frac": [0.0, 0.0]}',
+    '{"quanta": [true, 0], "frac": [0.0, 0.0]}',
+    '{"quanta": [1e30, 0], "frac": [0.0, 0.0]}',
+    '{"quanta": [99999999999999999999, 0], "frac": [0.0, 0.0]}',
+    '{"quanta": [0, 0], "frac": ["0.1", 0.0]}',
+    '{"quanta": [0, 0], "frac": [false, 0.0]}',
+], ids=["number-root", "null-root", "string-quanta", "fractional-quanta", "bool-quanta",
+        "float-overflow-quanta", "int64-overflow-quanta", "string-frac", "bool-frac"])
+def test_bad_init_file_is_config_error(tmp_path, capsys, text):
+    init = tmp_path / "init.json"
+    init.write_text(text)
+    rc = run_cli(["simulate", "--dims", "2", "--a", "0.3", "--steps", "2",
+                  "--init", f"@{init}"])
+    assert rc == 2
+    assert "bad init configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [["x"], [1.5], [True], []],
+                         ids=["string", "fraction", "bool", "empty"])
+def test_bad_k_in_config_is_config_error(tmp_path, capsys, k):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": k}))
+    rc = run_cli(["fourier", "--a", "0.3", "--samples", "10", "--config", str(cfg)])
+    assert rc == 2
+    assert "--k:" in capsys.readouterr().err
+
+
+def test_empty_k_flag_is_config_error(capsys):
+    assert run_cli(["fourier", "--a", "0.3", "--samples", "10", "--k", ",,"]) == 2
+    assert "--k: expected at least one integer" in capsys.readouterr().err
+

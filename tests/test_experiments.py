@@ -14,7 +14,7 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        translation_mixture_fourier,
                        translation_mixture_fourier_mc, tv_decay_experiment,
                        zero_config)
-from sandpiles.cbtw import _add_inplace
+from sandpiles.cbtw import FRAC_MASK, _add_inplace, grid_scale, grid_units
 
 
 def test_run_chain_deterministic(path2):
@@ -44,13 +44,23 @@ def test_run_chain_reports_steps(path2):
 
 
 def test_fixed_mode_tracks_counts(path2):
-    params = AdditionParams(0.4, 0.4)
-    state = run_chain(path2, zero_config(path2), params, 120, np.random.default_rng(3))
-    assert state.config.add_counts is not None
-    assert state.config.add_counts.sum() == 120
-    interval = run_chain(path2, zero_config(path2), AdditionParams(0.2, 0.6),
-                         120, np.random.default_rng(3))
-    assert interval.config.add_counts is None
+    # The fractional part at each site is fixed by its addition count alone:
+    # (F0 + count * U) mod 2^50 on the grid, for either chain driver.
+    a = 0.4
+    visits = np.zeros(2, dtype=np.int64)
+
+    def on_step(t, x, u, quanta, frac):
+        visits[x] += 1
+
+    state = run_chain(path2, zero_config(path2), AdditionParams(a, a), 120,
+                      np.random.default_rng(3), on_step=on_step)
+    assert visits.sum() == 120
+    U = int(grid_units(a, 1))
+    assert (state.config.frac == ((visits * U) & FRAC_MASK) / grid_scale(1)).all()
+    quanta, frac = np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2))
+    run_chain_ensemble(path2, quanta, frac, AdditionParams(a, a), 120,
+                       np.random.default_rng(3))
+    assert np.isin(frac[0], (np.arange(121) * U & FRAC_MASK) / grid_scale(1)).all()
 
 
 def test_step_ensemble_matches_scalar_kernel(path2, rng):
@@ -69,26 +79,20 @@ def test_step_ensemble_matches_scalar_kernel(path2, rng):
 
 
 def test_step_ensemble_tracked_matches_scalar(path2, rng):
+    # Fixed-amount steps: the ensemble kernel equals the scalar one bit for bit.
     rec = enumerate_recurrent(path2)
     n = 40
     amount = np.sqrt(2.0) - 1.0
     quanta, frac = sample_uniform_allowed_batch(path2, rng, n, rec)
-    base = frac.copy()
-    counts = np.zeros_like(quanta)
     vq, vf = quanta.copy(), frac.copy()
     sq, sf = quanta.copy(), frac.copy()
-    scalar_counts = np.zeros_like(quanta)
-    for step in range(5):
+    for step in range(50):
         xs = rng.integers(2, size=n)
-        us = np.full(n, amount)
-        step_ensemble(path2, vq, vf, xs, us, counts=counts,
-                      base_frac=base, amount=amount)
+        step_ensemble(path2, vq, vf, xs, np.full(n, amount))
         for i in range(n):
-            _add_inplace(path2, sq[i], sf[i], int(xs[i]), amount,
-                         add_counts=scalar_counts[i], base_frac=base[i])
+            _add_inplace(path2, sq[i], sf[i], int(xs[i]), amount)
     assert np.array_equal(vq, sq)
     assert (vf == sf).all()
-    assert np.array_equal(counts, scalar_counts)
 
 
 def test_run_chain_ensemble_snapshots(path2, rng):
@@ -114,16 +118,17 @@ def test_phase_observable_matches_dense_form(grid22, rng):
 
 def test_phase_rotates_by_fixed_amount(path2):
     a = np.sqrt(2.0) - 1.0
-    params = AdditionParams(a, a)
-    rng = np.random.default_rng(11)
-    cfg = zero_config(path2).with_tracking()
-    g0 = phase_observable(cfg)
-    for t in range(1, 301):
-        x = int(rng.integers(2))
-        _add_inplace(path2, cfg.quanta, cfg.frac, x, a,
-                     add_counts=cfg.add_counts, base_frac=cfg.base_frac)
+    g0 = phase_observable(zero_config(path2))
+    gaps = []
+
+    def on_step(t, x, u, quanta, frac):
+        cfg = CbtwConfig(d=1, quanta=quanta, frac=frac)
         predicted = g0 * np.exp(4j * np.pi * path2.d * a * t)
-        assert abs(phase_observable(cfg) - predicted) < 1e-10
+        gaps.append(abs(phase_observable(cfg) - predicted))
+
+    run_chain(path2, zero_config(path2), AdditionParams(a, a), 300,
+              np.random.default_rng(11), on_step=on_step)
+    assert len(gaps) == 300 and max(gaps) < 1e-10
 
 
 def test_epoch_shape_frozen(path1, path2):
@@ -148,7 +153,7 @@ def test_run_coupling_coalesces_single_site(path1):
     assert result.coalesced
     assert result.M == 5 and result.L == 5
     assert np.array_equal(result.eta.quanta, result.zeta.quanta)
-    assert np.abs(result.eta.frac - result.zeta.frac).max() <= 1e-10
+    assert np.array_equal(result.eta.frac, result.zeta.frac)
     # every epoch where the event fired must have coalesced
     for rec in result.records:
         if rec.o_occurred:
@@ -181,6 +186,32 @@ def test_run_coupling_ensemble_all_events_verified(path1, rng):
     # frequency sanity: 4000 Bernoulli(1/32) trials
     count = out.o_events.sum()
     assert 60 <= count <= 200
+
+
+def test_run_coupling_coalesces_bit_for_bit(path2):
+    params = AdditionParams(0.2, 0.8)
+    eta0 = zero_config(path2)
+    zeta0 = decompose(path2, [0.9, np.sqrt(2.0) - 1.0])
+    result = run_coupling(path2, eta0, zeta0, params, np.random.default_rng(4),
+                          max_epochs=20000)
+    assert result.coalesced
+    assert np.array_equal(result.eta.quanta, result.zeta.quanta)
+    assert np.array_equal(result.eta.frac, result.zeta.frac)
+
+
+def test_run_coupling_ensemble_coalesces_bit_for_bit(path1, rng):
+    # Pairs whose epoch saw the event must hold identical arrays.
+    params = AdditionParams(0.0, 0.96)
+    n = 2000
+    eta_q, eta_f = np.zeros((n, 1), dtype=np.int64), np.zeros((n, 1))
+    zeta_q, zeta_f = sample_uniform_allowed_batch(path1, rng, n)
+    out = run_coupling_ensemble(path1, eta_q, eta_f, zeta_q, zeta_f, params, 1, rng)
+    hit = out.o_events[0]
+    assert hit.sum() >= 20
+    assert np.array_equal(out.o_verified, out.o_events)
+    assert np.array_equal(eta_q[hit], zeta_q[hit])
+    assert np.array_equal(eta_f[hit], zeta_f[hit])
+    assert not np.array_equal(eta_f[~hit], zeta_f[~hit])
 
 
 def test_fourier_frozen_values():
