@@ -57,6 +57,24 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
     return ChainState(t=steps, config=cfg, theta=theta)
 
 
+# A fold sums at most FOLD_LIMIT/2d additions per cell (F + sum U < 2^63);
+# fixed-amount chains draw their sites in blocks of DRAW_BLOCK (memory).
+FOLD_LIMIT, DRAW_BLOCK = 1 << 12, 1 << 20
+
+
+def _add_units(lat, quanta, frac, cells, units):
+    """Add units[k] grid units at the k-th True cell of the boolean mask
+    `cells` (row-major order) through the carry rule, then stabilize all
+    rows once. Other cells keep their frac bits; a negative carry raises
+    DomainError first."""
+    carry, F = _carry(grid_units(frac[cells], lat.d), units)
+    if (carry < 0).any():
+        raise DomainError(f"an addition would remove quanta: frac must be in [0, 1/{2 * lat.d})")
+    frac[cells] = F / grid_scale(lat.d)
+    quanta[cells] += carry
+    btw.stabilize_many(lat, quanta)
+
+
 def step_ensemble(lat, quanta, frac, xs, us):
     """Apply one addition to every replica row, in place.
 
@@ -64,30 +82,53 @@ def step_ensemble(lat, quanta, frac, xs, us):
     together. Float amounts are converted to grid units rint(us * S);
     an integer array is taken as grid units already. The carry is the
     same integer rule as the scalar kernel's, so a row evolves bit for
-    bit like _add_inplace on that replica.
+    bit like _add_inplace on that replica; a negative carry raises
+    DomainError. Ensemble drivers sum units and make the same call once
+    per snapshot or epoch, which abelianness makes exact.
     """
     us = np.asarray(us)
     units = us if us.dtype.kind in "iu" else grid_units(us, lat.d)
-    rows = np.arange(quanta.shape[0])
-    carry, F = _carry(grid_units(frac[rows, xs], lat.d), units)
-    frac[rows, xs] = F / grid_scale(lat.d)
-    quanta[rows, xs] += carry
-    btw.stabilize_many(lat, quanta)
+    cells = np.zeros(quanta.shape, dtype=bool)
+    cells[np.arange(quanta.shape[0]), xs] = True
+    _add_units(lat, quanta, frac, cells, units)
 
 
 def run_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots=()):
     """Evolve replica rows of (quanta, frac) in place for `steps` steps.
 
-    Returns {t: (quanta copy, frac copy)} for each requested snapshot
-    time.
+    Returns {t: (quanta copy, frac copy)} for each snapshot time, all in
+    1..steps (DomainError otherwise). Same result and random stream as
+    one step_ensemble call per step, but each row's grid units are summed
+    per site and stabilized once per snapshot and every 2^12/2d steps (so
+    sums fit int64): the carries depend only on the sums, and by
+    abelianness the stable quanta only on the carries.
     """
-    n = quanta.shape[0]
-    out = {}
-    want = set(int(t) for t in snapshots)
-    for t in range(1, steps + 1):
-        xs = rng.integers(lat.n_sites, size=n)
-        us = params.draw(rng, size=n)
-        step_ensemble(lat, quanta, frac, xs, us)
+    want = sorted(set(int(t) for t in snapshots))
+    if want and not 1 <= want[0] <= want[-1] <= steps:
+        raise DomainError(f"snapshot times must lie in 1..{steps}, got {want}")
+    n, m = quanta.shape
+    offsets = np.arange(n) * m
+    fixed = params.mode == "fixed"
+    # A fixed amount draws nothing else, so its sites come in blocks.
+    block = max(1, DRAW_BLOCK // max(n, 1)) if fixed else 1
+    out, t = {}, 0
+    for stop in sorted({*want, steps}):
+        while t < stop:
+            T = min(stop - t, max(1, FOLD_LIMIT // (2 * lat.d)))
+            hits = np.zeros(n * m, dtype=np.int64 if fixed else bool)
+            total = None if fixed else np.zeros(n * m, dtype=np.int64)
+            for s in range(0, T, block):
+                idx = rng.integers(m, size=(min(T - s, block), n))
+                idx += offsets
+                if fixed:
+                    hits += np.bincount(idx.ravel(), minlength=n * m)
+                else:
+                    total[idx] += grid_units(params.draw(rng, size=n), lat.d)
+                    hits[idx] = True
+            cells = hits.reshape(n, m) > 0
+            units = hits * int(grid_units(params.a, lat.d)) if fixed else total
+            _add_units(lat, quanta, frac, cells, units.reshape(n, m)[cells])
+            t += T
         if t in want:
             out[t] = (quanta.copy(), frac.copy())
     return out
@@ -220,27 +261,38 @@ def run_coupling_ensemble(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac,
     trial with the exact per-epoch probability; this is the driver for
     frequency statistics. o_events marks the cells where the event
     occurred, o_verified the subset where the pair really did agree bit
-    for bit at the epoch end (they must all match).
+    for bit at the epoch end (they must all match). Equality is checked
+    only there and the shifts are frozen at the epoch start, so both
+    ensembles stabilize once per epoch from per-site sums of grid units,
+    as in run_chain_ensemble.
     """
     M, L, mid_lo, mid_hi, A, W = _coupling_grid(lat, params)
-    n = eta_quanta.shape[0]
-    rows = np.arange(n)
+    n, m = eta_quanta.shape
+    offsets = np.arange(n) * m
     o_events = np.zeros((n_epochs, n), dtype=bool)
     o_verified = np.zeros((n_epochs, n), dtype=bool)
     for e in range(n_epochs):
-        base, extra = _epoch_shifts(lat, M, eta_quanta, eta_frac, zeta_quanta, zeta_frac)
-        seen = np.zeros((n, lat.n_sites), dtype=np.int64)
+        base, extra = (v.ravel() for v in _epoch_shifts(
+            lat, M, eta_quanta, eta_frac, zeta_quanta, zeta_frac))
+        seen, eta_units, zeta_units = np.zeros((3, n * m), dtype=np.int64)
         all_mid = np.ones(n, dtype=bool)
-        for _ in range(L):
-            xs = rng.integers(lat.n_sites, size=n)
+        for t in range(1, L + 1):
+            idx = rng.integers(m, size=n) + offsets
             us = rng.uniform(params.a, params.b, size=n)
             units = grid_units(us, lat.d)
-            part = base[rows, xs] + (seen[rows, xs] < extra[rows, xs])
-            step_ensemble(lat, eta_quanta, eta_frac, xs, units)
-            step_ensemble(lat, zeta_quanta, zeta_frac, xs, (units + part - A) % W + A)
-            seen[rows, xs] += 1
+            part = base[idx] + (seen[idx] < extra[idx])
+            eta_units[idx] += units
+            zeta_units[idx] += (units + part - A) % W + A
+            seen[idx] += 1
             all_mid &= (us >= mid_lo) & (us <= mid_hi)
-        occurred = all_mid & (seen == M).all(axis=1)
+            if t == L or t % max(1, FOLD_LIMIT // (2 * lat.d)) == 0:
+                # Cells folded earlier in the epoch are on the grid, and
+                # folding them again with no units leaves them unchanged.
+                cells = seen.reshape(n, m) > 0
+                _add_units(lat, eta_quanta, eta_frac, cells, eta_units.reshape(n, m)[cells])
+                _add_units(lat, zeta_quanta, zeta_frac, cells, zeta_units.reshape(n, m)[cells])
+                eta_units[:] = zeta_units[:] = 0
+        occurred = all_mid & (seen.reshape(n, m) == M).all(axis=1)
         same = (eta_quanta == zeta_quanta).all(axis=1) & (eta_frac == zeta_frac).all(axis=1)
         o_events[e] = occurred
         o_verified[e] = occurred & same
@@ -270,11 +322,12 @@ def ergodic_average(lat, initial, amount, steps, observable, rng):
     state = initial.copy()
     units = round(amount * grid_scale(lat.d))
     total = None
-    for _ in range(steps):
-        x = int(rng.integers(lat.n_sites))
-        _add_inplace(lat, state.quanta, state.frac, x, units)
-        val = observable(state)
-        total = np.asarray(val) * 1.0 if total is None else total + np.asarray(val)
+    # Nothing else draws, so sites drawn in blocks follow the scalar stream.
+    for start in range(0, steps, 4096):
+        for x in rng.integers(lat.n_sites, size=min(steps - start, 4096)).tolist():
+            _add_inplace(lat, state.quanta, state.frac, x, units)
+            val = observable(state)
+            total = np.asarray(val) * 1.0 if total is None else total + np.asarray(val)
     return total / steps
 
 
@@ -406,9 +459,11 @@ def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=
     uniform-allowed reference sample of the same size, and fits a line to
     log TV over time; the slope is the decay-rate estimate.
     """
+    times = sorted(int(t) for t in times)
+    if not times:
+        raise DomainError("tv_decay_experiment needs at least one snapshot time")
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
-    times = sorted(int(t) for t in times)
     n = int(n_replicas)
     quanta = np.zeros((n, lat.n_sites), dtype=np.int64)
     frac = np.zeros((n, lat.n_sites), dtype=np.float64)

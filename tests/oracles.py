@@ -4,7 +4,10 @@ Everything here is deliberately written the slow, obvious way, sharing no
 code with the package internals: single legal topplings in randomized or
 stack order, dense real-height dynamics without the quanta/frac split,
 and a cofactor-expansion determinant. Test expectations computed from
-these are frozen in the test modules.
+these are frozen in the test modules. The stepwise ensemble drivers are
+the one exception: they replay the random stream of the package's
+ensemble drivers one step at a time, through the scalar FIFO kernel
+`_add_inplace`, row by row.
 """
 
 from fractions import Fraction
@@ -12,6 +15,8 @@ import itertools
 import math
 
 import numpy as np
+
+from sandpiles.cbtw import FRAC_BITS, _add_inplace, grid_scale
 
 
 def unstable_sites(heights, threshold):
@@ -156,3 +161,52 @@ def permutation_order(lat, x, recurrent):
         if length:
             order = math.lcm(order, length)
     return order
+
+
+def stepwise_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots=()):
+    """run_chain_ensemble one step at a time: every step draws the sites,
+    then the amounts, of all rows and adds them row by row."""
+    out = {}
+    for t in range(1, steps + 1):
+        xs = rng.integers(lat.n_sites, size=len(quanta)).tolist()
+        us = params.draw(rng, size=len(quanta)).tolist()
+        for row, (x, u) in enumerate(zip(xs, us)):
+            _add_inplace(lat, quanta[row], frac[row], x, u)
+        if t in snapshots:
+            out[t] = (quanta.copy(), frac.copy())
+    return out
+
+
+def stepwise_coupling_ensemble(lat, eta_q, eta_f, zeta_q, zeta_f, params, n_epochs, rng):
+    """run_coupling_ensemble one step at a time and row by row; returns
+    (o_events, o_verified)."""
+    n, m = eta_q.shape
+    a, b = params.a, params.b
+    M = math.ceil(4.0 / (b - a))
+    scale = grid_scale(lat.d)
+    A = round(a * scale)
+    W = round(b * scale) - A
+    events = np.zeros((n_epochs, n), dtype=bool)
+    verified = np.zeros((n_epochs, n), dtype=bool)
+    for e in range(n_epochs):
+        gaps = [[((int(eta_q[i, x]) - int(zeta_q[i, x])) << FRAC_BITS)
+                 + round(float(eta_f[i, x]) * scale) - round(float(zeta_f[i, x]) * scale)
+                 for x in range(m)] for i in range(n)]
+        seen = [[0] * m for _ in range(n)]
+        all_mid = [True] * n
+        for _ in range(m * M):
+            xs = rng.integers(m, size=n).tolist()
+            us = rng.uniform(a, b, size=n).tolist()
+            for i, (x, u) in enumerate(zip(xs, us)):
+                U = round(u * scale)
+                base, extra = divmod(gaps[i][x], M)
+                part = base + (seen[i][x] < extra)
+                _add_inplace(lat, eta_q[i], eta_f[i], x, U)
+                _add_inplace(lat, zeta_q[i], zeta_f[i], x, (U + part - A) % W + A)
+                seen[i][x] += 1
+                all_mid[i] = all_mid[i] and (3 * a + b) / 4 <= u <= (a + 3 * b) / 4
+        for i in range(n):
+            events[e, i] = all_mid[i] and all(c == M for c in seen[i])
+            verified[e, i] = events[e, i] and (np.array_equal(eta_q[i], zeta_q[i])
+                                               and np.array_equal(eta_f[i], zeta_f[i]))
+    return events, verified

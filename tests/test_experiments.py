@@ -14,7 +14,10 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        translation_mixture_fourier,
                        translation_mixture_fourier_mc, tv_decay_experiment,
                        zero_config)
+from sandpiles import experiments, lattice_from_sites
 from sandpiles.cbtw import FRAC_MASK, _add_inplace, grid_scale, grid_units
+
+from oracles import stepwise_chain_ensemble, stepwise_coupling_ensemble
 
 
 def test_run_chain_deterministic(path2):
@@ -107,6 +110,92 @@ def test_run_chain_ensemble_snapshots(path2, rng):
         assert (q >= 0).all() and (q < 2).all()
         assert (f >= 0.0).all() and (f < 0.5).all()
     assert np.array_equal(snaps[16][0], quanta)
+
+
+def test_step_ensemble_rejects_negative_carry():
+    lat = build_lattice([2])
+    quanta, frac = np.array([[0, 0]]), np.array([[-0.3, 0.0]])
+    with pytest.raises(DomainError):
+        step_ensemble(lat, quanta, frac, np.array([0]), np.array([0.1]))
+    assert np.array_equal(quanta, [[0, 0]]) and (frac == [[-0.3, 0.0]]).all()
+
+
+def test_run_chain_ensemble_rejects_negative_carry(path1):
+    # Two additions of 0.1 leave -0.1 at the only site: a carry of -1.
+    quanta, frac = np.zeros((3, 1), dtype=np.int64), np.full((3, 1), -0.3)
+    with pytest.raises(DomainError):
+        run_chain_ensemble(path1, quanta, frac, AdditionParams(0.1, 0.1), 2,
+                           np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("snapshots", [(0,), (5,), (-1, 2)])
+def test_run_chain_ensemble_rejects_snapshots_outside_run(path2, snapshots):
+    quanta, frac = np.zeros((3, 2), dtype=np.int64), np.zeros((3, 2))
+    with pytest.raises(DomainError):
+        run_chain_ensemble(path2, quanta, frac, AdditionParams(0.2, 0.8), 4,
+                           np.random.default_rng(0), snapshots=snapshots)
+
+
+@pytest.mark.parametrize("times", [(0, 4), (4, -1), ()])
+def test_tv_decay_rejects_bad_times(path2, times):
+    with pytest.raises(DomainError):
+        tv_decay_experiment(path2, AdditionParams(0.2, 0.8), times, 10, Binning(2),
+                            np.random.default_rng(0))
+
+
+IRREGULAR5 = lattice_from_sites(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
+SQRT2M1 = float(np.sqrt(2.0) - 1.0)
+
+
+def _offgrid_start(lat, n, seed):
+    # Uniform allowed quanta with fractional parts off the grid, so every
+    # cell the chain never visits must keep its exact bits.
+    rng = np.random.default_rng(seed)
+    quanta, _ = sample_uniform_allowed_batch(lat, rng, n)
+    frac = rng.uniform(0.0, 1.0 / (2 * lat.d), size=quanta.shape)
+    return quanta, frac
+
+
+def _assert_chain_matches_stepwise(lat, params, steps, snapshots, n, seed):
+    quanta, frac = _offgrid_start(lat, n, seed)
+    start = frac.copy()
+    ref_q, ref_f = quanta.copy(), frac.copy()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    snaps = run_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots)
+    ref = stepwise_chain_ensemble(lat, ref_q, ref_f, params, steps, ref_rng, snapshots)
+    assert np.array_equal(quanta, ref_q) and np.array_equal(frac, ref_f)
+    assert snaps.keys() == ref.keys() == set(snapshots)
+    for t in snapshots:
+        assert np.array_equal(snaps[t][0], ref[t][0])
+        assert np.array_equal(snaps[t][1], ref[t][1])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return start, frac
+
+
+@pytest.mark.parametrize("lat", [build_lattice([2]), build_lattice([3, 3]), IRREGULAR5],
+                         ids=["path2", "box3x3", "irregular5"])
+@pytest.mark.parametrize("params", [AdditionParams(0.5, 0.5), AdditionParams(SQRT2M1, SQRT2M1),
+                                    AdditionParams(0.2, 0.8)],
+                         ids=["fixed-half", "fixed-sqrt2m1", "interval"])
+@pytest.mark.parametrize("draw_block", [experiments.DRAW_BLOCK, 250])
+def test_run_chain_ensemble_matches_stepwise(lat, params, draw_block, monkeypatch):
+    # draw_block 250 splits the fixed-amount site draws into blocks of 2 steps.
+    monkeypatch.setattr(experiments, "DRAW_BLOCK", draw_block)
+    start, frac = _assert_chain_matches_stepwise(lat, params, 6, (1, 3, 4, 6), 100, 17)
+    assert (frac == start).any()  # some cells were never visited
+
+
+@pytest.mark.parametrize("dims, params, steps", [
+    ([2], AdditionParams(SQRT2M1, SQRT2M1), 2100),
+    ([2], AdditionParams(0.2, 0.8), 2100),
+    ([1], AdditionParams(0.99, 0.99), 4400),
+    ([1], AdditionParams(0.9, 0.99), 4400),
+], ids=["path2-fixed", "path2-interval", "path1-fixed", "path1-interval"])
+def test_run_chain_ensemble_matches_stepwise_past_one_fold(dims, params, steps):
+    # Sums are folded in at least every 2^12/2d = 2048 steps; on the 1-site
+    # path, the 4397 additions near 1 between the snapshots would overflow
+    # int64 in one sum.
+    _assert_chain_matches_stepwise(build_lattice(dims), params, steps, (3, steps), 3, 29)
 
 
 def test_phase_observable_matches_dense_form(grid22, rng):
@@ -214,6 +303,29 @@ def test_run_coupling_ensemble_coalesces_bit_for_bit(path1, rng):
     assert not np.array_equal(eta_f[~hit], zeta_f[~hit])
 
 
+@pytest.mark.parametrize("shape", ["path1", "criterion7", "long-epoch"])
+def test_run_coupling_ensemble_matches_stepwise(shape):
+    if shape == "path1":
+        lat, params, n, epochs = build_lattice([1]), AdditionParams(0.0, 0.96), 60, 6
+    elif shape == "criterion7":
+        lat, params, n, epochs = build_lattice([2]), AdditionParams(0.2, 0.8), 80, 4
+    else:  # one epoch of 4445 additions near 1: int64 overflows unless folded
+        lat, params, n, epochs = build_lattice([1]), AdditionParams(0.9985, 0.9994), 2, 1
+    rng = np.random.default_rng(77)
+    eta_q, eta_f = np.zeros((n, lat.n_sites), dtype=np.int64), np.zeros((n, lat.n_sites))
+    zeta_q, zeta_f = _offgrid_start(lat, n, 78)
+    arrays = [eta_q, eta_f, zeta_q, zeta_f]
+    ref_arrays = [v.copy() for v in arrays]
+    ref_rng = np.random.default_rng(77)
+    out = run_coupling_ensemble(lat, *arrays, params, epochs, rng)
+    events, verified = stepwise_coupling_ensemble(lat, *ref_arrays, params, epochs, ref_rng)
+    assert np.array_equal(out.o_events, events)
+    assert np.array_equal(out.o_verified, verified)
+    for got, want in zip(arrays, ref_arrays):
+        assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_fourier_frozen_values():
     # zero frequency integrates to 1
     assert translation_mixture_fourier(0.3, [0, 0], [0.1, 0.9], 50) == 1.0
@@ -270,6 +382,23 @@ def test_ergodic_average_constant_observable(path2):
     avg = ergodic_average(path2, zero_config(path2), 0.3, 50,
                           lambda cfg: 1.0, np.random.default_rng(0))
     assert np.isclose(avg, 1.0)
+
+
+def test_ergodic_average_matches_scalar_draws(path2):
+    # 5000 steps span two site-draw blocks; the reference draws one site per step.
+    amount = SQRT2M1
+
+    def observable(cfg):
+        return np.concatenate([cfg.quanta, cfg.frac])
+
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    avg = ergodic_average(path2, zero_config(path2), amount, 5000, observable, rng)
+    state, total = zero_config(path2), np.zeros(4)
+    for _ in range(5000):
+        _add_inplace(path2, state.quanta, state.frac, int(ref_rng.integers(2)), amount)
+        total += observable(state)
+    assert np.array_equal(avg, total / 5000)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_ergodic_occupancy_is_probability_vector(path2, rng):
