@@ -40,6 +40,16 @@ def frac_bins(frac, d, binning):
     return np.clip(idx, 0, b - 1)
 
 
+def _decode(codes, cells, radices):
+    """Digit rows of mixed-radix `codes`: what is left above the digits of
+    `radices` indexes a row of `cells`, and those digits follow it."""
+    digits = []
+    for radix in reversed(radices):
+        codes, digit = np.divmod(codes, radix)
+        digits.append(digit)
+    return np.column_stack([cells[codes], *digits[::-1]])
+
+
 class Histogram:
     """Counts of stable configurations on the quanta x frac-bin grid.
 
@@ -64,22 +74,55 @@ class Histogram:
         return self.add_batch(config.quanta[None, :], config.frac[None, :])
 
     def add_batch(self, quanta, frac):
-        """Accumulate many configurations at once (rows are replicas)."""
+        """Accumulate many configurations at once (rows are replicas).
+
+        Each row becomes one int64 cell code: mixed radix over the quanta
+        columns (radix 2d), then over the bin columns (radix B), the first
+        column most significant, so numeric code order is lexicographic
+        row order. The codes are sorted, counted with one diff, and only
+        the distinct codes are decoded back into (quanta, bins) keys, so
+        new cells enter `counts` in lexicographic order. Where the next
+        column would take the radix product to 2^63, the code so far is
+        replaced by its rank among its distinct values, which keeps the
+        order; those values are decoded then, and the final decode looks
+        ranks up in them.
+        """
         quanta = np.asarray(quanta)
-        if quanta.ndim != 2 or quanta.shape[1] != self.n_sites:
+        frac = np.asarray(frac)
+        m, two_d, b = self.n_sites, 2 * int(self.d), int(self.binning.bins_per_site)
+        if quanta.ndim != 2 or quanta.shape[1] != m:
             raise DomainError("quanta batch must be (replicas, n_sites)")
-        if (quanta >= 2 * self.d).any() or (quanta < 0).any():
+        if frac.shape != quanta.shape:
+            raise DomainError(f"frac batch has shape {frac.shape}, quanta batch {quanta.shape}")
+        if quanta.dtype.kind == "f":
+            if (quanta != np.floor(quanta)).any():
+                raise DomainError("batch contains non-integral quanta")
+        elif quanta.dtype.kind not in "iu":
+            raise DomainError(f"quanta batch has non-integer dtype {quanta.dtype}")
+        if (quanta >= two_d).any() or (quanta < 0).any():
             raise DomainError("batch contains unstable or negative quanta")
-        bins = frac_bins(frac, self.d, self.binning)
-        rows = np.concatenate([quanta.astype(np.int64), bins], axis=1)
-        # Distinct rows in lexicographic order, with their counts.
-        rows = rows[np.lexsort(rows.T[::-1])]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        if frac.dtype.kind not in "fiu":
+            raise DomainError(f"frac batch has non-real dtype {frac.dtype}")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not ((frac >= 0) & (frac < 1.0 / two_d)).all():
+            raise DomainError(f"frac entries must lie in [0, {1.0 / two_d})")
+        columns = [*quanta.astype(np.int64, copy=False).T, *frac_bins(frac, self.d, self.binning).T]
+        radices = [two_d] * m + [b] * m
+        code = np.zeros(len(quanta), dtype=np.int64)
+        span, cells, folded = 1, np.zeros((1, 0), dtype=np.int64), []
+        for column, radix in zip(columns, radices):
+            if span * radix >= 2**63:
+                distinct, code = np.unique(code, return_inverse=True)
+                span, cells, folded = len(distinct), _decode(distinct, cells, folded), []
+            code = code * radix + column
+            span *= radix
+            folded.append(radix)
+        code.sort()
+        first = np.ones(len(code), dtype=bool)
+        first[1:] = code[1:] != code[:-1]
         starts = np.flatnonzero(first)
-        cnt = np.diff(starts, append=len(rows))
-        m = self.n_sites
-        for row, c in zip(rows[starts].tolist(), cnt.tolist()):
+        cnt = np.diff(starts, append=len(code))
+        for row, c in zip(_decode(code[starts], cells, folded).tolist(), cnt.tolist()):
             key = (tuple(row[:m]), tuple(row[m:]))
             self.counts[key] = self.counts.get(key, 0) + c
         self.total += int(quanta.shape[0])
@@ -146,13 +189,29 @@ class Histogram:
             bins = int(meta["bins_per_site"])
         except KeyError as exc:
             raise DomainError(f"histogram file missing metadata key {exc}") from exc
+        except ValueError as exc:
+            raise DomainError(f"histogram file has a non-integer metadata value: {exc}") from exc
         hist = cls(d, n_sites, Binning(bins))
         for line in rows:
-            q_part, b_part, c_part = line.split(";")
-            key = (tuple(int(v) for v in q_part.split(",")),
-                   tuple(int(v) for v in b_part.split(",")))
-            hist.counts[key] = hist.counts.get(key, 0) + int(c_part)
-            hist.total += int(c_part)
+            fields = line.split(";")
+            if len(fields) != 3:
+                raise DomainError(f"histogram row {line!r} does not have 3 fields")
+            try:
+                q = tuple(int(v) for v in fields[0].split(","))
+                b = tuple(int(v) for v in fields[1].split(","))
+                c = int(fields[2])
+            except ValueError as exc:
+                raise DomainError(f"histogram row {line!r} has a non-integer entry") from exc
+            if len(q) != n_sites or len(b) != n_sites:
+                raise DomainError(f"histogram row {line!r} does not have {n_sites} sites")
+            if not all(0 <= v < 2 * d for v in q):
+                raise DomainError(f"histogram row {line!r} has a quantum outside 0..{2 * d - 1}")
+            if not all(0 <= v < bins for v in b):
+                raise DomainError(f"histogram row {line!r} has a bin outside 0..{bins - 1}")
+            if c < 1:
+                raise DomainError(f"histogram row {line!r} has a count below 1")
+            hist.counts[(q, b)] = hist.counts.get((q, b), 0) + c
+            hist.total += c
         return hist, meta
 
 

@@ -210,3 +210,19 @@ def stepwise_coupling_ensemble(lat, eta_q, eta_f, zeta_q, zeta_f, params, n_epoc
             verified[e, i] = events[e, i] and (np.array_equal(eta_q[i], zeta_q[i])
                                                and np.array_equal(eta_f[i], zeta_f[i]))
     return events, verified
+
+
+def row_histogram(counts, quanta, frac, d, bins_per_site):
+    """Add a batch of configurations to the dict `counts` row by row: bins
+    are floor(frac * 2d * B) capped at B - 1, and the distinct
+    (quanta, bins) rows come from np.unique(axis=0), so new cells enter in
+    lexicographic order. Returns `counts`."""
+    m = quanta.shape[1]
+    bins = np.minimum(np.floor(frac * (2 * d) * bins_per_site).astype(np.int64),
+                      bins_per_site - 1)
+    rows = np.concatenate([np.asarray(quanta, dtype=np.int64), bins], axis=1)
+    uniq, cnt = np.unique(rows, axis=0, return_counts=True)
+    for row, c in zip(uniq.tolist(), cnt.tolist()):
+        key = (tuple(row[:m]), tuple(row[m:]))
+        counts[key] = counts.get(key, 0) + c
+    return counts

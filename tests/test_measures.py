@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from sandpiles import (Binning, CbtwConfig, DomainError, Histogram,
-                       accumulate, enumerate_recurrent, estimate_tv,
+                       accumulate, build_lattice, enumerate_recurrent, estimate_tv,
                        frac_bins, is_recurrent_burning,
                        sample_rational_limit, sample_rational_limit_batch,
                        sample_uniform_allowed, sample_uniform_allowed_batch,
@@ -43,6 +44,58 @@ def test_histogram_batch_cells_in_lexicographic_order(grid22, rng):
     uniq, cnt = np.unique(rows, axis=0, return_counts=True)
     assert list(hist.counts.items()) == [
         ((tuple(r[:4]), tuple(r[4:])), c) for r, c in zip(uniq.tolist(), cnt.tolist())]
+
+
+# 16 sites at B = 1000 and 64 sites at d = 2, B = 3 take the radix product
+# of the cell code past 2^63, so their codes are ranked on the way.
+@pytest.mark.parametrize("dims, d, m, b", [
+    ([2], 1, 2, 8), ([3, 3], 2, 9, 8), (None, 1, 16, 1000), (None, 2, 64, 3)])
+def test_histogram_matches_row_oracle(rng, dims, d, m, b):
+    if dims:
+        pool_q, pool_f = sample_uniform_allowed_batch(build_lattice(dims), rng, 300)
+    else:
+        pool_q = rng.integers(2 * d, size=(300, m))
+        pool_f = rng.uniform(0.0, 1.0 / (2 * d), size=(300, m))
+    hist = Histogram(d, m, Binning(b))
+    expected = {}
+    # drawn with repeats from the pool, so cells hold counts above 1
+    for n in (2000, 0, 1500):
+        rows = rng.integers(len(pool_q), size=n)
+        hist.add_batch(pool_q[rows], pool_f[rows])
+        oracles.row_histogram(expected, pool_q[rows], pool_f[rows], d, b)
+        assert list(hist.counts.items()) == list(expected.items())
+    assert hist.total == 3500
+
+
+def test_estimate_tv_equals_tv_of_row_oracle_histograms(path2, rng):
+    rec = enumerate_recurrent(path2)
+    base = sample_uniform_allowed(path2, rng, rec)
+    batches = [sample_uniform_allowed_batch(path2, rng, 3000, rec),
+               sample_rational_limit_batch(path2, base, 0.5, rng, 3000, rec)]
+    ours = [Histogram.from_samples(1, Binning(8), q, f) for q, f in batches]
+    theirs = []
+    for q, f in batches:
+        hist = Histogram(1, 2, Binning(8))
+        hist.counts = oracles.row_histogram({}, q, f, 1, 8)
+        hist.total = len(q)
+        theirs.append(hist)
+    assert estimate_tv(*ours) == estimate_tv(*theirs) > 0.0
+
+
+@pytest.mark.parametrize("quanta, frac", [
+    ([[0, 1]] * 3, [[0.0, 0.1, 0.2]] * 3),
+    ([[0.5, 1.0]], [[0.0, 0.0]]),
+    ([[0, 1]], [[np.nan, 0.0]]),
+    ([[0, 1]], [[7.0, 0.0]]),
+    ([[0, 1]], [[0.0, 0.5]]),
+    ([[0, 1]], [[-0.1, 0.0]]),
+], ids=["frac-shape", "fractional-quanta", "nan-frac", "frac-above-cell",
+        "frac-at-cell-edge", "negative-frac"])
+def test_histogram_rejects_bad_batches(quanta, frac):
+    hist = Histogram(1, 2, Binning(8))
+    with pytest.raises(DomainError):
+        hist.add_batch(np.array(quanta), np.array(frac))
+    assert hist.counts == {} and hist.total == 0
 
 
 def test_histogram_rejects_unstable(path2):
@@ -172,3 +225,27 @@ def test_rational_limit_from_zero_base_is_uniform_allowed(path2, rng):
 def test_tv_noise_floor_is_small_and_positive(path2, rng):
     floor = tv_noise_floor(path2, Binning(4), 4000, rng)
     assert 0.0 < floor < 0.35
+
+
+@pytest.mark.parametrize("meta, row", [
+    ({}, "0,1;2,3"),
+    ({}, "0,1;2,3;5;6"),
+    ({}, "0,x;2,3;5"),
+    ({}, "0,1;2,3;2.5"),
+    ({"d": "one"}, "0,1;2,3;5"),
+    ({}, "0,1;2;5"),
+    ({}, "0,1,1;2,3;5"),
+    ({}, "0,2;2,3;5"),
+    ({}, "-1,0;2,3;5"),
+    ({}, "0,1;2,8;5"),
+    ({}, "0,1;2,3;0"),
+], ids=["two-fields", "four-fields", "non-integer-entry", "non-integer-count",
+        "non-integer-metadata", "short-bins-key", "long-quanta-key", "quantum-too-large",
+        "negative-quantum", "bin-too-large", "zero-count"])
+def test_from_csv_rejects_malformed_files(tmp_path, meta, row):
+    header = {"d": "1", "n_sites": "2", "bins_per_site": "8", "total": "6", **meta}
+    path = tmp_path / "hist.csv"
+    path.write_text("".join(f"# {k}={v}\n" for k, v in header.items())
+                    + f"quanta;bins;count\n0,0;0,0;1\n{row}\n")
+    with pytest.raises(DomainError):
+        Histogram.from_csv(path)
