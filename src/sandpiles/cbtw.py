@@ -200,7 +200,8 @@ def cbtw_stabilize(lat, config):
 def _add_inplace(lat, quanta, frac, x, u):
     """Add mass u at site x and stabilize, mutating the arrays in place:
     the kernel of cbtw_add and the scalar chain drivers. A float u is
-    converted to grid units rint(u * S); an int is grid units already."""
+    converted to grid units rint(u * S); an int is grid units already.
+    Only an unstable site x starts a stabilization."""
     scale = grid_scale(lat.d)
     units = round(u * scale) if isinstance(u, float) else u
     carry, F = _carry(round(frac.item(x) * scale), units)
@@ -209,8 +210,10 @@ def _add_inplace(lat, quanta, frac, x, u):
             f"addition at site {x} would remove quanta: fractional part {frac[x]} "
             f"lies outside [0, {1.0 / (2 * lat.d)})")
     frac[x] = F / scale
-    quanta[x] += carry
-    btw.stabilize_from(lat, quanta, (x,))
+    q = quanta.item(x) + carry
+    quanta[x] = q
+    if q >= lat.threshold:
+        btw.stabilize_from(lat, quanta, (x,))
 
 
 def cbtw_add(lat, config, x, u):

@@ -35,26 +35,43 @@ class ChainState:
     theta: np.ndarray
 
 
+def _chain_draws(m, params, steps, rng):
+    """(x, u) for each step: the site first, then the amount. A fixed
+    amount draws nothing else, so its sites come in blocks of 4096 and
+    the random stream stays that of one draw per step."""
+    if params.mode == "fixed":
+        u = float(params.a)
+        for start in range(0, steps, 4096):
+            for x in rng.integers(m, size=min(steps - start, 4096)).tolist():
+                yield x, u
+    else:
+        for _ in range(steps):
+            x = int(rng.integers(m))
+            yield x, float(rng.uniform(params.a, params.b))
+
+
 def run_chain(lat, initial, params, steps, rng, on_step=None):
-    """Run the randomized-addition chain for `steps` steps.
+    """Run the randomized-addition chain for `steps` steps (>= 0).
 
     Each step draws the site first, then the amount, and adds it in grid
     units rint(u * S): a fixed amount moves the fractional parts by the
-    same integer every step, so long runs cannot drift. on_step(t, x, u,
-    quanta, frac) is called after each step with live views (copy them to
-    keep them).
+    same integer every step, so long runs cannot drift. A fixed amount
+    draws its sites in blocks ahead of the steps, so on_step must not
+    draw from `rng`. on_step(t, x, u, quanta, frac) is called after each
+    step with live views (copy them to keep them); a step changes frac
+    at x only.
     """
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps}")
     cfg = initial.copy()
     quanta, frac = cfg.quanta, cfg.frac
-    theta = np.zeros(lat.n_sites)
-    for t in range(1, steps + 1):
-        x = int(rng.integers(lat.n_sites))
-        u = float(params.a) if params.mode == "fixed" else float(rng.uniform(params.a, params.b))
+    theta = [0.0] * lat.n_sites
+    for t, (x, u) in enumerate(_chain_draws(lat.n_sites, params, steps, rng), 1):
         _add_inplace(lat, quanta, frac, x, u)
         theta[x] += u
         if on_step is not None:
             on_step(t, x, u, quanta, frac)
-    return ChainState(t=steps, config=cfg, theta=theta)
+    return ChainState(t=steps, config=cfg, theta=np.array(theta))
 
 
 # A fold sums at most FOLD_LIMIT/2d additions per cell (F + sum U < 2^63);
@@ -314,20 +331,27 @@ def phase_observable(config):
 
 
 def ergodic_average(lat, initial, amount, steps, observable, rng):
-    """Time average of `observable` along the fixed-amount chain.
+    """Time average of `observable` over `steps` >= 1 steps of the chain
+    with fixed amount in [0, 1) (run_chain, so the observable must not
+    draw from `rng`).
 
     The observable is called once per step with a live view of the
     configuration (copy it to keep it); values may be scalars or arrays.
     """
-    state = initial.copy()
-    units = round(amount * grid_scale(lat.d))
-    total = None
-    # Nothing else draws, so sites drawn in blocks follow the scalar stream.
-    for start in range(0, steps, 4096):
-        for x in rng.integers(lat.n_sites, size=min(steps - start, 4096)).tolist():
-            _add_inplace(lat, state.quanta, state.frac, x, units)
-            val = observable(state)
-            total = np.asarray(val) * 1.0 if total is None else total + np.asarray(val)
+    if steps < 1:
+        raise DomainError(f"an ergodic average needs steps >= 1, got {steps}")
+    if not 0.0 <= amount < 1.0:
+        raise DomainError(f"the fixed amount must lie in [0, 1), got {amount}")
+    view, total = None, None
+
+    def on_step(t, x, u, quanta, frac):
+        nonlocal view, total
+        if view is None:
+            view = CbtwConfig(d=lat.d, quanta=quanta, frac=frac)
+        val = np.asarray(observable(view))
+        total = val * 1.0 if total is None else total + val
+
+    run_chain(lat, initial, AdditionParams(amount, amount), steps, rng, on_step)
     return total / steps
 
 

@@ -170,7 +170,8 @@ class Histogram:
 
     @classmethod
     def from_csv(cls, path):
-        """Inverse of to_csv; returns (histogram, metadata dict)."""
+        """Inverse of to_csv; returns (histogram, metadata dict). A `total`
+        metadata value must equal the sum of the counts."""
         meta = {}
         rows = []
         with open(path) as fh:
@@ -187,6 +188,7 @@ class Histogram:
             d = int(meta["d"])
             n_sites = int(meta["n_sites"])
             bins = int(meta["bins_per_site"])
+            total = int(meta["total"]) if "total" in meta else None
         except KeyError as exc:
             raise DomainError(f"histogram file missing metadata key {exc}") from exc
         except ValueError as exc:
@@ -212,6 +214,8 @@ class Histogram:
                 raise DomainError(f"histogram row {line!r} has a count below 1")
             hist.counts[(q, b)] = hist.counts.get((q, b), 0) + c
             hist.total += c
+        if total is not None and total != hist.total:
+            raise DomainError(f"histogram file says total={total}, its counts sum to {hist.total}")
         return hist, meta
 
 

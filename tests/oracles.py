@@ -4,10 +4,12 @@ Everything here is deliberately written the slow, obvious way, sharing no
 code with the package internals: single legal topplings in randomized or
 stack order, dense real-height dynamics without the quanta/frac split,
 and a cofactor-expansion determinant. Test expectations computed from
-these are frozen in the test modules. The stepwise ensemble drivers are
-the one exception: they replay the random stream of the package's
-ensemble drivers one step at a time, through the scalar FIFO kernel
-`_add_inplace`, row by row.
+these are frozen in the test modules. The stepwise drivers are the
+exception: they replay the random stream of the package's chain drivers
+one step at a time through the scalar FIFO kernel `_add_inplace` (the
+ensemble ones row by row). The reference CLI output runs on the stepwise
+scalar chain, formats each simulate row from scratch and counts cell
+occupancy against every recurrent row.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from sandpiles.cbtw import FRAC_BITS, _add_inplace, grid_scale
+from sandpiles.cbtw import FRAC_BITS, AdditionParams, _add_inplace, grid_scale
 
 
 def unstable_sites(heights, threshold):
@@ -161,6 +163,49 @@ def permutation_order(lat, x, recurrent):
         if length:
             order = math.lcm(order, length)
     return order
+
+
+def stepwise_chain(lat, initial, params, steps, rng, on_step=None):
+    """run_chain with one site draw per step, int(rng.integers(m)), then the
+    amount; returns (quanta, frac, theta) and calls on_step like run_chain."""
+    quanta, frac = initial.quanta.copy(), initial.frac.copy()
+    theta = np.zeros(lat.n_sites)
+    for t in range(1, steps + 1):
+        x = int(rng.integers(lat.n_sites))
+        u = float(params.a) if params.mode == "fixed" else float(rng.uniform(params.a, params.b))
+        _add_inplace(lat, quanta, frac, x, u)
+        theta[x] += u
+        if on_step is not None:
+            on_step(t, x, u, quanta, frac)
+    return quanta, frac, theta
+
+
+def csv_row(t, x, u, quanta, frac):
+    """One `sandpiles simulate` CSV row, every entry formatted afresh."""
+    row = [str(t), str(x), repr(u)]
+    row += [str(int(v)) for v in quanta]
+    row += [repr(float(v)) for v in frac]
+    return ",".join(row)
+
+
+def json_row(t, x, u, quanta, frac):
+    """One `sandpiles simulate` JSON trajectory entry, built afresh."""
+    return {"t": t, "site_added": x, "u": u,
+            "quanta": [int(v) for v in quanta], "frac": [float(v) for v in frac]}
+
+
+def occupancy_average(lat, initial, amount, steps, rng, recurrent):
+    """Time fraction of each recurrent row along the fixed-amount chain:
+    after every step, a 0/1 float indicator against every row, summed and
+    divided by the number of steps."""
+    total = np.zeros(len(recurrent))
+
+    def on_step(t, x, u, quanta, frac):
+        nonlocal total
+        total = total + (recurrent == quanta).all(axis=1).astype(np.float64)
+
+    stepwise_chain(lat, initial, AdditionParams(amount, amount), steps, rng, on_step)
+    return total / steps
 
 
 def stepwise_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots=()):

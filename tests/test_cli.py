@@ -5,7 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from sandpiles.cli import main, parse_dims, parse_real, ConfigError
+from sandpiles import AdditionParams, build_lattice, enumerate_recurrent
+from sandpiles.cli import (main, build_initial, parse_dims, parse_real, spawn_rngs,
+                           ConfigError)
+
+from oracles import csv_row, json_row, occupancy_average, stepwise_chain
 
 
 def run_cli(args):
@@ -362,3 +366,63 @@ def test_empty_k_flag_is_config_error(capsys):
     assert run_cli(["fourier", "--a", "0.3", "--samples", "10", "--k", ",,"]) == 2
     assert "--k: expected at least one integer" in capsys.readouterr().err
 
+
+def test_ergodic_zero_steps_is_config_error(capsys):
+    rc = run_cli(["ergodic", "--dims", "2", "--a", "0.3", "--steps", "0"])
+    assert rc == 2
+    assert "--steps" in capsys.readouterr().err
+
+
+# Off the fixed-point grid at site 0, so its first repr is not a grid value.
+OFFGRID_INIT = {"quanta": [3, 0, 1, 2, 3, 0, 1, 1, 2], "frac": [0.1] + [0.0] * 8}
+
+
+@pytest.mark.parametrize("a, b", [("0.2", "0.8"), ("sqrt2-1", None)], ids=["interval", "fixed"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_bytes_match_reference_rows(tmp_path, fmt, a, b):
+    out = tmp_path / f"sim.{fmt}"
+    args = ["simulate", "--dims", "3,3", "--a", a, "--steps", "300", "--seed", "5",
+            "--init", json.dumps(OFFGRID_INIT), "--format", fmt, "--out", str(out)]
+    assert run_cli(args + (["--b", b] if b else [])) == 0
+    text = out.read_text()
+    lat = build_lattice([3, 3])
+    amount = parse_real(a)
+    params = AdditionParams(amount, amount if b is None else parse_real(b))
+    rows = []
+    stepwise_chain(lat, build_initial(lat, json.dumps(OFFGRID_INIT), None), params, 300,
+                   spawn_rngs(5, 2)[1],
+                   lambda *step: rows.append((csv_row if fmt == "csv" else json_row)(*step)))
+    if fmt == "csv":
+        lines = text.splitlines()
+        assert lines[-301].startswith("t,site_added,u,")
+        assert lines[-300:] == rows
+    else:
+        meta = json.loads(text)["metadata"]
+        assert text == json.dumps({"metadata": meta, "trajectory": rows}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("dims, steps, seed, init", [
+    ("2", 3000, 8, "mu"), ("2,2", 3000, 3, "zero"), ("3,3", 60, 1, "max"),
+], ids=["path2", "grid22", "grid33"])
+def test_ergodic_bytes_match_reference_occupancy(tmp_path, dims, steps, seed, init):
+    out = tmp_path / "erg.json"
+    rc = run_cli(["ergodic", "--dims", dims, "--a", "sqrt2-1", "--steps", str(steps),
+                  "--seed", str(seed), "--init", init, "--out", str(out)])
+    lat = build_lattice(parse_dims(dims))
+    recurrent = enumerate_recurrent(lat)
+    rng_init, rng_run = spawn_rngs(seed, 2)
+    initial = build_initial(lat, init, rng_init, recurrent)
+    a = parse_real("sqrt2-1")
+    freqs = occupancy_average(lat, initial, a, steps, rng_run, recurrent)
+    expected = 1.0 / len(recurrent)
+    max_dev = float(np.max(np.abs(freqs - expected)))
+    assert rc == (0 if max_dev <= 0.02 else 1)
+    assert out.read_text() == json.dumps({
+        "command": "ergodic",
+        "dims": parse_dims(dims), "a": a, "steps": steps, "seed": seed,
+        "cells": [{"quanta": [int(v) for v in row], "frequency": float(f)}
+                  for row, f in zip(recurrent, freqs)],
+        "expected_frequency": expected,
+        "max_abs_deviation": max_dev,
+        "tolerance": 0.02, "pass": max_dev <= 0.02,
+    }, indent=2) + "\n"

@@ -17,7 +17,7 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
 from sandpiles import experiments, lattice_from_sites
 from sandpiles.cbtw import FRAC_MASK, _add_inplace, grid_scale, grid_units
 
-from oracles import stepwise_chain_ensemble, stepwise_coupling_ensemble
+from oracles import stepwise_chain, stepwise_chain_ensemble, stepwise_coupling_ensemble
 
 
 def test_run_chain_deterministic(path2):
@@ -44,6 +44,14 @@ def test_run_chain_reports_steps(path2):
     assert all(s[2] == 0.3 for s in seen)
     assert np.array_equal(seen[-1][3], state.config.quanta)
     assert np.isclose(state.theta.sum(), 50 * 0.3)
+
+
+def test_run_chain_rejects_negative_steps(path2):
+    with pytest.raises(DomainError, match="steps"):
+        run_chain(path2, zero_config(path2), AdditionParams(0.3, 0.3), -5,
+                  np.random.default_rng(0))
+    assert run_chain(path2, zero_config(path2), AdditionParams(0.3, 0.3), 0,
+                     np.random.default_rng(0)).t == 0
 
 
 def test_fixed_mode_tracks_counts(path2):
@@ -154,6 +162,24 @@ def _offgrid_start(lat, n, seed):
     quanta, _ = sample_uniform_allowed_batch(lat, rng, n)
     frac = rng.uniform(0.0, 1.0 / (2 * lat.d), size=quanta.shape)
     return quanta, frac
+
+
+@pytest.mark.parametrize("lat", [build_lattice([2]), build_lattice([3, 3])],
+                         ids=["path2", "box3x3"])
+@pytest.mark.parametrize("params", [AdditionParams(SQRT2M1, SQRT2M1), AdditionParams(0.2, 0.8)],
+                         ids=["fixed", "interval"])
+def test_run_chain_matches_stepwise_draws(lat, params):
+    # 5000 fixed-amount steps span two site-draw blocks; the reference draws
+    # one site per step. The start is off the fixed-point grid.
+    quanta, frac = _offgrid_start(lat, 1, 4)
+    init = CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    state = run_chain(lat, init, params, 5000, rng)
+    quanta, frac, theta = stepwise_chain(lat, init, params, 5000, ref_rng)
+    assert np.array_equal(state.config.quanta, quanta)
+    assert np.array_equal(state.config.frac, frac)
+    assert np.array_equal(state.theta, theta)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _assert_chain_matches_stepwise(lat, params, steps, snapshots, n, seed):
@@ -399,6 +425,16 @@ def test_ergodic_average_matches_scalar_draws(path2):
         total += observable(state)
     assert np.array_equal(avg, total / 5000)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("steps, amount", [(0, 0.3), (-1, 0.3), (10, 1.5), (10, -0.2),
+                                           (10, float("nan"))],
+                         ids=["zero-steps", "negative-steps", "amount-above-1",
+                              "negative-amount", "nan-amount"])
+def test_ergodic_average_rejects_bad_arguments(path2, steps, amount):
+    with pytest.raises(DomainError, match="steps|amount"):
+        ergodic_average(path2, zero_config(path2), amount, steps,
+                        lambda cfg: 1.0, np.random.default_rng(0))
 
 
 def test_ergodic_occupancy_is_probability_vector(path2, rng):

@@ -249,3 +249,14 @@ def test_from_csv_rejects_malformed_files(tmp_path, meta, row):
                     + f"quanta;bins;count\n0,0;0,0;1\n{row}\n")
     with pytest.raises(DomainError):
         Histogram.from_csv(path)
+
+
+@pytest.mark.parametrize("total", ["5", "0", "2.0", "many"])
+def test_from_csv_checks_the_total(tmp_path, total):
+    path = tmp_path / "hist.csv"
+    path.write_text(f"# d=1\n# n_sites=2\n# bins_per_site=8\n# total={total}\n"
+                    "quanta;bins;count\n0,1;2,3;1\n")
+    with pytest.raises(DomainError, match="total|non-integer metadata"):
+        Histogram.from_csv(path)
+    path.write_text(path.read_text().replace(f"total={total}", "total=1"))
+    assert Histogram.from_csv(path)[0].total == 1
