@@ -255,8 +255,10 @@ def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
     n = lat.n_sites
     total = two_d ** n
     if total > cap:
+        # Printed as a power: str() of (2d)^n past 4300 digits raises.
         raise CapacityError(
-            f"{total} stable configurations exceeds the enumeration cap {cap}")
+            f"{two_d}^{n} (about 10^{math.floor(n * math.log10(two_d))}) stable "
+            f"configurations exceeds the enumeration cap {cap}")
     # Neighbour table padded with column n, which is never present.
     nbrs = np.full((n, two_d), n, dtype=np.intp)
     for x, ys in enumerate(lat.neighbours):
@@ -330,7 +332,7 @@ def addition_order(lat, x, recurrent=None):
     return math.lcm(*(v.denominator for v in y))
 
 
-def btw_inverse_add(lat, heights, x, power=1, order=None, recurrent=None):
+def btw_inverse_add(lat, heights, x, power=1, order=None):
     """Undo `power` grain additions at x on a recurrent configuration.
 
     eps = 2m - stab(2m), with m the maximal stable configuration, is Delta
@@ -339,8 +341,7 @@ def btw_inverse_add(lat, heights, x, power=1, order=None, recurrent=None):
     c = ceil(k / (2d - 1)): the argument is at least eta, so its
     stabilization is the recurrent representative of eta - k e_x. The
     grains added grow with k, not with the addition order. Passing `order`
-    reduces `power` modulo it first; a negative power adds grains. The
-    `recurrent` set is accepted for compatibility and not needed.
+    reduces `power` modulo it first; a negative power adds grains.
     """
     h = _as_heights(lat, heights)
     if not is_recurrent_burning(lat, h):

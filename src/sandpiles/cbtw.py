@@ -241,7 +241,7 @@ def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
     bit for bit. The quanta roll back by k quantum additions through
     btw_inverse_add, which adds grains in proportion to k, never to the
     addition order, so it works on lattices far too large to enumerate.
-    `order` and `recurrent` are passed on to it.
+    `order` is passed on to it; `recurrent` is unused.
     """
     _check_config(lat, config)
     if not (0.0 <= u < 1.0):
@@ -252,8 +252,7 @@ def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
         raise DomainError("inverse addition is defined only on allowed configurations")
     scale = grid_scale(lat.d)
     borrow, F = _carry(round(config.frac.item(x) * scale), -round(u * scale))
-    quanta = btw.btw_inverse_add(lat, config.quanta, x, power=-borrow,
-                                 order=order, recurrent=recurrent)
+    quanta = btw.btw_inverse_add(lat, config.quanta, x, power=-borrow, order=order)
     frac = config.frac.copy()
     frac[x] = F / scale
     return CbtwConfig(d=config.d, quanta=quanta, frac=frac)
@@ -288,22 +287,16 @@ class AdditionParams:
     """Distribution of the random addition amounts.
 
     a == b gives the fixed-amount chain (every addition is exactly a);
-    a < b draws amounts uniformly from [a, b]. `rationality` is an
-    optional descriptive tag ("rational" / "irrational") recording what
-    the fixed amount is modelling; numeric code never branches on it,
-    since every float is rational.
+    a < b draws amounts uniformly from [a, b].
     """
 
     a: float
     b: float
-    rationality: str = None
 
     def __post_init__(self):
         if not (0.0 <= self.a <= self.b < 1.0):
             raise DomainError(
                 f"need 0 <= a <= b < 1, got a={self.a}, b={self.b}")
-        if self.rationality not in (None, "rational", "irrational"):
-            raise DomainError(f"unknown rationality tag {self.rationality!r}")
 
     @property
     def mode(self):

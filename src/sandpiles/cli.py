@@ -265,10 +265,7 @@ def cmd_simulate(args):
     b = a if b_raw is None else parse_real(b_raw, "--b")
     steps = count_setting(args, config, "steps")
     lat = build_lattice(dims)
-    try:
-        params = cbtw.AdditionParams(a, b)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    params = cbtw.AdditionParams(a, b)
     rng_init, rng_run = spawn_rngs(seed, 2)
     init_spec = setting(args, config, "init", "zero")
     initial = build_initial(lat, init_spec, rng_init)
@@ -332,10 +329,7 @@ def cmd_couple(args):
         raise ConfigError(f"coupling needs a < b, got a={a}, b={b}")
     max_epochs = count_setting(args, config, "max_epochs", 200000)
     lat = build_lattice(dims)
-    try:
-        params = cbtw.AdditionParams(a, b)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    params = cbtw.AdditionParams(a, b)
     rng_init, rng_other, rng_run = spawn_rngs(seed, 3)
     init_spec = setting(args, config, "init", "zero")
     recurrent = btw.enumerate_recurrent(lat)
@@ -541,10 +535,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return int(args.func(args))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GeometryError, DomainError) as exc:
+    except (ConfigError, GeometryError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -194,62 +194,79 @@ class CouplingResult:
 
 
 def _coupling_grid(lat, params):
-    """M, L, the middle half [mid_lo, mid_hi] of [a, b], and the amount
-    grid: A = rint(a S) and W = rint(b S) - A. Shifting amounts modulo W
-    on [A, A + W) is a bijection of that grid, so it preserves their law."""
+    """M, L, the interval [a, b] and the amount grid: A = rint(a S) and
+    W = rint(b S) - A. Shifting amounts modulo W on [A, A + W) is a
+    bijection of that grid, so it preserves their law."""
     M, L = epoch_shape(lat, params)
     a, b = params.a, params.b
     scale = grid_scale(lat.d)
     A = round(a * scale)
-    return M, L, (3 * a + b) / 4, (a + 3 * b) / 4, A, round(b * scale) - A
+    return M, L, a, b, A, round(b * scale) - A
 
 
-def _epoch_shifts(lat, M, eta_q, eta_f, zeta_q, zeta_f):
-    """floor(G/M) and G mod M for the per-site gap G = eta - zeta in grid
-    units. The M visits of a site in an epoch shift by floor(G/M), plus
-    one on each of the first G mod M visits, which sums to G exactly."""
-    G = (((eta_q - zeta_q) << FRAC_BITS)
-         + grid_units(eta_f, lat.d) - grid_units(zeta_f, lat.d))
-    return np.divmod(G, M)
+def _coupling_epoch(lat, grid, eta_quanta, eta_frac, zeta_quanta, zeta_frac, rng):
+    """One coupling epoch on every replica row of the four arrays, in place.
+
+    Each step draws one site per row, then one amount per row. The first
+    chain takes the amount U in grid units, the second the shift
+    ((U + part - A) mod W) + A, where the M visits of a site split the
+    gap G = eta - zeta frozen at the epoch start: floor(G/M) each, plus
+    one on the first G mod M. Both chains sum their units per (row, site)
+    and stabilize once at the epoch end and every 2^12/2d steps, which
+    abelianness makes exact. Returns per-row bool arrays (occurred, same):
+    the event (every site drawn exactly M times, every amount in the
+    middle half of [a, b]) and bit-for-bit equality at the epoch end.
+    """
+    M, L, a, b, A, W = grid
+    mid_lo, mid_hi = (3 * a + b) / 4, (a + 3 * b) / 4
+    n, m = eta_quanta.shape
+    offsets = np.arange(n) * m
+    G = (((eta_quanta - zeta_quanta) << FRAC_BITS)
+         + grid_units(eta_frac, lat.d) - grid_units(zeta_frac, lat.d))
+    base, extra = (v.ravel() for v in np.divmod(G, M))
+    seen, eta_units, zeta_units = np.zeros((3, n * m), dtype=np.int64)
+    all_mid = np.ones(n, dtype=bool)
+    for t in range(1, L + 1):
+        idx = rng.integers(m, size=n) + offsets
+        us = rng.uniform(a, b, size=n)
+        units = grid_units(us, lat.d)
+        part = base[idx] + (seen[idx] < extra[idx])
+        eta_units[idx] += units
+        zeta_units[idx] += (units + part - A) % W + A
+        seen[idx] += 1
+        all_mid &= (us >= mid_lo) & (us <= mid_hi)
+        if t == L or t % max(1, FOLD_LIMIT // (2 * lat.d)) == 0:
+            # Cells folded earlier in the epoch are on the grid, and
+            # folding them again with no units leaves them unchanged.
+            cells = seen.reshape(n, m) > 0
+            _add_units(lat, eta_quanta, eta_frac, cells, eta_units.reshape(n, m)[cells])
+            _add_units(lat, zeta_quanta, zeta_frac, cells, zeta_units.reshape(n, m)[cells])
+            eta_units[:] = zeta_units[:] = 0
+    occurred = all_mid & (seen.reshape(n, m) == M).all(axis=1)
+    same = (eta_quanta == zeta_quanta).all(axis=1) & (eta_frac == zeta_frac).all(axis=1)
+    return occurred, same
 
 
 def run_coupling(lat, eta0, zeta0, params, rng, max_epochs=200000):
     """Couple two chains until they coalesce (or give up).
 
-    Both chains see the same random sites. The first chain draws amounts
-    uniformly on [a, b]; the second receives, in grid units, the
-    measure-preserving shift U_hat = ((U + part - A) mod W) + A, where the
-    parts split the per-site gap frozen at the start of each epoch (see
-    _epoch_shifts). When an epoch draws every site exactly M times with
-    every raw amount in the middle half of [a, b] (the event recorded as
-    o_occurred), the shift never wraps, each site of the second chain
-    receives exactly the gap more than the first, and by abelianness the
-    chains end the epoch bit-identical; the driver raises if that fails,
-    since it would mean the dynamics are broken. Equality is only ever
-    checked at epoch boundaries.
+    Both chains see the same random sites; the first draws amounts
+    uniformly on [a, b], the second receives the measure-preserving shift
+    of _coupling_epoch, run here on one row per chain. When an epoch sees
+    the event (recorded as o_occurred), the shift never wraps, each site
+    of the second chain receives exactly the gap more than the first, and
+    by abelianness the chains end the epoch bit-identical; the driver
+    raises if that fails, since it would mean the dynamics are broken.
+    Equality is only ever checked at epoch boundaries.
     """
-    M, L, mid_lo, mid_hi, A, W = _coupling_grid(lat, params)
-    scale = grid_scale(lat.d)
-    eta = eta0.copy()
-    zeta = zeta0.copy()
+    grid = _coupling_grid(lat, params)
+    M, L = grid[:2]
+    eta, zeta = eta0.copy(), zeta0.copy()
+    rows = [v[None, :] for v in (eta.quanta, eta.frac, zeta.quanta, zeta.frac)]
     records = []
     for epoch in range(1, max_epochs + 1):
-        base, extra = (v.tolist() for v in _epoch_shifts(
-            lat, M, eta.quanta, eta.frac, zeta.quanta, zeta.frac))
-        seen = [0] * lat.n_sites
-        all_mid = True
-        for _ in range(L):
-            x = int(rng.integers(lat.n_sites))
-            u = float(rng.uniform(params.a, params.b))
-            U = round(u * scale)
-            part = base[x] + (seen[x] < extra[x])
-            _add_inplace(lat, eta.quanta, eta.frac, x, U)
-            _add_inplace(lat, zeta.quanta, zeta.frac, x, (U + part - A) % W + A)
-            seen[x] += 1
-            all_mid = all_mid and mid_lo <= u <= mid_hi
-        o_occurred = all_mid and all(c == M for c in seen)
-        coalesced = (np.array_equal(eta.quanta, zeta.quanta)
-                     and np.array_equal(eta.frac, zeta.frac))
+        occurred, same = _coupling_epoch(lat, grid, *rows, rng)
+        o_occurred, coalesced = bool(occurred[0]), bool(same[0])
         records.append(EpochRecord(epoch, o_occurred, coalesced))
         if o_occurred and not coalesced:
             raise RuntimeError("coalescence event occurred but the chains differ; "
@@ -278,39 +295,16 @@ def run_coupling_ensemble(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac,
     trial with the exact per-epoch probability; this is the driver for
     frequency statistics. o_events marks the cells where the event
     occurred, o_verified the subset where the pair really did agree bit
-    for bit at the epoch end (they must all match). Equality is checked
-    only there and the shifts are frozen at the epoch start, so both
-    ensembles stabilize once per epoch from per-site sums of grid units,
-    as in run_chain_ensemble.
+    for bit at the epoch end (they must all match).
     """
-    M, L, mid_lo, mid_hi, A, W = _coupling_grid(lat, params)
-    n, m = eta_quanta.shape
-    offsets = np.arange(n) * m
+    grid = _coupling_grid(lat, params)
+    M, L = grid[:2]
+    n = eta_quanta.shape[0]
     o_events = np.zeros((n_epochs, n), dtype=bool)
     o_verified = np.zeros((n_epochs, n), dtype=bool)
     for e in range(n_epochs):
-        base, extra = (v.ravel() for v in _epoch_shifts(
-            lat, M, eta_quanta, eta_frac, zeta_quanta, zeta_frac))
-        seen, eta_units, zeta_units = np.zeros((3, n * m), dtype=np.int64)
-        all_mid = np.ones(n, dtype=bool)
-        for t in range(1, L + 1):
-            idx = rng.integers(m, size=n) + offsets
-            us = rng.uniform(params.a, params.b, size=n)
-            units = grid_units(us, lat.d)
-            part = base[idx] + (seen[idx] < extra[idx])
-            eta_units[idx] += units
-            zeta_units[idx] += (units + part - A) % W + A
-            seen[idx] += 1
-            all_mid &= (us >= mid_lo) & (us <= mid_hi)
-            if t == L or t % max(1, FOLD_LIMIT // (2 * lat.d)) == 0:
-                # Cells folded earlier in the epoch are on the grid, and
-                # folding them again with no units leaves them unchanged.
-                cells = seen.reshape(n, m) > 0
-                _add_units(lat, eta_quanta, eta_frac, cells, eta_units.reshape(n, m)[cells])
-                _add_units(lat, zeta_quanta, zeta_frac, cells, zeta_units.reshape(n, m)[cells])
-                eta_units[:] = zeta_units[:] = 0
-        occurred = all_mid & (seen.reshape(n, m) == M).all(axis=1)
-        same = (eta_quanta == zeta_quanta).all(axis=1) & (eta_frac == zeta_frac).all(axis=1)
+        occurred, same = _coupling_epoch(lat, grid, eta_quanta, eta_frac,
+                                         zeta_quanta, zeta_frac, rng)
         o_events[e] = occurred
         o_verified[e] = occurred & same
     return CouplingEnsembleResult(n, n_epochs, M, L, o_events, o_verified)

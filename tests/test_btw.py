@@ -216,6 +216,10 @@ def test_enumerate_recurrent_is_lexicographic(grid22):
 def test_enumerate_capacity_cap():
     with pytest.raises(CapacityError):
         enumerate_recurrent(build_lattice([4, 4]))
+    with pytest.raises(CapacityError) as info:
+        enumerate_recurrent(build_lattice([64, 64]))
+    assert "4^4096 (about 10^2466)" in str(info.value)
+    assert len(str(info.value)) < 200
 
 
 def test_addition_order_frozen(path1, path2, path3):

@@ -301,9 +301,6 @@ def test_addition_params():
         AdditionParams(0.2, 1.0)
     with pytest.raises(DomainError):
         AdditionParams(-0.1, 0.5)
-    with pytest.raises(DomainError):
-        AdditionParams(0.5, 0.5, rationality="sometimes")
-    assert AdditionParams(0.5, 0.5, rationality="rational").rationality == "rational"
 
 
 def test_quantum_multiple():

@@ -75,6 +75,19 @@ def test_enumerate_capacity_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "invariance", "couple", "limit-rational",
+                                     "ergodic"])
+def test_capacity_message_on_huge_box_exits_3(command, capsys):
+    # (2d)^n for 128x128 has 9865 digits, past Python's int-to-str limit.
+    extra = {"couple": ["--a", "0.2", "--b", "0.8"], "limit-rational": ["--a", "0.5"],
+             "ergodic": ["--a", "0.25"]}
+    rc = run_cli([command, "--dims", "128,128", *extra.get(command, [])])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4^16384 (about 10^9864) stable configurations")
+    assert len(err) < 200
+
+
 def test_simulate_trajectory_and_determinism(tmp_path):
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     args = ["simulate", "--dims", "2", "--a", "0.2", "--b", "0.8",
@@ -129,6 +142,7 @@ def test_simulate_bad_interval_is_config_error(capsys):
     rc = run_cli(["simulate", "--dims", "2", "--a", "0.8", "--b", "0.2",
                   "--steps", "5"])
     assert rc == 2
+    assert capsys.readouterr().err == "error: need 0 <= a <= b < 1, got a=0.8, b=0.2\n"
 
 
 def test_config_file_with_flag_override(tmp_path):

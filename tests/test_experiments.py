@@ -352,6 +352,30 @@ def test_run_coupling_ensemble_matches_stepwise(shape):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("shape", ["path2", "long-epoch"])
+def test_run_coupling_matches_stepwise(shape):
+    # run_coupling is one row of the ensemble epoch; the reference adds
+    # step by step through _add_inplace. The long epoch folds mid-epoch.
+    if shape == "path2":
+        lat, params, max_epochs = build_lattice([2]), AdditionParams(0.2, 0.8), 20000
+    else:
+        lat, params, max_epochs = build_lattice([1]), AdditionParams(0.9985, 0.9994), 2
+    zeta_q, zeta_f = _offgrid_start(lat, 1, 5)
+    eta0 = zero_config(lat)
+    zeta0 = CbtwConfig(d=lat.d, quanta=zeta_q[0], frac=zeta_f[0])
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    result = run_coupling(lat, eta0, zeta0, params, rng, max_epochs=max_epochs)
+    ref = [eta0.quanta[None, :].copy(), eta0.frac[None, :].copy(), zeta_q.copy(), zeta_f.copy()]
+    events, _ = stepwise_coupling_ensemble(lat, *ref, params, result.n_epochs, ref_rng)
+    assert [r.o_occurred for r in result.records] == events[:, 0].tolist()
+    assert [r.epoch for r in result.records] == list(range(1, result.n_epochs + 1))
+    got = [result.eta.quanta, result.eta.frac, result.zeta.quanta, result.zeta.frac]
+    for g, want in zip(got, ref):
+        assert np.array_equal(g, want[0])
+    assert result.coalesced == (np.array_equal(ref[0], ref[2]) and np.array_equal(ref[1], ref[3]))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_fourier_frozen_values():
     # zero frequency integrates to 1
     assert translation_mixture_fourier(0.3, [0, 0], [0.1, 0.9], 50) == 1.0
