@@ -438,10 +438,12 @@ def rational_limit_test(lat, base, amount, t_chain, n_samples, rng,
     """Compare the chain at time t_chain against the predicted limit law.
 
     The fixed amount must be a quantum multiple l/2d; the prediction is
-    the stabilized sum of `base` and l quanta at every site of a uniform
-    recurrent configuration. Both sides are estimated with n_samples
-    replicas and compared in TV, next to the floor between two
-    independent draws of the prediction itself.
+    the law `sample_rational_limit_batch` draws at time t_chain: the
+    stabilized sum of `base` and l quanta at every site of a uniform
+    recurrent configuration, moved onto the coset the chain occupies at
+    t_chain when the lattice's boundary degrees share a factor. Both
+    sides are estimated with n_samples replicas and compared in TV, next
+    to the floor between two independent draws of the prediction itself.
     """
     if quantum_multiple(amount, lat.d) is None:
         raise DomainError(f"amount {amount} is not a quantum multiple")
@@ -452,9 +454,9 @@ def rational_limit_test(lat, base, amount, t_chain, n_samples, rng,
     frac = np.tile(base.frac, (n_samples, 1))
     run_chain_ensemble(lat, quanta, frac, params, t_chain, rng)
     h_chain = Histogram.from_samples(lat.d, binning, quanta, frac)
-    q1, f1 = sample_rational_limit_batch(lat, base, amount, rng, n_samples, recurrent)
+    q1, f1 = sample_rational_limit_batch(lat, base, amount, rng, n_samples, recurrent, t_chain)
     h_limit = Histogram.from_samples(lat.d, binning, q1, f1)
-    q2, f2 = sample_rational_limit_batch(lat, base, amount, rng, n_samples, recurrent)
+    q2, f2 = sample_rational_limit_batch(lat, base, amount, rng, n_samples, recurrent, t_chain)
     h_floor = Histogram.from_samples(lat.d, binning, q2, f2)
     return RationalLimitResult(
         tv=estimate_tv(h_chain, h_limit),

@@ -40,6 +40,11 @@ class Lattice:
             the bounding box, or None when the sites fill the box in
             row-major order (every box lattice), so that a configuration
             is already the box in row-major layout.
+        neighbour_table: read-only (2d, n) intp array, built on first
+            read; row j holds each site's j-th in-set neighbour, or n where
+            the site has fewer than j + 1, so that a gather from an array
+            of length n + 1 whose last entry is 0 treats missing bonds as
+            the sink.
         adjacency_matrix: dense symmetric 0/1 n x n int matrix, built on
             first read; no kernel uses it.
     """
@@ -91,6 +96,15 @@ class Lattice:
         else:
             cells.setflags(write=False)
             self.cells = cells
+
+    @functools.cached_property
+    def neighbour_table(self):
+        """Padded (2d, n) neighbour table, built on first read."""
+        table = np.full((self.threshold, self.n_sites), self.n_sites, dtype=np.intp)
+        rows = list(itertools.zip_longest(*self.neighbours, fillvalue=self.n_sites))
+        table[:len(rows)] = np.reshape(rows, (len(rows), self.n_sites))
+        table.setflags(write=False)
+        return table
 
     @functools.cached_property
     def adjacency_matrix(self):

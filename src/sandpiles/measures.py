@@ -255,26 +255,42 @@ def sample_uniform_allowed_batch(lat, rng, n, recurrent=None):
     return quanta, np.floor(frac * scale) / scale
 
 
-def sample_rational_limit(lat, base, amount, rng, recurrent=None):
-    """One draw from the long-run law of the fixed-amount chain when the
-    amount is a quantum multiple l/2d: row 0 of sample_rational_limit_batch."""
-    quanta, frac = sample_rational_limit_batch(lat, base, amount, rng, 1, recurrent)
+def sample_rational_limit(lat, base, amount, rng, recurrent=None, t=None):
+    """One draw from the long-run law at time t of the fixed-amount chain
+    when the amount is a quantum multiple l/2d: row 0 of
+    sample_rational_limit_batch."""
+    quanta, frac = sample_rational_limit_batch(lat, base, amount, rng, 1, recurrent, t)
     return CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
 
 
-def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None):
-    """n independent rational-limit draws as (quanta, frac) matrices: add
-    l quanta at every site of a uniform recurrent configuration to `base`
-    and stabilize. The frac part of `base` is untouched."""
+def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None, t=None):
+    """n independent draws from the limit law at time t of the
+    fixed-amount chain from `base`, as (quanta, frac) matrices.
+
+    After t steps the chain sits in the coset base + l(t e_0 + H) of the
+    sandpile group, where H is spanned by the differences e_x - e_y. With
+    g the gcd of `lat.boundary_degree`, the coset of H holding a
+    configuration is fixed by its grain sum mod g, which topplings keep.
+    Each draw adds l(xi + r e_0) to `base` and stabilizes, with xi uniform
+    recurrent and r = (t - sum(xi)) mod g, so that xi + r e_0 is uniform
+    on the coset of t e_0. When g = 1, r is 0 and `t` may be omitted;
+    when g > 1 the limit law depends on t mod g, so `t` is required. The
+    frac part of `base` is untouched.
+    """
     l = quantum_multiple(amount, lat.d)
     if l is None or not (1 <= l <= 2 * lat.d - 1):
         raise DomainError(f"amount {amount} is not a quantum multiple l/2d with 0 < l < 1 mass")
     if not base.is_stable():
         raise DomainError("base configuration must be stable")
+    g = int(np.gcd.reduce(lat.boundary_degree))
+    if g > 1 and t is None:
+        raise DomainError(f"the limit law has period {g} on this lattice; give the chain time t")
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
     xi = recurrent[rng.integers(len(recurrent), size=n)]
     quanta = base.quanta[None, :] + l * xi
+    if g > 1:
+        quanta[:, 0] += l * ((int(t) - xi.sum(axis=1)) % g)
     btw.stabilize_many(lat, quanta)
     frac = np.broadcast_to(base.frac, quanta.shape).copy()
     return quanta, frac

@@ -3,8 +3,9 @@
 Everything here is deliberately written the slow, obvious way, sharing no
 code with the package internals: single legal topplings in randomized or
 stack order, dense real-height dynamics without the quanta/frac split,
-and a cofactor-expansion determinant. Test expectations computed from
-these are frozen in the test modules. The stepwise drivers are the
+a cofactor-expansion determinant, and the exact law of the fixed-amount
+chain from transition maps over every stable configuration. Test
+expectations computed from these are frozen in the test modules. The stepwise drivers are the
 exception: they replay the random stream of the package's chain drivers
 one step at a time through the scalar FIFO kernel `_add_inplace` (the
 ensemble ones row by row). The reference CLI output runs on the stepwise
@@ -163,6 +164,29 @@ def permutation_order(lat, x, recurrent):
         if length:
             order = math.lcm(order, length)
     return order
+
+
+def fixed_amount_law(lat, base, l, t):
+    """Exact law of the quanta after t steps of the fixed-amount chain
+    from the stable quanta `base`, each step adding l quanta at a uniform
+    site: one transition map per site over every stable configuration
+    (built with lifo_stabilize), then one np.bincount per site and step.
+    Returns {configuration tuple: probability}."""
+    configs = list(stable_configurations(lat))
+    index = {c: i for i, c in enumerate(configs)}
+    maps = []
+    for x in range(lat.n_sites):
+        image = []
+        for c in configs:
+            h = np.array(c, dtype=np.int64)
+            h[x] += l
+            image.append(index[tuple(int(v) for v in lifo_stabilize(lat, h)[0])])
+        maps.append(np.array(image))
+    p = np.zeros(len(configs))
+    p[index[tuple(int(v) for v in base)]] = 1.0
+    for _ in range(t):
+        p = sum(np.bincount(m, weights=p, minlength=len(configs)) for m in maps) / lat.n_sites
+    return {configs[i]: float(p[i]) for i in np.flatnonzero(p)}
 
 
 def stepwise_chain(lat, initial, params, steps, rng, on_step=None):

@@ -31,3 +31,19 @@ def test_traced_layer_resolves(module, attribute):
 def test_experiments_binds_the_scalar_kernel_by_name():
     from sandpiles import cbtw, experiments
     assert experiments._add_inplace is cbtw._add_inplace
+
+
+def test_relaxation_reference_uses_neither_checked_kernel(monkeypatch):
+    # large_box checks stabilize_many against a btw_stabilize reference and
+    # btw_add drops against stabilize_from; the reference must run neither.
+    import numpy as np
+    from sandpiles import btw, lattice
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("btw_stabilize called a kernel it is checked against")
+
+    monkeypatch.setattr(btw, "stabilize_many", forbidden)
+    monkeypatch.setattr(btw, "stabilize_from", forbidden)
+    lat = lattice.build_lattice([8, 8])
+    stable, od = btw.btw_stabilize(lat, np.full(lat.n_sites, 6, dtype=np.int64))
+    assert (stable < lat.threshold).all() and od.sum() > 0

@@ -7,7 +7,8 @@ from sandpiles import (CapacityError, DomainError, addition_order, btw_add,
                        btw_inverse_add, btw_stabilize, btw_topple,
                        build_lattice, enumerate_recurrent,
                        is_allowed_bruteforce, is_recurrent_burning, is_stable,
-                       lattice_from_sites, max_stable, stabilize_many)
+                       lattice_from_sites, max_stable, stabilize_from,
+                       stabilize_many)
 import oracles
 from oracles import lifo_stabilize, random_order_stabilize, stable_configurations
 
@@ -95,6 +96,37 @@ def test_stabilize_order_independent_property(heights, seed):
     ref, od_ref = random_order_stabilize(lat, heights, np.random.default_rng(seed))
     assert np.array_equal(ours, ref)
     assert np.array_equal(od_ours, od_ref)
+
+
+# A 4x4 box without its site (1, 2), plus a site with no in-set neighbour:
+# the neighbour table pads both with the sink.
+HOLE_AND_ISLAND = [(i, j) for i in range(4) for j in range(4) if (i, j) != (1, 2)] + [(6, 6)]
+
+
+@pytest.mark.parametrize("lat, rows", [
+    (build_lattice([5]), 20),
+    (build_lattice([2, 2, 3]), 6),
+    (lattice_from_sites(2, HOLE_AND_ISLAND), 6),
+], ids=["d1", "d3", "hole-and-island"])
+def test_stabilize_rounds_match_oracles_on(lat, rows, rng):
+    # heights up to 50 * 2d, so a site topples many times in one round
+    for _ in range(rows):
+        h = rng.integers(0, 50 * lat.threshold + 1, size=lat.n_sites)
+        ours, od_ours = btw_stabilize(lat, h)
+        for ref, od_ref in (lifo_stabilize(lat, h), random_order_stabilize(lat, h, rng)):
+            assert np.array_equal(ours, ref)
+            assert np.array_equal(od_ours, od_ref)
+
+
+def test_stabilize_rounds_match_fifo_on_32x32():
+    lat = build_lattice([32, 32])
+    h = np.full(lat.n_sites, 6, dtype=np.int64)
+    ours, od_ours = btw_stabilize(lat, h)
+    ref = h.copy()
+    od_ref = stabilize_from(lat, ref, range(lat.n_sites))
+    assert np.array_equal(ours, ref)
+    assert np.array_equal(od_ours, od_ref)
+    assert od_ours.sum() == 154_856
 
 
 def test_stabilize_many_matches_scalar(grid33, rng):

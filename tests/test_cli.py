@@ -252,6 +252,15 @@ def test_limit_rational_passes(tmp_path):
     assert data["pass"] is True
 
 
+@pytest.mark.parametrize("dims", ["2,2", "1"])
+def test_limit_rational_passes_on_periodic_lattices(tmp_path, dims):
+    # the boundary degrees share the factor 2 here, so the chain's law
+    # alternates between two cosets of the sandpile group
+    out = tmp_path / "lim.json"
+    assert run_cli(["limit-rational", "--dims", dims, "--a", "0.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+
 def test_limit_rational_rejects_non_multiple(capsys):
     rc = run_cli(["limit-rational", "--dims", "2", "--a", "0.3"])
     assert rc == 2

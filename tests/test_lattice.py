@@ -100,6 +100,21 @@ def test_adjacency_matrix_matches_adjacency(lat):
     assert not amat.flags.writeable
 
 
+@pytest.mark.parametrize("lat", [
+    build_lattice([3, 4]),
+    build_lattice([2, 2, 2]),
+    lattice_from_sites(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (5, 5)]),
+], ids=["box", "cube", "irregular-with-island"])
+def test_neighbour_table_pads_with_the_sink(lat):
+    assert "neighbour_table" not in vars(lat)
+    table = lat.neighbour_table
+    assert table.shape == (lat.threshold, lat.n_sites)
+    for i, ys in enumerate(lat.neighbours):
+        assert table[:, i].tolist() == list(ys) + [lat.n_sites] * (lat.threshold - len(ys))
+    assert lat.neighbour_table is table
+    assert not table.flags.writeable
+
+
 def test_geometry_errors():
     with pytest.raises(GeometryError):
         build_lattice([])

@@ -260,3 +260,54 @@ def test_from_csv_checks_the_total(tmp_path, total):
         Histogram.from_csv(path)
     path.write_text(path.read_text().replace(f"total={total}", "total=1"))
     assert Histogram.from_csv(path)[0].total == 1
+
+
+class EveryIndex:
+    """Stand-in generator: integers(k, size=k) draws each index once, so a
+    sampler's output rows are its exact law."""
+
+    def integers(self, high, size):
+        assert size == high
+        return np.arange(high)
+
+
+@pytest.mark.parametrize("dims, base, l", [
+    ([1], [0], 1),
+    ([2], [0, 0], 1),
+    ([2, 2], [0, 0, 0, 0], 1),
+    ([2, 2], [0, 0, 0, 0], 2),
+    ([2, 2], [0, 0, 0, 0], 3),
+    ([2, 2], [3, 0, 1, 2], 1),
+    ([2, 1], [0, 0], 1),
+    ([2, 1], [3, 1], 2),
+    ([1, 1], [0], 3),
+], ids=["1-l1", "2-l1", "2x2-l1", "2x2-l2", "2x2-l3", "2x2-l1-base", "2x1-l1", "2x1-l2-base",
+        "1x1-l3"])
+@pytest.mark.parametrize("t", [200, 201])
+def test_rational_limit_law_is_the_exact_chain_law(dims, base, l, t):
+    # g = gcd(boundary degrees) is 1 on the 2-site path, 2 on the 1-site
+    # path and on 2x2, 3 on 2x1 and 4 on the 1x1 square; when g > 1 the
+    # walk is periodic and the law at t depends on t mod g
+    lat = build_lattice(dims)
+    rec = enumerate_recurrent(lat)
+    start = CbtwConfig(d=lat.d, quanta=np.array(base), frac=np.zeros(lat.n_sites))
+    exact = oracles.fixed_amount_law(lat, start.quanta, l, t)
+    quanta, _ = sample_rational_limit_batch(lat, start, l / (2 * lat.d), EveryIndex(),
+                                            len(rec), rec, t)
+    rows, counts = np.unique(quanta, axis=0, return_counts=True)
+    predicted = {tuple(r): c / len(rec) for r, c in zip(rows.tolist(), counts.tolist())}
+    tv = 0.5 * sum(abs(exact.get(c, 0.0) - predicted.get(c, 0.0))
+                   for c in set(exact) | set(predicted))
+    assert tv < 1e-12
+
+
+def test_rational_limit_needs_time_only_on_periodic_lattices(path2):
+    box = build_lattice([2, 2])
+    with pytest.raises(DomainError, match="period 2"):
+        sample_rational_limit(box, zero_config(box), 0.5, np.random.default_rng(0))
+    # g = 1: the time changes neither the draws nor the random stream
+    rngs = [np.random.default_rng(5), np.random.default_rng(5)]
+    a = sample_rational_limit_batch(path2, zero_config(path2), 0.5, rngs[0], 50)
+    b = sample_rational_limit_batch(path2, zero_config(path2), 0.5, rngs[1], 50, t=7)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
