@@ -177,6 +177,7 @@ def cbtw_topple(lat, config, x, force=False):
     """Topple site x once: mass 1 leaves x, 1/2d lands on each in-set
     neighbour. Returns (new_config, legal); frac is untouched."""
     _check_config(lat, config)
+    x = btw._site(lat, x)
     legal = bool(config.quanta[x] >= 2 * lat.d)
     quanta = config.quanta.copy()
     if legal or force:
@@ -224,6 +225,7 @@ def cbtw_add(lat, config, x, u):
     The amount is rounded to the grid, u -> rint(u * S) / S.
     """
     _check_config(lat, config)
+    x = btw._site(lat, x)
     if not (0.0 <= u < 1.0):
         raise DomainError(f"addition amount must lie in [0, 1), got {u}")
     quanta = config.quanta.copy()
@@ -244,6 +246,7 @@ def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
     `order` is passed on to it; `recurrent` is unused.
     """
     _check_config(lat, config)
+    x = btw._site(lat, x)
     if not (0.0 <= u < 1.0):
         raise DomainError(f"addition amount must lie in [0, 1), got {u}")
     if not config.is_stable():

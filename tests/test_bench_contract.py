@@ -47,3 +47,23 @@ def test_relaxation_reference_uses_neither_checked_kernel(monkeypatch):
     lat = lattice.build_lattice([8, 8])
     stable, od = btw.btw_stabilize(lat, np.full(lat.n_sites, 6, dtype=np.int64))
     assert (stable < lat.threshold).all() and od.sum() > 0
+
+
+def test_drop_reference_matches_an_independent_oracle():
+    # large_box checks btw_add drops against stabilize_from, the kernel
+    # btw_add itself runs; here stabilize_from meets the stack-order oracle.
+    import numpy as np
+    import oracles
+    from sandpiles import btw, lattice
+
+    lat = lattice.build_lattice([32, 32])
+    h = btw.btw_stabilize(lat, np.full(lat.n_sites, 4, dtype=np.int64))[0]
+    topplings = 0
+    for x in np.random.default_rng(1201).integers(lat.n_sites, size=50).tolist():
+        h[x] += 1
+        ref, od_ref = oracles.lifo_stabilize(lat, h)
+        od = btw.stabilize_from(lat, h, (x,))
+        assert np.array_equal(h, ref)
+        assert np.array_equal(od, od_ref)
+        topplings += int(od.sum())
+    assert topplings > 0

@@ -9,6 +9,7 @@ from sandpiles import (CapacityError, DomainError, addition_order, btw_add,
                        is_allowed_bruteforce, is_recurrent_burning, is_stable,
                        lattice_from_sites, max_stable, stabilize_from,
                        stabilize_many)
+from sandpiles.cbtw import CbtwConfig, cbtw_add, cbtw_inverse_add
 import oracles
 from oracles import lifo_stabilize, random_order_stabilize, stable_configurations
 
@@ -193,6 +194,97 @@ def test_add_to_unstable_input_stabilizes_fully(path3, grid33):
     h[4] += 1
     assert np.array_equal(out, btw_stabilize(grid33, h)[0])
     assert is_stable(grid33, out)
+
+
+def test_fifo_topples_reached_unstable_sites():
+    # Site 1 is unstable but no seed: the avalanche from site 0 reaches it.
+    lat = build_lattice([5])
+    h = np.array([2, 3, 0, 0, 0], dtype=np.int64)
+    od = stabilize_from(lat, h, [0])
+    assert list(h) == [1, 0, 1, 1, 0]
+    assert list(od) == [2, 3, 1, 0, 0]
+
+
+def test_fifo_leaves_unreached_unstable_sites():
+    lat = build_lattice([5])
+    h = np.array([2, 0, 0, 0, 5], dtype=np.int64)
+    od = stabilize_from(lat, h, [0])
+    assert list(h) == [0, 1, 0, 0, 5]
+    assert list(od) == [1, 0, 0, 0, 0]
+    h = np.array([0, 0, 0, 0, 5], dtype=np.int64)
+    assert not stabilize_from(lat, h, [0, 1]).any()
+    assert list(h) == [0, 0, 0, 0, 5]
+
+
+def test_fifo_duplicate_seeds_topple_once_each(grid33, rng):
+    for _ in range(20):
+        h = rng.integers(0, 12, size=9)
+        once, many = h.copy(), h.copy()
+        od_once = stabilize_from(grid33, once, range(9))
+        od_many = stabilize_from(grid33, many, np.repeat(np.arange(9), 3))
+        assert np.array_equal(many, once)
+        assert np.array_equal(od_many, od_once)
+        assert np.array_equal(once, lifo_stabilize(grid33, h)[0])
+
+
+def test_fifo_relaxes_a_strided_view_in_place(grid33, rng):
+    batch = rng.integers(0, 12, size=(9, 3))
+    before = batch.copy()
+    od = stabilize_from(grid33, batch[:, 1], range(9))
+    ref, od_ref = lifo_stabilize(grid33, before[:, 1])
+    assert np.array_equal(batch[:, 1], ref)
+    assert np.array_equal(od, od_ref)
+    assert np.array_equal(batch[:, [0, 2]], before[:, [0, 2]])
+
+
+@pytest.mark.parametrize("dims", [[16, 16], [3, 3, 3]], ids=["16x16", "3x3x3"])
+def test_fifo_drops_match_lifo_oracle(dims, rng):
+    lat = build_lattice(dims)
+    h = btw_stabilize(lat, np.full(lat.n_sites, lat.threshold, dtype=np.int64))[0]
+    for _ in range(60):
+        x = int(rng.integers(lat.n_sites))
+        h[x] += int(rng.integers(1, lat.threshold + 1))
+        ref, od_ref = lifo_stabilize(lat, h)
+        od = stabilize_from(lat, h, (x,))
+        assert np.array_equal(h, ref)
+        assert np.array_equal(od, od_ref)
+
+
+def test_site_index_outside_the_lattice_is_rejected(path3):
+    # A negative index used to wrap around: btw_add(..., -1) dropped on site 2.
+    cfg = CbtwConfig(d=1, quanta=np.array([1, 1, 1]), frac=np.zeros(3))
+    for x in (-1, 3, 1.0, True, "0"):
+        with pytest.raises(DomainError):
+            btw_add(path3, [0, 0, 1], x)
+        with pytest.raises(DomainError):
+            btw_inverse_add(path3, [1, 1, 1], x)
+        with pytest.raises(DomainError):
+            btw_topple(path3, [2, 0, 0], x)
+        with pytest.raises(DomainError):
+            cbtw_add(path3, cfg, x, 0.25)
+        with pytest.raises(DomainError):
+            cbtw_inverse_add(path3, cfg, x, 0.25)
+        h = np.array([2, 0, 0], dtype=np.int64)
+        with pytest.raises(DomainError):
+            stabilize_from(path3, h, [0, x])
+        assert list(h) == [2, 0, 0]
+    assert list(btw_add(path3, [0, 0, 1], np.int64(2))) == [0, 1, 0]
+
+
+def test_fifo_rejects_heights_it_cannot_relax_in_place(path3):
+    read_only = np.array([2, 0, 0], dtype=np.int64)
+    read_only.flags.writeable = False
+    for bad in (np.array([2, 0, 0, 0]), np.array([2, 0]), np.array([2.0, 0.0, 0.0]),
+                np.array([[2], [0], [0]]), np.array([2, 0, 0], dtype=">i8"),
+                np.array([True, False, False]), read_only, [2, 0, 0]):
+        before = np.array(bad, copy=True)
+        with pytest.raises(DomainError):
+            stabilize_from(path3, bad, [0])
+        assert np.array_equal(bad, before)
+    for dtype in (np.int8, np.int32, np.uint16):
+        h = np.array([2, 0, 0], dtype=dtype)
+        stabilize_from(path3, h, [0])
+        assert list(h) == [0, 1, 0]
 
 
 def test_allowed_bruteforce_frozen_path2(path2):
