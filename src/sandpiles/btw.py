@@ -17,7 +17,7 @@ from .errors import CapacityError, DomainError
 
 BRUTEFORCE_MAX_SITES = 24
 ENUMERATION_CAP = 1_000_000
-ENUMERATION_CHUNK = 1 << 16
+ENUMERATION_CHUNK = 1 << 14
 
 
 def _as_heights(lat, heights):
@@ -263,45 +263,30 @@ def is_allowed_bruteforce(lat, heights):
     return True
 
 
-def _burns_completely(h, adj):
-    """Burning pass on height tuple h given adjacency lists `adj`."""
-    m = len(h)
-    deg = [len(a) for a in adj]
-    alive = [True] * m
-    n_alive = m
-    changed = True
-    while changed and n_alive:
-        changed = False
-        for x in range(m):
-            if alive[x] and h[x] >= deg[x]:
-                alive[x] = False
-                n_alive -= 1
-                changed = True
-                for y in adj[x]:
-                    deg[y] -= 1
-    return n_alive == 0
-
-
 def is_recurrent_burning(lat, heights):
-    """Burning test: repeatedly remove sites whose height is at least the
-    number of still-present in-set neighbours. Recurrent iff everything
-    burns. Input must be stable."""
+    """Dhar's burning test (Dhar 1990): a stable configuration eta is
+    recurrent iff stabilizing eta + beta, where beta =
+    `lat.boundary_degree`, topples every site exactly once. No site ever
+    topples twice, so the test is one `stabilize_from` seeded at every
+    site. Input must be stable."""
     h = _as_heights(lat, heights)
     if (h >= lat.threshold).any():
         raise DomainError("burning test requires a stable configuration")
-    return _burns_completely(tuple(int(v) for v in h), lat.neighbours)
+    h += lat.boundary_degree
+    return bool(stabilize_from(lat, h, range(lat.n_sites)).all())
 
 
 def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
     """All recurrent stable configurations, in lexicographic order.
 
-    Returns an int64 array of shape (count, n_sites). The scan covers all
-    (2d)^n_sites stable configurations, so it is capped. It burns chunks
-    of consecutive lexicographic indices at once: each round removes every
-    still-present site whose height reaches its count of still-present
-    neighbours. Removing a site only lowers its neighbours' counts, so the
-    parallel rounds burn the same sites as one sweep at a time, and n_sites
-    rounds always suffice.
+    Returns a C-ordered int64 array of shape (count, n_sites). The scan
+    covers all (2d)^n_sites stable configurations, so it is capped. It
+    runs Dhar's burning test on chunks of consecutive lexicographic
+    indices at once: `stabilize_many` relaxes eta + beta for every row,
+    and a row is recurrent iff every site toppled, in which case it
+    relaxes back to eta. Chunks are column-major, so `stabilize_many`
+    relaxes them in place through a view and its sliced neighbour
+    additions run along the contiguous replica axis.
     """
     two_d = lat.threshold
     n = lat.n_sites
@@ -311,23 +296,20 @@ def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
         raise CapacityError(
             f"{two_d}^{n} (about 10^{math.floor(n * math.log10(two_d))}) stable "
             f"configurations exceeds the enumeration cap {cap}")
-    # Padded with column n, which is never present.
-    nbrs = lat.neighbour_table.T
     place = two_d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # Heights below 2d fit int8: numpy caps a Lattice's bounding box at 64 axes.
+    # No site topples twice, so heights stay below 3 * 2d, which fits
+    # int16: numpy caps a Lattice's bounding box at 64 axes.
+    beta = lat.boundary_degree.astype(np.int16)
+    # stabilize_many works on the bounding box: a chunk spans about
+    # ENUMERATION_CHUNK * n_sites of its cells, however sparse the lattice.
+    rows = max(1, ENUMERATION_CHUNK * n // math.prod(lat.grid_shape))
     found = []
-    for start in range(0, total, ENUMERATION_CHUNK):
-        index = np.arange(start, min(start + ENUMERATION_CHUNK, total), dtype=np.int64)
-        h = (index[:, None] // place % two_d).astype(np.int8)
-        present = np.ones((len(index), n + 1), dtype=np.int8)
-        present[:, n] = 0
-        for _ in range(n):
-            burns = present[:, :n] & (h >= present[:, nbrs].sum(axis=2, dtype=np.int8))
-            if not burns.any():
-                break
-            present[:, :n] -= burns
-        found.append(h[~present.any(axis=1)])
-    return np.concatenate(found).astype(np.int64)
+    for start in range(0, total, rows):
+        index = np.arange(start, min(start + rows, total), dtype=np.int64)
+        h = (index[:, None] // place % two_d).astype(np.int16, order="F")
+        h += beta
+        found.append(h[stabilize_many(lat, h).all(axis=1)])
+    return np.concatenate(found).astype(np.int64, order="C")
 
 
 def _solve_toppling(lat, x):

@@ -30,6 +30,7 @@ past 1 need no special handling.
 
 from dataclasses import dataclass
 import json
+import math
 
 import numpy as np
 
@@ -147,9 +148,11 @@ def decompose(lat, heights):
     h = np.asarray(heights, dtype=np.float64)
     if h.shape != (lat.n_sites,):
         raise DomainError(f"heights must have shape ({lat.n_sites},), got {h.shape}")
-    if (h < 0).any():
-        raise DomainError("heights must be nonnegative")
-    quanta = np.floor(h * (2 * lat.d)).astype(np.int64)
+    scaled = h * (2 * lat.d)
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not ((h >= 0) & (scaled < 2.0**63)).all():
+        raise DomainError("heights must be nonnegative and finite, with 2d * height below 2^63")
+    quanta = np.floor(scaled).astype(np.int64)
     carry, F = _carry(grid_units(h - quanta / (2 * lat.d), lat.d), 0)
     return CbtwConfig(d=lat.d, quanta=quanta + carry, frac=F / grid_scale(lat.d))
 
@@ -277,7 +280,9 @@ def is_allowed_cbtw(lat, config):
 
 def quantum_multiple(amount, d, tol=1e-12):
     """The integer l with amount = l/2d, or None if amount is not within
-    tol of a quantum multiple."""
+    tol of a quantum multiple (NaN and infinities never are)."""
+    if not math.isfinite(amount):
+        return None
     scaled = amount * 2 * d
     l = int(round(scaled))
     if abs(scaled - l) <= tol:

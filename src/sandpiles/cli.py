@@ -35,21 +35,20 @@ CONFIG_KEYS = {"lattice", "a", "b", "steps", "samples", "bins", "seed", "init",
 
 
 def parse_real(value, what="value"):
-    """Decimal literal, the token sqrt2-1, or a plain number."""
-    if isinstance(value, bool):
+    """Decimal literal, the token sqrt2-1, or a plain number; NaN and
+    infinities are configuration errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{what}: expected a real number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if text == "sqrt2-1":
-            return math.sqrt(2.0) - 1.0
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(
-                f"{what}: expected a decimal or the token 'sqrt2-1', got {value!r}") from None
-    raise ConfigError(f"{what}: expected a real number, got {value!r}")
+    if isinstance(value, str) and value.strip() == "sqrt2-1":
+        return math.sqrt(2.0) - 1.0
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(
+            f"{what}: expected a finite decimal or the token 'sqrt2-1', got {value!r}")
+    return number
 
 
 def parse_int_list(value, what):

@@ -166,6 +166,21 @@ def test_stabilize_many_writes_through_strided_view(grid22, rng):
     assert np.array_equal(batch[:, ::2], expected)
 
 
+@pytest.mark.parametrize("lat", [build_lattice([3, 3]), lattice_from_sites(2, IRREGULAR)],
+                         ids=repr)
+def test_stabilize_many_relaxes_column_major_batch_in_place(lat, rng):
+    # enumerate_recurrent relaxes column-major int16 chunks.
+    batch = rng.integers(0, 3 * lat.threshold, size=(100, lat.n_sites)).astype(np.int16)
+    f_order = np.asfortranarray(batch)
+    c_order = batch.copy()
+    od_f = stabilize_many(lat, f_order)
+    od_c = stabilize_many(lat, c_order)
+    assert f_order.flags.f_contiguous and f_order.dtype == np.int16
+    assert np.array_equal(f_order, [btw_stabilize(lat, row)[0] for row in batch])
+    assert np.array_equal(f_order, c_order)
+    assert np.array_equal(od_f, od_c)
+
+
 def test_stabilize_rejects_bad_input(path2):
     with pytest.raises(DomainError):
         btw_stabilize(path2, [1, -1])
@@ -301,8 +316,8 @@ def test_allowed_bruteforce_frozen_path3(path3):
 
 
 def test_burning_matches_bruteforce_exhaustive():
-    for dims in ([2], [3], [4], [2, 2]):
-        lat = build_lattice(dims)
+    lattices = [build_lattice(dims) for dims in ([2], [3], [4], [2, 2], [1, 2, 2])]
+    for lat in lattices + [lattice_from_sites(2, IRREGULAR + [(5, 5)])]:
         for h in stable_configurations(lat):
             h = list(h)
             assert is_recurrent_burning(lat, h) == is_allowed_bruteforce(lat, h)
@@ -396,13 +411,16 @@ def test_inverse_add_rejects_transient(path2):
 
 ORACLE_LATTICES = [build_lattice([n]) for n in range(1, 7)] + [
     build_lattice([2, 2]), build_lattice([2, 3]), build_lattice([3, 3]),
-    lattice_from_sites(2, IRREGULAR)]
+    build_lattice([1, 2, 2]), lattice_from_sites(2, IRREGULAR),
+    lattice_from_sites(2, IRREGULAR + [(5, 5)])]
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=repr)
 def test_enumerate_recurrent_matches_oracle(lat):
     ours = enumerate_recurrent(lat)
     assert ours.dtype == np.int64
+    # Callers key rows on row.tobytes() and index them.
+    assert ours.flags.c_contiguous
     assert np.array_equal(ours, oracles.enumerate_recurrent(lat))
 
 

@@ -12,6 +12,8 @@ from sandpiles import (AdditionParams, CbtwConfig, DomainError, btw_stabilize,
                        enumerate_recurrent, is_allowed_bruteforce,
                        is_allowed_cbtw, max_config, quantum_multiple,
                        recompose, sample_uniform_allowed, zero_config)
+from sandpiles.experiments import rational_limit_test
+from sandpiles.measures import sample_rational_limit_batch
 from sandpiles.cbtw import FRAC_BITS, FRAC_MASK, _add_inplace, grid_scale, grid_units
 from oracles import dense_add, dense_stabilize
 
@@ -49,6 +51,12 @@ def test_grid_round_trip_is_lossless(d):
 def test_decompose_rejects_negative(path2):
     with pytest.raises(DomainError):
         decompose(path2, [-0.1, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_decompose_rejects_non_finite_and_overflowing(path2, bad):
+    with pytest.raises(DomainError):
+        decompose(path2, [bad, 0.2])
 
 
 @given(st.lists(st.floats(0.0, 3.0, allow_nan=False), min_size=3, max_size=3))
@@ -310,3 +318,13 @@ def test_quantum_multiple():
     assert quantum_multiple(np.sqrt(2.0) - 1.0, 1) is None
     assert quantum_multiple(0.5 + 5e-14, 1) == 1
     assert quantum_multiple(0.5 + 1e-9, 1) is None
+
+
+@pytest.mark.parametrize("amount", [np.nan, np.inf, -np.inf])
+def test_quantum_multiple_of_non_finite_amount_is_none(amount, path2):
+    assert quantum_multiple(amount, 1) is None
+    base = zero_config(path2)
+    with pytest.raises(DomainError):
+        sample_rational_limit_batch(path2, base, amount, np.random.default_rng(0), 4)
+    with pytest.raises(DomainError):
+        rational_limit_test(path2, base, amount, 2, 4, np.random.default_rng(0))

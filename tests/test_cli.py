@@ -24,6 +24,9 @@ def test_parse_real_tokens():
         parse_real("half")
     with pytest.raises(ConfigError):
         parse_real(True)
+    for bad in ("nan", " inf", "-Infinity", float("nan"), float("inf"), 10**400):
+        with pytest.raises(ConfigError):
+            parse_real(bad)
 
 
 def test_parse_dims_forms():
@@ -328,6 +331,33 @@ def test_init_with_nan_frac_is_config_error(capsys):
 def test_negative_count_flag_is_config_error(args, capsys):
     assert run_cli(args) == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["limit-rational", "--dims", "2", "--a", "nan"],
+    ["limit-rational", "--dims", "2", "--a", "inf"],
+    ["fourier", "--a", "nan"],
+    ["fourier", "--a", "0.5", "--x", "inf"],
+], ids=["limit-rational-nan", "limit-rational-inf", "fourier-a-nan", "fourier-x-inf"])
+def test_non_finite_real_flag_is_config_error(args, capsys):
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert "expected a finite decimal" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("limit-rational", '{"lattice": {"dims": [2]}, "a": Infinity}', "a"),
+    ("fourier", '{"a": NaN}', "a"),
+    ("fourier", '{"a": 0.5, "k": [1], "x": [-Infinity]}', "x"),
+], ids=["limit-rational-a", "fourier-a", "fourier-x"])
+def test_non_finite_real_in_config_is_config_error(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"--{key}: expected a finite decimal" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("value, message", [(-3, "must be >= 0"), ("abc", "expected an integer")])
