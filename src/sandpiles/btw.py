@@ -198,7 +198,8 @@ def stabilize_many(lat, quanta):
         grid = quanta.reshape(shape)
         outside = None
     else:
-        flat = np.zeros((rows, math.prod(lat.grid_shape)), dtype=quanta.dtype)
+        # Column-major, so the sliced additions run along the replica axis.
+        flat = np.zeros((rows, math.prod(lat.grid_shape)), dtype=quanta.dtype, order="F")
         flat[:, lat.cells] = quanta
         grid = flat.reshape(shape)
         outside = np.ones(flat.shape[1], dtype=bool)

@@ -240,7 +240,9 @@ def cbtw_add(lat, config, x, u):
 def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
     """Invert cbtw_add: recover eta from zeta = cbtw_add(eta, x, u).
 
-    Defined on stable allowed configurations. In grid units, F - U at x
+    Defined on stable allowed configurations, whose quanta are exactly
+    the recurrent ones: btw_inverse_add's burning test raises DomainError
+    for the rest. In grid units, F - U at x
     splits through `_carry` into the old fractional part and a borrow of
     k quanta, the carry cbtw_add made, so add(inverse_add(zeta)) == zeta
     bit for bit. The quanta roll back by k quantum additions through
@@ -254,8 +256,6 @@ def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
         raise DomainError(f"addition amount must lie in [0, 1), got {u}")
     if not config.is_stable():
         raise DomainError("inverse addition needs a stable configuration")
-    if not is_allowed_cbtw(lat, config):
-        raise DomainError("inverse addition is defined only on allowed configurations")
     scale = grid_scale(lat.d)
     borrow, F = _carry(round(config.frac.item(x) * scale), -round(u * scale))
     quanta = btw.btw_inverse_add(lat, config.quanta, x, power=-borrow, order=order)

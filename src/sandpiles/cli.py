@@ -133,11 +133,14 @@ def number_setting(args, config, key, kind, default=None):
     return number
 
 
-def count_setting(args, config, key, default=None):
-    """A nonnegative integer setting such as --steps, --samples or --seed."""
+def count_setting(args, config, key, default=None, least=0):
+    """A nonnegative integer setting such as --steps, --samples or --seed,
+    at least `least`."""
     count = number_setting(args, config, key, int, default)
     if count < 0:
         raise ConfigError(f"--{key} must be >= 0, got {count}")
+    if count < least:
+        raise ConfigError(f"--{key} must be at least {least}, got {count}")
     return count
 
 
@@ -304,7 +307,7 @@ def cmd_simulate(args):
 
 def cmd_invariance(args):
     config, dims, seed, out, fmt = common_settings(args)
-    samples = count_setting(args, config, "samples", 100000)
+    samples = count_setting(args, config, "samples", 100000, least=1)
     bins = count_setting(args, config, "bins", 8)
     tolerance = number_setting(args, config, "tolerance", float, 0.01)
     lat = build_lattice(dims)
@@ -360,7 +363,7 @@ def cmd_limit_rational(args):
     config, dims, seed, out, fmt = common_settings(args)
     a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
     steps = count_setting(args, config, "steps", 2000)
-    samples = count_setting(args, config, "samples", 20000)
+    samples = count_setting(args, config, "samples", 20000, least=1)
     bins = count_setting(args, config, "bins", 8)
     tolerance = number_setting(args, config, "tolerance", float, 0.02)
     lat = build_lattice(dims)
@@ -393,7 +396,7 @@ def cmd_fourier(args):
     if len(x) != len(k):
         raise ConfigError(f"--x has {len(x)} coordinates but --k has {len(k)}")
     n_terms = number_setting(args, config, "N", int, 100)
-    samples = count_setting(args, config, "samples", 200000)
+    samples = count_setting(args, config, "samples", 200000, least=2)
     if n_terms < 1:
         raise ConfigError("--N must be >= 1")
     (rng,) = spawn_rngs(seed, 1)

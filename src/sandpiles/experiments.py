@@ -144,7 +144,9 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots=()):
                     hits[idx] = True
             cells = hits.reshape(n, m) > 0
             units = hits * int(grid_units(params.a, lat.d)) if fixed else total
-            _add_units(lat, quanta, frac, cells, units.reshape(n, m)[cells])
+            units = units.reshape(n, m)[cells]
+            del idx, hits, total  # freed before stabilization makes its temporaries
+            _add_units(lat, quanta, frac, cells, units)
             t += T
         if t in want:
             out[t] = (quanta.copy(), frac.copy())
@@ -382,7 +384,10 @@ def translation_mixture_bound(step, k, n_terms):
 
 def translation_mixture_fourier_mc(step, k, start, n_terms, n_samples, rng):
     """Monte Carlo estimate of the same coefficient; returns (estimate,
-    standard error), the latter combining real and imaginary spread."""
+    standard error), the latter combining real and imaginary spread, so
+    it needs n_samples >= 2."""
+    if n_samples < 2:
+        raise DomainError(f"a standard error needs at least 2 samples, got {n_samples}")
     k = np.asarray(k, dtype=np.int64)
     start = np.asarray(start, dtype=np.float64)
     m = len(k)
@@ -412,13 +417,14 @@ def invariance_experiment(lat, binning, n_samples, rng, recurrent=None):
     """
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
-    q_ref, f_ref = sample_uniform_allowed_batch(lat, rng, n_samples, recurrent)
-    href = Histogram.from_samples(lat.d, binning, q_ref, f_ref)
+    href = Histogram.from_samples(
+        lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples, recurrent))
     quanta, frac = sample_uniform_allowed_batch(lat, rng, n_samples, recurrent)
     xs = rng.integers(lat.n_sites, size=n_samples)
     us = rng.uniform(0.0, 1.0, size=n_samples)
     step_ensemble(lat, quanta, frac, xs, us)
     hpush = Histogram.from_samples(lat.d, binning, quanta, frac)
+    del quanta, frac
     tv = estimate_tv(hpush, href)
     floor = tv_noise_floor(lat, binning, n_samples, rng, recurrent)
     return InvarianceResult(tv=tv, noise_floor=floor, n_samples=n_samples)
@@ -454,10 +460,11 @@ def rational_limit_test(lat, base, amount, t_chain, n_samples, rng,
     frac = np.tile(base.frac, (n_samples, 1))
     run_chain_ensemble(lat, quanta, frac, params, t_chain, rng)
     h_chain = Histogram.from_samples(lat.d, binning, quanta, frac)
-    q1, f1 = sample_rational_limit_batch(lat, base, amount, rng, n_samples, recurrent, t_chain)
-    h_limit = Histogram.from_samples(lat.d, binning, q1, f1)
-    q2, f2 = sample_rational_limit_batch(lat, base, amount, rng, n_samples, recurrent, t_chain)
-    h_floor = Histogram.from_samples(lat.d, binning, q2, f2)
+    del quanta, frac
+    h_limit = Histogram.from_samples(lat.d, binning, *sample_rational_limit_batch(
+        lat, base, amount, rng, n_samples, recurrent, t_chain))
+    h_floor = Histogram.from_samples(lat.d, binning, *sample_rational_limit_batch(
+        lat, base, amount, rng, n_samples, recurrent, t_chain))
     return RationalLimitResult(
         tv=estimate_tv(h_chain, h_limit),
         noise_floor=estimate_tv(h_limit, h_floor),
@@ -475,23 +482,30 @@ class TvDecayResult:
 def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=None):
     """TV distance to the uniform-allowed law along the chain from zero.
 
-    Snapshots the replica ensemble at the given times, measures TV to a
-    uniform-allowed reference sample of the same size, and fits a line to
-    log TV over time; the slope is the decay-rate estimate.
+    Runs the replica ensemble from each snapshot time (all >= 1) to the
+    next and bins it there, so no snapshot is copied; then measures TV
+    to a uniform-allowed reference sample of the same size, and fits a
+    line to log TV over time; the slope is the decay-rate estimate.
+    Each segment ends a fold at a snapshot time, as run_chain_ensemble's
+    snapshots do, so results and random stream are the same.
     """
     times = sorted(int(t) for t in times)
-    if not times:
-        raise DomainError("tv_decay_experiment needs at least one snapshot time")
+    if not times or times[0] < 1:
+        raise DomainError(f"tv_decay_experiment needs snapshot times >= 1, got {times}")
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
     n = int(n_replicas)
     quanta = np.zeros((n, lat.n_sites), dtype=np.int64)
     frac = np.zeros((n, lat.n_sites), dtype=np.float64)
-    snaps = run_chain_ensemble(lat, quanta, frac, params, times[-1], rng, snapshots=times)
-    q_ref, f_ref = sample_uniform_allowed_batch(lat, rng, n, recurrent)
-    href = Histogram.from_samples(lat.d, binning, q_ref, f_ref)
-    tvs = [estimate_tv(Histogram.from_samples(lat.d, binning, *snaps[t]), href)
-           for t in times]
+    hists, t = {}, 0
+    for stop in dict.fromkeys(times):
+        run_chain_ensemble(lat, quanta, frac, params, stop - t, rng)
+        hists[stop] = Histogram.from_samples(lat.d, binning, quanta, frac)
+        t = stop
+    del quanta, frac
+    href = Histogram.from_samples(
+        lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n, recurrent))
+    tvs = [estimate_tv(hists[t], href) for t in times]
     floor = tv_noise_floor(lat, binning, n, rng, recurrent)
     slope = float(np.polyfit(times, np.log(np.maximum(tvs, 1e-12)), 1)[0])
     return TvDecayResult(times=times, tvs=tvs, noise_floor=floor, slope=slope)

@@ -300,8 +300,8 @@ def tv_noise_floor(lat, binning, n_samples, rng, recurrent=None):
     """TV distance between two independent uniform-allowed sample sets of
     the given size: the Monte Carlo resolution limit for this
     discretization and sample budget."""
-    qa, fa = sample_uniform_allowed_batch(lat, rng, n_samples, recurrent)
-    qb, fb = sample_uniform_allowed_batch(lat, rng, n_samples, recurrent)
-    ha = Histogram.from_samples(lat.d, binning, qa, fa)
-    hb = Histogram.from_samples(lat.d, binning, qb, fb)
+    ha = Histogram.from_samples(
+        lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples, recurrent))
+    hb = Histogram.from_samples(
+        lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples, recurrent))
     return estimate_tv(ha, hb)

@@ -12,6 +12,7 @@ from sandpiles import (AdditionParams, CbtwConfig, DomainError, btw_stabilize,
                        enumerate_recurrent, is_allowed_bruteforce,
                        is_allowed_cbtw, max_config, quantum_multiple,
                        recompose, sample_uniform_allowed, zero_config)
+from sandpiles import btw
 from sandpiles.experiments import rational_limit_test
 from sandpiles.measures import sample_rational_limit_batch
 from sandpiles.cbtw import FRAC_BITS, FRAC_MASK, _add_inplace, grid_scale, grid_units
@@ -233,6 +234,21 @@ def test_inverse_add_requires_allowed(path2):
     bad = zero_config(path2)
     with pytest.raises(DomainError):
         cbtw_inverse_add(path2, bad, 0, 0.3)
+
+
+def test_inverse_add_runs_one_burning_test(monkeypatch):
+    # One burning test and one relaxation, both on stabilize_from.
+    lat = build_lattice([2, 3])
+    zeta = cbtw_add(lat, sample_uniform_allowed(lat, np.random.default_rng(4)), 1, 0.4)
+    calls, real = [], btw.stabilize_from
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(btw, "stabilize_from", counting)
+    cbtw_inverse_add(lat, zeta, 1, 0.4)
+    assert len(calls) == 2
 
 
 def test_inverse_add_requires_stable(path2):

@@ -333,6 +333,19 @@ def test_negative_count_flag_is_config_error(args, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, least", [
+    (["fourier", "--a", "0.3", "--samples", "0"], 2),
+    (["fourier", "--a", "0.3", "--samples", "1"], 2),
+    (["invariance", "--dims", "2", "--samples", "0"], 1),
+    (["limit-rational", "--dims", "2", "--a", "0.5", "--samples", "0"], 1),
+], ids=["fourier0", "fourier1", "invariance0", "limit-rational0"])
+def test_too_few_samples_is_config_error(args, least, capsys):
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert f"--samples must be at least {least}, got {args[-1]}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["limit-rational", "--dims", "2", "--a", "nan"],
     ["limit-rational", "--dims", "2", "--a", "inf"],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        zero_config)
 from sandpiles import experiments, lattice_from_sites
 from sandpiles.cbtw import FRAC_MASK, _add_inplace, grid_scale, grid_units
+from sandpiles.measures import Histogram, estimate_tv, tv_noise_floor
 
 from oracles import stepwise_chain, stepwise_chain_ensemble, stepwise_coupling_ensemble
 
@@ -407,6 +409,12 @@ def test_fourier_mc_agrees_with_closed_form(rng):
         assert abs(exact - mc) <= 4.0 * se
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_fourier_mc_needs_two_samples(rng, n_samples):
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        translation_mixture_fourier_mc(0.3, [1], [0.0], 10, n_samples, rng)
+
+
 def test_fourier_mc_zero_frequency_is_exact(rng):
     mc, se = translation_mixture_fourier_mc(0.4, [0, 0], [0.3, 0.1], 12, 500, rng)
     assert mc == 1.0
@@ -498,3 +506,45 @@ def test_tv_decay_small(path2, rng):
     assert result.slope < 0.0
     assert result.tvs[0] > result.tvs[-1]
     assert result.tvs[-1] < 4.0 * result.noise_floor
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tv_decay_holds_one_replica_batch(path2):
+    # Each snapshot is binned as the chain reaches it: 14 more times must
+    # not cost another (quanta, frac) batch of the replicas.
+    n, rec = 20_000, enumerate_recurrent(path2)
+    batch = n * path2.n_sites * (8 + 8)
+    params, binning = AdditionParams(0.2, 0.8), Binning(8)
+    peaks = [_traced_peak(tv_decay_experiment, path2, params, times, n, binning,
+                          np.random.default_rng(31), rec)
+             for times in [(1, 16), range(1, 17)]]
+    assert peaks[1] - peaks[0] < batch
+
+
+@pytest.mark.parametrize("times", [(1, 2, 4, 8), (9, 3, 3, 1, 40, 9), (6, 2)])
+def test_tv_decay_matches_snapshot_route(path2, times):
+    # Same seed: the chain is snapshotted by run_chain_ensemble, then the
+    # reference and the noise floor draw from the same generator.
+    n, binning, params = 3000, Binning(4), AdditionParams(0.2, 0.8)
+    rec = enumerate_recurrent(path2)
+    result = tv_decay_experiment(path2, params, times, n, binning,
+                                 np.random.default_rng(77), rec)
+    rng = np.random.default_rng(77)
+    quanta = np.zeros((n, path2.n_sites), dtype=np.int64)
+    frac = np.zeros((n, path2.n_sites))
+    snaps = run_chain_ensemble(path2, quanta, frac, params, max(times), rng, snapshots=times)
+    href = Histogram.from_samples(path2.d, binning,
+                                  *sample_uniform_allowed_batch(path2, rng, n, rec))
+    tvs = [estimate_tv(Histogram.from_samples(path2.d, binning, *snaps[t]), href)
+           for t in sorted(times)]
+    assert result.times == sorted(times)
+    assert result.tvs == tvs
+    assert result.noise_floor == tv_noise_floor(path2, binning, n, rng, rec)
