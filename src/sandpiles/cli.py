@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Each subcommand wraps one library capability: exact enumeration, chain
-simulation, and the distribution-level experiments. Settings may come
-from a JSON config file (--config) whose top level holds
-{"lattice": {"dims": [...]}} plus scalar keys; explicit flags override
-the file. Real-valued flags accept decimal literals or the token
-"sqrt2-1". All randomness derives from --seed, outputs carry no
-timestamps, and a rerun with identical arguments writes identical bytes.
+simulation, and the distribution-level experiments. COMMANDS declares
+every setting of every subcommand once, with its reader and default.
+A setting comes from its flag, else from the JSON config file given by
+--config (its top level holds {"lattice": {"dims": [...]}} plus the
+other settings by name; null counts as unset), else from the default,
+and one reader checks and parses it wherever it came from. Real-valued
+settings accept decimal literals or the token "sqrt2-1". All randomness
+derives from --seed, outputs carry no timestamps, and a rerun with
+identical arguments writes identical bytes.
 
 Exit codes: 0 success (thresholds met), 1 a checked threshold failed,
 2 configuration error, 3 capacity exceeded (a lattice too large for
@@ -15,6 +18,7 @@ recurrent enumeration or the subset scan).
 
 import argparse
 from collections import Counter
+from functools import partial
 import json
 import math
 import sys
@@ -30,13 +34,9 @@ class ConfigError(Exception):
     pass
 
 
-CONFIG_KEYS = {"lattice", "a", "b", "steps", "samples", "bins", "seed", "init",
-               "out", "format", "tolerance", "max_epochs", "k", "x", "N"}
-
-
-def parse_real(value, what="value"):
-    """Decimal literal, the token sqrt2-1, or a plain number; NaN and
-    infinities are configuration errors."""
+def parse_real(value, what="value", least=None):
+    """Decimal literal, the token sqrt2-1, or a plain number, at least
+    `least` when given; NaN and infinities are configuration errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{what}: expected a real number, got {value!r}")
     if isinstance(value, str) and value.strip() == "sqrt2-1":
@@ -48,7 +48,33 @@ def parse_real(value, what="value"):
     if not math.isfinite(number):
         raise ConfigError(
             f"{what}: expected a finite decimal or the token 'sqrt2-1', got {value!r}")
+    if least is not None and number < least:
+        raise ConfigError(f"{what} must be at least {least}, got {number}")
     return number
+
+
+def parse_count(value, what, least=0):
+    """A nonnegative integer, at least `least`, from an integer, an
+    integral float or a decimal string. Booleans and fractions are errors."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what}: expected an integer, got {value!r}") from None
+    if count < 0:
+        raise ConfigError(f"{what} must be >= 0, got {count}")
+    if count < least:
+        raise ConfigError(f"{what} must be at least {least}, got {count}")
+    return count
+
+
+def parse_text(value, what, allowed=None):
+    """A string, one of `allowed` when given."""
+    if not isinstance(value, str) or (allowed and value not in allowed):
+        expected = " or ".join(allowed) if allowed else "a string"
+        raise ConfigError(f"{what}: expected {expected}, got {value!r}")
+    return value
 
 
 def parse_int_list(value, what):
@@ -67,9 +93,8 @@ def parse_int_list(value, what):
     return ints
 
 
-def parse_dims(value):
-    return parse_int_list(value.replace("x", ",") if isinstance(value, str) else value,
-                          "--dims")
+def parse_dims(value, what="--dims"):
+    return parse_int_list(value.replace("x", ",") if isinstance(value, str) else value, what)
 
 
 def parse_real_list(value, what):
@@ -79,6 +104,7 @@ def parse_real_list(value, what):
 
 
 def load_config(path):
+    """The settings of a JSON config file by key, lattice.dims as dims."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -92,70 +118,31 @@ def load_config(path):
     unknown = sorted(set(data) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    lattice = data.pop("lattice", None)
+    if lattice is not None:
+        if not isinstance(lattice, dict) or "dims" not in lattice:
+            raise ConfigError('config "lattice" must be an object holding a "dims" list')
+        data["dims"] = lattice["dims"]
     return data
 
 
-def require(value, what):
-    if value is None:
-        raise ConfigError(f"missing {what}")
-    return value
-
-
-def setting(args, config, key, default=None):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key == "dims":
-        lattice = config.get("lattice")
-        if lattice is None:
-            return default
-        if not isinstance(lattice, dict) or "dims" not in lattice:
-            raise ConfigError('config "lattice" must be an object holding a "dims" list')
-        return lattice["dims"]
-    return config.get(key, default)
-
-
-def number_setting(args, config, key, kind, default=None):
-    """A setting read as `kind` (int or float). Booleans, NaN and
-    fractional values of an integer setting are configuration errors."""
-    value = require(setting(args, config, key, default), f"--{key}")
-    try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError(value)
-        number = kind(value)
-        if math.isnan(number):
-            raise ValueError(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a real number"
-        raise ConfigError(f"--{key}: expected {what}, got {value!r}") from None
-    return number
-
-
-def count_setting(args, config, key, default=None, least=0):
-    """A nonnegative integer setting such as --steps, --samples or --seed,
-    at least `least`."""
-    count = number_setting(args, config, key, int, default)
-    if count < 0:
-        raise ConfigError(f"--{key} must be >= 0, got {count}")
-    if count < least:
-        raise ConfigError(f"--{key} must be at least {least}, got {count}")
-    return count
-
-
-def common_settings(args, need_dims=True):
-    config = load_config(args.config) if getattr(args, "config", None) else {}
-    dims_value = setting(args, config, "dims")
-    if dims_value is None and need_dims:
-        raise ConfigError("missing lattice dims: pass --dims or a config with lattice.dims")
-    dims = parse_dims(dims_value) if dims_value is not None else None
-    seed = count_setting(args, config, "seed", 0)
-    out = setting(args, config, "out")
-    fmt = setting(args, config, "format")
-    if fmt is not None and fmt not in ("json", "csv"):
-        raise ConfigError(f"--format must be json or csv, got {fmt!r}")
-    return config, dims, seed, out, fmt
+def read_settings(args, spec):
+    """Resolve every key of `spec` on `args` in place: the flag, else the
+    config value, else the default; then run the key's reader on it."""
+    config = load_config(args.config) if args.config else {}
+    for key, (reader, default) in spec.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key)
+        if value is None:
+            value = default
+        if value is REQUIRED:
+            raise ConfigError("missing lattice dims: pass --dims or a config with lattice.dims"
+                              if key == "dims" else f"missing --{key}")
+        if value is not None and reader is not None:
+            value = reader(value, f"--{key}")
+        setattr(args, key, value)
+    return args
 
 
 def spawn_rngs(seed, n):
@@ -217,10 +204,10 @@ def metadata_lines(pairs):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands. Each takes the namespace read_settings resolved.
 
 def cmd_enumerate(args):
-    config, dims, seed, out, fmt = common_settings(args)
+    dims = args.dims
     lat = build_lattice(dims)
     recurrent = btw.enumerate_recurrent(lat)
     det_int = determinant_exact(toppling_matrix(lat, "integer"))
@@ -228,8 +215,8 @@ def cmd_enumerate(args):
     orders = [btw.addition_order(lat, x, recurrent) for x in range(lat.n_sites)]
     match = (len(recurrent) == det_int
              and det_int == det_cont * (2 * lat.d) ** lat.n_sites)
-    if (fmt or "json") == "json":
-        dump_json(out, {
+    if args.format == "json":
+        dump_json(args.out, {
             "command": "enumerate",
             "dims": dims,
             "n_sites": lat.n_sites,
@@ -252,7 +239,7 @@ def cmd_enumerate(args):
         ])
         lines.append(",".join(f"q{i}" for i in range(lat.n_sites)))
         lines.extend(",".join(str(int(v)) for v in row) for row in recurrent)
-        write_text(out, "\n".join(lines) + "\n")
+        write_text(args.out, "\n".join(lines) + "\n")
     if not match:
         print("error: recurrent count does not equal the exact determinant; "
               "this indicates an implementation bug", file=sys.stderr)
@@ -261,21 +248,17 @@ def cmd_enumerate(args):
 
 
 def cmd_simulate(args):
-    config, dims, seed, out, fmt = common_settings(args)
-    a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
-    b_raw = setting(args, config, "b", None)
-    b = a if b_raw is None else parse_real(b_raw, "--b")
-    steps = count_setting(args, config, "steps")
-    lat = build_lattice(dims)
+    a, steps = args.a, args.steps
+    b = a if args.b is None else args.b
+    lat = build_lattice(args.dims)
     params = cbtw.AdditionParams(a, b)
-    rng_init, rng_run = spawn_rngs(seed, 2)
-    init_spec = setting(args, config, "init", "zero")
-    initial = build_initial(lat, init_spec, rng_init)
-    meta = [("command", "simulate"), ("dims", ",".join(map(str, dims))),
+    rng_init, rng_run = spawn_rngs(args.seed, 2)
+    initial = build_initial(lat, args.init, rng_init)
+    meta = [("command", "simulate"), ("dims", ",".join(map(str, args.dims))),
             ("a", repr(a)), ("b", repr(b)), ("mode", params.mode),
-            ("steps", steps), ("seed", seed), ("init", init_spec)]
+            ("steps", steps), ("seed", args.seed), ("init", args.init)]
     m = lat.n_sites
-    if (fmt or "csv") == "csv":
+    if args.format == "csv":
         lines = metadata_lines(meta)
         header = ["t", "site_added", "u"]
         header += [f"quanta_{i}" for i in range(m)]
@@ -291,7 +274,7 @@ def cmd_simulate(args):
                                    *map(str, quanta.tolist()), *frac_text]))
 
         experiments.run_chain(lat, initial, params, steps, rng_run, on_step=on_step)
-        write_text(out, "\n".join(lines) + "\n")
+        write_text(args.out, "\n".join(lines) + "\n")
     else:
         trajectory, frac_now = [], initial.frac.tolist()
 
@@ -301,57 +284,50 @@ def cmd_simulate(args):
                                "quanta": quanta.tolist(), "frac": frac_now.copy()})
 
         experiments.run_chain(lat, initial, params, steps, rng_run, on_step=on_step)
-        dump_json(out, {"metadata": dict(meta), "trajectory": trajectory})
+        dump_json(args.out, {"metadata": dict(meta), "trajectory": trajectory})
     return 0
 
 
 def cmd_invariance(args):
-    config, dims, seed, out, fmt = common_settings(args)
-    samples = count_setting(args, config, "samples", 100000, least=1)
-    bins = count_setting(args, config, "bins", 8)
-    tolerance = number_setting(args, config, "tolerance", float, 0.01)
-    lat = build_lattice(dims)
-    (rng,) = spawn_rngs(seed, 1)
-    result = experiments.invariance_experiment(lat, measures.Binning(bins), samples, rng)
-    passed = result.tv <= result.noise_floor + tolerance
-    dump_json(out, {
+    lat = build_lattice(args.dims)
+    (rng,) = spawn_rngs(args.seed, 1)
+    result = experiments.invariance_experiment(lat, measures.Binning(args.bins),
+                                               args.samples, rng)
+    passed = result.tv <= result.noise_floor + args.tolerance
+    dump_json(args.out, {
         "command": "invariance",
-        "dims": dims, "samples": samples, "bins": bins, "seed": seed,
+        "dims": args.dims, "samples": args.samples, "bins": args.bins, "seed": args.seed,
         "tv": result.tv, "noise_floor": result.noise_floor,
-        "tolerance": tolerance, "pass": bool(passed),
+        "tolerance": args.tolerance, "pass": bool(passed),
     })
     return 0 if passed else 1
 
 
 def cmd_couple(args):
-    config, dims, seed, out, fmt = common_settings(args)
-    a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
-    b = parse_real(require(setting(args, config, "b", None), "--b"), "--b")
+    a, b = args.a, args.b
     if not a < b:
         raise ConfigError(f"coupling needs a < b, got a={a}, b={b}")
-    max_epochs = count_setting(args, config, "max_epochs", 200000)
-    lat = build_lattice(dims)
+    lat = build_lattice(args.dims)
     params = cbtw.AdditionParams(a, b)
-    rng_init, rng_other, rng_run = spawn_rngs(seed, 3)
-    init_spec = setting(args, config, "init", "zero")
+    rng_init, rng_other, rng_run = spawn_rngs(args.seed, 3)
     recurrent = btw.enumerate_recurrent(lat)
-    eta0 = build_initial(lat, init_spec, rng_init, recurrent)
+    eta0 = build_initial(lat, args.init, rng_init, recurrent)
     zeta0 = measures.sample_uniform_allowed(lat, rng_other, recurrent)
     result = experiments.run_coupling(lat, eta0, zeta0, params, rng_run,
-                                      max_epochs=max_epochs)
+                                      max_epochs=args.max_epochs)
     p = experiments.coupling_success_probability(lat, params)
-    meta = [("command", "couple"), ("dims", ",".join(map(str, dims))),
-            ("a", repr(a)), ("b", repr(b)), ("seed", seed),
+    meta = [("command", "couple"), ("dims", ",".join(map(str, args.dims))),
+            ("a", repr(a)), ("b", repr(b)), ("seed", args.seed),
             ("M", result.M), ("L", result.L), ("p_success", p),
             ("n_epochs", result.n_epochs), ("coalesced", result.coalesced)]
-    if (fmt or "csv") == "csv":
+    if args.format == "csv":
         lines = metadata_lines(meta)
         lines.append("epoch,O_occurred,coalesced")
         lines.extend(f"{r.epoch},{int(r.o_occurred)},{int(r.coalesced)}"
                      for r in result.records)
-        write_text(out, "\n".join(lines) + "\n")
+        write_text(args.out, "\n".join(lines) + "\n")
     else:
-        dump_json(out, {
+        dump_json(args.out, {
             "metadata": {k: (str(v) if k == "p_success" else v) for k, v in meta},
             "epochs": [{"epoch": r.epoch, "O_occurred": r.o_occurred,
                         "coalesced": r.coalesced} for r in result.records],
@@ -360,54 +336,41 @@ def cmd_couple(args):
 
 
 def cmd_limit_rational(args):
-    config, dims, seed, out, fmt = common_settings(args)
-    a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
-    steps = count_setting(args, config, "steps", 2000)
-    samples = count_setting(args, config, "samples", 20000, least=1)
-    bins = count_setting(args, config, "bins", 8)
-    tolerance = number_setting(args, config, "tolerance", float, 0.02)
-    lat = build_lattice(dims)
+    a = args.a
+    lat = build_lattice(args.dims)
     l = cbtw.quantum_multiple(a, lat.d)
     if l is None or not 1 <= l <= 2 * lat.d - 1:
         raise ConfigError(
             f"--a must be a quantum multiple l/{2*lat.d} with 0 < l < {2*lat.d}, got {a}")
-    rng_init, rng_run = spawn_rngs(seed, 2)
-    init_spec = setting(args, config, "init", "zero")
-    base = build_initial(lat, init_spec, rng_init)
+    rng_init, rng_run = spawn_rngs(args.seed, 2)
+    base = build_initial(lat, args.init, rng_init)
     result = experiments.rational_limit_test(
-        lat, base, a, steps, samples, rng_run, binning=measures.Binning(bins))
-    passed = result.tv <= result.noise_floor + tolerance
-    dump_json(out, {
+        lat, base, a, args.steps, args.samples, rng_run, binning=measures.Binning(args.bins))
+    passed = result.tv <= result.noise_floor + args.tolerance
+    dump_json(args.out, {
         "command": "limit-rational",
-        "dims": dims, "a": a, "quantum_multiple": l, "steps": steps,
-        "samples": samples, "bins": bins, "seed": seed,
+        "dims": args.dims, "a": a, "quantum_multiple": l, "steps": args.steps,
+        "samples": args.samples, "bins": args.bins, "seed": args.seed,
         "tv": result.tv, "noise_floor": result.noise_floor,
-        "tolerance": tolerance, "pass": bool(passed),
+        "tolerance": args.tolerance, "pass": bool(passed),
     })
     return 0 if passed else 1
 
 
 def cmd_fourier(args):
-    config, dims, seed, out, fmt = common_settings(args, need_dims=False)
-    a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
-    k = parse_int_list(setting(args, config, "k", "1"), "--k")
-    x_raw = setting(args, config, "x", None)
-    x = [0.0] * len(k) if x_raw is None else parse_real_list(x_raw, "--x")
+    a, k, n_terms = args.a, args.k, args.N
+    x = [0.0] * len(k) if args.x is None else args.x
     if len(x) != len(k):
         raise ConfigError(f"--x has {len(x)} coordinates but --k has {len(k)}")
-    n_terms = number_setting(args, config, "N", int, 100)
-    samples = count_setting(args, config, "samples", 200000, least=2)
-    if n_terms < 1:
-        raise ConfigError("--N must be >= 1")
-    (rng,) = spawn_rngs(seed, 1)
+    (rng,) = spawn_rngs(args.seed, 1)
     exact = experiments.translation_mixture_fourier(a, k, x, n_terms)
-    mc, se = experiments.translation_mixture_fourier_mc(a, k, x, n_terms, samples, rng)
+    mc, se = experiments.translation_mixture_fourier_mc(a, k, x, n_terms, args.samples, rng)
     bound = experiments.translation_mixture_bound(a, k, n_terms)
     diff = abs(exact - mc)
     passed = diff <= 4.0 * se
-    dump_json(out, {
+    dump_json(args.out, {
         "command": "fourier",
-        "a": a, "k": k, "x": x, "N": n_terms, "samples": samples, "seed": seed,
+        "a": a, "k": k, "x": x, "N": n_terms, "samples": args.samples, "seed": args.seed,
         "exact": {"re": exact.real, "im": exact.imag},
         "monte_carlo": {"re": mc.real, "im": mc.imag},
         "stderr": se, "abs_difference": diff,
@@ -418,18 +381,12 @@ def cmd_fourier(args):
 
 
 def cmd_ergodic(args):
-    config, dims, seed, out, fmt = common_settings(args)
-    a = parse_real(require(setting(args, config, "a", None), "--a"), "--a")
-    steps = count_setting(args, config, "steps", 100000)
-    tolerance = number_setting(args, config, "tolerance", float, 0.02)
-    if steps < 1:
-        raise ConfigError(f"--steps must be >= 1 for a time average, got {steps}")
-    lat = build_lattice(dims)
+    a, steps = args.a, args.steps
+    lat = build_lattice(args.dims)
     if not 0.0 <= a < 1.0:
         raise ConfigError(f"--a must lie in [0, 1), got {a}")
-    rng_init, rng_run = spawn_rngs(seed, 2)
-    init_spec = setting(args, config, "init", "zero")
-    initial = build_initial(lat, init_spec, rng_init)
+    rng_init, rng_run = spawn_rngs(args.seed, 2)
+    initial = build_initial(lat, args.init, rng_init)
     recurrent = btw.enumerate_recurrent(lat)
     visits = Counter()
 
@@ -441,102 +398,102 @@ def cmd_ergodic(args):
     freqs = [visits[row.tobytes()] / steps for row in recurrent]
     expected = 1.0 / len(recurrent)
     max_dev = max(abs(f - expected) for f in freqs)
-    passed = max_dev <= tolerance
-    dump_json(out, {
+    passed = max_dev <= args.tolerance
+    dump_json(args.out, {
         "command": "ergodic",
-        "dims": dims, "a": a, "steps": steps, "seed": seed,
+        "dims": args.dims, "a": a, "steps": steps, "seed": args.seed,
         "cells": [{"quanta": row, "frequency": f}
                   for row, f in zip(recurrent.tolist(), freqs)],
         "expected_frequency": expected,
         "max_abs_deviation": max_dev,
-        "tolerance": tolerance, "pass": bool(passed),
+        "tolerance": args.tolerance, "pass": bool(passed),
     })
     return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
+# The settings table: command -> (function, help, {key: (reader, default)}).
+# A reader of None passes the value on as given; REQUIRED has no default.
+
+REQUIRED = object()
+FORMAT = partial(parse_text, allowed=("json", "csv"))
+POSITIVE = partial(parse_count, least=1)
+TOLERANCE = partial(parse_real, least=0)
+AMOUNT = (parse_real, REQUIRED)
+INIT = (None, "zero")
+COMMON = {"seed": (parse_count, 0), "out": (parse_text, None), "format": (FORMAT, "json")}
+BOX = {"dims": (parse_dims, REQUIRED), **COMMON}
+CSV = {**BOX, "format": (FORMAT, "csv")}
+
+COMMANDS = {
+    "enumerate": (cmd_enumerate,
+                  "recurrent configurations, exact determinants, addition orders", BOX),
+    "simulate": (cmd_simulate, "run the randomized-addition chain, write the trajectory",
+                 {**CSV, "a": AMOUNT, "b": (parse_real, None),
+                  "steps": (parse_count, REQUIRED), "init": INIT}),
+    "invariance": (cmd_invariance,
+                   "push one random addition through uniform-allowed samples, compare laws",
+                   {**BOX, "samples": (POSITIVE, 100000), "bins": (POSITIVE, 8),
+                    "tolerance": (TOLERANCE, 0.01)}),
+    "couple": (cmd_couple, "couple two chains until they coalesce",
+               {**CSV, "a": AMOUNT, "b": AMOUNT, "init": INIT,
+                "max_epochs": (POSITIVE, 200000)}),
+    "limit-rational": (cmd_limit_rational,
+                       "fixed quantum-multiple amount: chain law vs predicted limit",
+                       {**BOX, "a": AMOUNT, "steps": (parse_count, 2000),
+                        "samples": (POSITIVE, 20000), "bins": (POSITIVE, 8), "init": INIT,
+                        "tolerance": (TOLERANCE, 0.02)}),
+    "fourier": (cmd_fourier, "random-translate mixture: closed-form coefficient vs Monte Carlo",
+                {**COMMON, "a": AMOUNT, "k": (parse_int_list, "1"),
+                 "x": (parse_real_list, None), "N": (POSITIVE, 100),
+                 "samples": (partial(parse_count, least=2), 200000)}),
+    "ergodic": (cmd_ergodic, "fixed-amount chain: time fraction per quanta cell vs uniform",
+                {**BOX, "a": AMOUNT, "steps": (POSITIVE, 100000), "init": INIT,
+                 "tolerance": (TOLERANCE, 0.02)}),
+}
+
+CONFIG_KEYS = {"lattice" if key == "dims" else key
+               for _, _, spec in COMMANDS.values() for key in spec}
+
+HELP = {
+    "dims": "box side lengths, e.g. 2,2 (config: lattice.dims)",
+    "seed": "RNG seed",
+    "out": "output file (stdout if omitted)",
+    "format": "json or csv",
+    "a": "amount a, or interval lower end: a decimal or sqrt2-1",
+    "b": "interval upper end (simulate: omit for the fixed amount a)",
+    "steps": "chain steps",
+    "samples": "sample size",
+    "bins": "fractional-part bins per site",
+    "tolerance": "allowed deviation, a real number >= 0",
+    "init": "zero | max | mu | inline JSON | @path",
+    "max_epochs": "epochs to run before giving up",
+    "k": "integer frequency vector, e.g. 1,-2",
+    "x": "start point coordinates (default zeros)",
+    "N": "mixture length (uniform over 0..N-1 translates)",
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sandpiles",
         description="Integer and continuous sandpile experiments on finite lattices.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, dims=True):
+    for name, (func, text, spec) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
-        if dims:
-            sp.add_argument("--dims", help="box side lengths, e.g. 2,2")
-        sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        sp.add_argument("--out", help="output file (stdout if omitted)")
-        sp.add_argument("--format", choices=("json", "csv"))
-
-    sp = sub.add_parser("enumerate",
-                        help="recurrent configurations, exact determinants, addition orders")
-    add_common(sp)
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser("simulate", help="run the randomized-addition chain, write the trajectory")
-    add_common(sp)
-    sp.add_argument("--a", help="fixed amount, or interval lower end")
-    sp.add_argument("--b", help="interval upper end (omit for fixed amount)")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--init", help="zero | max | mu | inline JSON | @path")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("invariance",
-                        help="push one random addition through uniform-allowed samples, compare laws")
-    add_common(sp)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--bins", type=int)
-    sp.add_argument("--tolerance", type=float)
-    sp.set_defaults(func=cmd_invariance)
-
-    sp = sub.add_parser("couple", help="couple two chains until they coalesce")
-    add_common(sp)
-    sp.add_argument("--a", help="interval lower end")
-    sp.add_argument("--b", help="interval upper end (must exceed --a)")
-    sp.add_argument("--init", help="initial configuration of the first chain")
-    sp.add_argument("--max-epochs", dest="max_epochs", type=int)
-    sp.set_defaults(func=cmd_couple)
-
-    sp = sub.add_parser("limit-rational",
-                        help="fixed quantum-multiple amount: chain law vs predicted limit")
-    add_common(sp)
-    sp.add_argument("--a", help="fixed amount, must be l/2d")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--bins", type=int)
-    sp.add_argument("--init", help="base configuration (default zero)")
-    sp.add_argument("--tolerance", type=float)
-    sp.set_defaults(func=cmd_limit_rational)
-
-    sp = sub.add_parser("fourier",
-                        help="random-translate mixture: closed-form coefficient vs Monte Carlo")
-    add_common(sp, dims=False)
-    sp.add_argument("--a", help="translation step")
-    sp.add_argument("--k", help="integer frequency vector, e.g. 1,-2")
-    sp.add_argument("--x", help="start point coordinates (default zeros)")
-    sp.add_argument("--N", type=int, help="mixture length (uniform over 0..N-1 translates)")
-    sp.add_argument("--samples", type=int)
-    sp.set_defaults(func=cmd_fourier)
-
-    sp = sub.add_parser("ergodic",
-                        help="fixed-amount chain: time fraction per quanta cell vs uniform")
-    add_common(sp)
-    sp.add_argument("--a", help="fixed amount (token sqrt2-1 for the irrational default)")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--init", help="initial configuration (default zero)")
-    sp.add_argument("--tolerance", type=float)
-    sp.set_defaults(func=cmd_ergodic)
-
+        for key, (_, default) in spec.items():
+            note = ("" if default is None else " (required)" if default is REQUIRED
+                    else f" (default {default})")
+            sp.add_argument("--" + key.replace("_", "-"), help=HELP[key] + note)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, _, spec = COMMANDS[args.command]
     try:
-        return int(args.func(args))
+        return int(func(read_settings(args, spec)))
     except (ConfigError, GeometryError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -482,16 +482,18 @@ class TvDecayResult:
 def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=None):
     """TV distance to the uniform-allowed law along the chain from zero.
 
-    Runs the replica ensemble from each snapshot time (all >= 1) to the
-    next and bins it there, so no snapshot is copied; then measures TV
-    to a uniform-allowed reference sample of the same size, and fits a
-    line to log TV over time; the slope is the decay-rate estimate.
-    Each segment ends a fold at a snapshot time, as run_chain_ensemble's
-    snapshots do, so results and random stream are the same.
+    Runs the replica ensemble from each snapshot time (all >= 1, two or
+    more distinct ones, as the slope needs) to the next and bins it there,
+    so no snapshot is copied; then measures TV to a uniform-allowed
+    reference sample of the same size, and fits a line to log TV over
+    time; the slope is the decay-rate estimate. Each segment ends a fold
+    at a snapshot time, as run_chain_ensemble's snapshots do, so results
+    and random stream are the same.
     """
     times = sorted(int(t) for t in times)
-    if not times or times[0] < 1:
-        raise DomainError(f"tv_decay_experiment needs snapshot times >= 1, got {times}")
+    if len(set(times)) < 2 or times[0] < 1:
+        raise DomainError(
+            f"tv_decay_experiment needs two distinct snapshot times >= 1, got {times}")
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
     n = int(n_replicas)

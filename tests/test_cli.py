@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from sandpiles import AdditionParams, build_lattice, enumerate_recurrent
+from sandpiles import cli
 from sandpiles.cli import (main, build_initial, parse_dims, parse_real, spawn_rngs,
                            ConfigError)
 
@@ -351,7 +353,9 @@ def test_too_few_samples_is_config_error(args, least, capsys):
     ["limit-rational", "--dims", "2", "--a", "inf"],
     ["fourier", "--a", "nan"],
     ["fourier", "--a", "0.5", "--x", "inf"],
-], ids=["limit-rational-nan", "limit-rational-inf", "fourier-a-nan", "fourier-x-inf"])
+    ["invariance", "--dims", "2", "--tolerance", "inf"],
+], ids=["limit-rational-nan", "limit-rational-inf", "fourier-a-nan", "fourier-x-inf",
+        "invariance-tolerance-inf"])
 def test_non_finite_real_flag_is_config_error(args, capsys):
     assert run_cli(args) == 2
     captured = capsys.readouterr()
@@ -431,6 +435,74 @@ def test_bad_k_in_config_is_config_error(tmp_path, capsys, k):
 def test_empty_k_flag_is_config_error(capsys):
     assert run_cli(["fourier", "--a", "0.3", "--samples", "10", "--k", ",,"]) == 2
     assert "--k: expected at least one integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["invariance", "--dims", "2", "--bins", "0"], None, "--bins must be at least 1, got 0"),
+    (["limit-rational", "--dims", "2", "--a", "0.5", "--bins", "0"], None,
+     "--bins must be at least 1, got 0"),
+    (["invariance", "--dims", "2", "--tolerance", "-1"], None,
+     "--tolerance must be at least 0, got -1.0"),
+    (["ergodic", "--dims", "2", "--a", "0.3"], {"tolerance": -0.5},
+     "--tolerance must be at least 0, got -0.5"),
+    (["couple", "--dims", "2", "--a", "0.2", "--b", "0.8", "--max-epochs", "0"], None,
+     "--max_epochs must be at least 1, got 0"),
+    (["fourier", "--a", "0.3", "--N", "0"], None, "--N must be at least 1, got 0"),
+    (["simulate", "--dims", "2", "--a", "0.3", "--steps", "1.5"], None,
+     "--steps: expected an integer, got '1.5'"),
+    (["enumerate", "--dims", "2"], {"out": 5}, "--out: expected a string, got 5"),
+    (["enumerate", "--dims", "2"], {"out": ["x"]}, "--out: expected a string, got ['x']"),
+    (["enumerate", "--dims", "2"], {"out": True}, "--out: expected a string, got True"),
+    (["enumerate", "--dims", "2", "--format", "xml"], None,
+     "--format: expected json or csv, got 'xml'"),
+], ids=["invariance-bins0", "limit-rational-bins0", "tolerance-1", "config-tolerance",
+        "max-epochs0", "N0", "steps-fraction", "config-out-5", "config-out-list",
+        "config-out-true", "format-xml"])
+def test_setting_outside_its_range_is_config_error(tmp_path, capsys, args, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_flag_and_config_value_share_one_reader(tmp_path, capsys, command):
+    # The same bad value, once as a flag and once in a config file, gives
+    # the same message; valid required settings come as flags.
+    spec = cli.COMMANDS[command][2]
+    valid = {"dims": "2", "a": "0.5", "b": "0.8", "steps": "5"}
+    checked = [key for key, (reader, _) in spec.items()
+               if reader is not None and key != "out"]  # every string names a file
+    assert checked
+    for key in checked:
+        base = [arg for k, v in valid.items() if k in spec and k != key for arg in (flag(k), v)]
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"lattice": {"dims": "abc"}} if key == "dims" else {key: "abc"}))
+        errors = []
+        for extra in ([flag(key), "abc"], ["--config", str(cfg)]):
+            assert run_cli([command, *base, *extra]) == 2, (key, extra)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: --{key}: expected ")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_exactly_the_commands_settings(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        run_cli([command, "--help"])
+    assert stop.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config", *map(flag, cli.COMMANDS[command][2])}
 
 
 def test_ergodic_zero_steps_is_config_error(capsys):

@@ -146,7 +146,7 @@ def test_run_chain_ensemble_rejects_snapshots_outside_run(path2, snapshots):
                            np.random.default_rng(0), snapshots=snapshots)
 
 
-@pytest.mark.parametrize("times", [(0, 4), (4, -1), ()])
+@pytest.mark.parametrize("times", [(0, 4), (4, -1), (), (5,), (5, 5)])
 def test_tv_decay_rejects_bad_times(path2, times):
     with pytest.raises(DomainError):
         tv_decay_experiment(path2, AdditionParams(0.2, 0.8), times, 10, Binning(2),
