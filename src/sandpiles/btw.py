@@ -86,7 +86,7 @@ def btw_topple(lat, heights, x, force=False):
     legal = bool(h[x] >= lat.threshold)
     if legal or force:
         h[x] -= lat.threshold
-        h[lat.adjacency[x]] += 1
+        h[list(lat.adjacency[x])] += 1
     return h, legal
 
 
@@ -118,7 +118,7 @@ def stabilize_from(lat, heights, seeds):
     # The views are released with this frame: `with` blocks cost about
     # 0.5 us per call, as much as relaxing a one-toppling avalanche.
     fired = od.data
-    nbrs = lat.neighbours
+    nbrs = lat.adjacency
     while queue:
         later = []
         enqueue = later.append
@@ -186,44 +186,41 @@ def stabilize_many(lat, quanta):
     Mutates `quanta` in place and returns the odometer matrix. Each round
     topples every unstable site of every replica floor(h/2d) times, which
     is a legal parallel schedule, so the fixed point matches the scalar
-    stabilizer exactly. Rounds run on the lattice's bounding box with
-    sliced neighbour additions: a box lattice relaxes through a reshaped
-    view of `quanta`, and any other lattice on a copy whose cells outside
-    the site set are emptied every round, so they act as the sink.
+    stabilizer exactly. A box lattice relaxes as a grid of replicas
+    reshaped from `quanta` (a view where the layout allows), with sliced
+    neighbour additions. Any other lattice relaxes site-major, on
+    `quanta.T` (a view when `quanta` is column-major): every site gathers
+    its inflow through `lat.neighbour_table`, whose padding points at a
+    row of counts that stays 0 (the sink). The work is O(n_sites) per
+    replica-round either way; there is no bounding box.
     """
     two_d = lat.threshold
-    rows = quanta.shape[0]
-    shape = (rows,) + lat.grid_shape
-    if lat.cells is None:
-        grid = quanta.reshape(shape)
-        outside = None
+    box = lat.dims is not None
+    h = quanta.reshape(quanta.shape[:1] + lat.dims) if box else np.ascontiguousarray(quanta.T)
+    od = np.zeros_like(h)
+    if box:
+        k = np.empty_like(h)
+        shifts = _shifts(h.ndim)
     else:
-        # Column-major, so the sliced additions run along the replica axis.
-        flat = np.zeros((rows, math.prod(lat.grid_shape)), dtype=quanta.dtype, order="F")
-        flat[:, lat.cells] = quanta
-        grid = flat.reshape(shape)
-        outside = np.ones(flat.shape[1], dtype=bool)
-        outside[lat.cells] = False
-        outside = outside.reshape(lat.grid_shape)
-    od = np.zeros_like(grid)
-    k = np.empty_like(grid)
-    shifts = _shifts(grid.ndim)
+        # One row more than h, which stays 0: the table's padding gathers the sink.
+        k = np.zeros((len(h) + 1, h.shape[1]), dtype=h.dtype)
+        table = lat.neighbour_table
+    fired = k[:len(h)]
     while True:
-        np.floor_divide(grid, two_d, out=k)
-        if not k.any():
+        np.floor_divide(h, two_d, out=fired)
+        if not fired.any():
             break
-        grid -= k * two_d
-        od += k
-        for a, b in shifts:
-            grid[a] += k[b]
-        if outside is not None:
-            grid[:, outside] = 0
-    if lat.cells is not None:
-        quanta[...] = flat[:, lat.cells]
-        return od.reshape(rows, -1)[:, lat.cells]
-    if not np.may_share_memory(grid, quanta):
-        quanta[...] = grid.reshape(quanta.shape)
-    return od.reshape(quanta.shape)
+        h -= fired * two_d
+        od += fired
+        if box:
+            for a, b in shifts:
+                h[a] += k[b]
+        else:
+            for row in table:
+                h += k[row]
+    if not np.may_share_memory(h, quanta):
+        quanta[...] = h.reshape(quanta.shape) if box else h.T
+    return od.reshape(quanta.shape) if box else od.T
 
 
 def btw_add(lat, heights, x, amount=1):
@@ -249,7 +246,7 @@ def is_allowed_bruteforce(lat, heights):
         raise CapacityError(
             f"subset scan is 2^{m}; refusing beyond {BRUTEFORCE_MAX_SITES} sites")
     h = [int(v) for v in _as_heights(lat, heights)]
-    masks = [int(sum(1 << int(y) for y in lat.adjacency[x])) for x in range(m)]
+    masks = [sum(1 << y for y in lat.adjacency[x]) for x in range(m)]
     for w in range(1, 1 << m):
         ww = w
         forbidden = True
@@ -285,9 +282,10 @@ def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
     runs Dhar's burning test on chunks of consecutive lexicographic
     indices at once: `stabilize_many` relaxes eta + beta for every row,
     and a row is recurrent iff every site toppled, in which case it
-    relaxes back to eta. Chunks are column-major, so `stabilize_many`
-    relaxes them in place through a view and its sliced neighbour
-    additions run along the contiguous replica axis.
+    relaxes back to eta. Chunks of ENUMERATION_CHUNK rows are
+    column-major, so `stabilize_many` relaxes them in place through a
+    view, and its box slices or neighbour-table gathers run along the
+    contiguous replica axis.
     """
     two_d = lat.threshold
     n = lat.n_sites
@@ -298,16 +296,14 @@ def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
             f"{two_d}^{n} (about 10^{math.floor(n * math.log10(two_d))}) stable "
             f"configurations exceeds the enumeration cap {cap}")
     place = two_d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # No site topples twice, so heights stay below 3 * 2d, which fits
-    # int16: numpy caps a Lattice's bounding box at 64 axes.
-    beta = lat.boundary_degree.astype(np.int16)
-    # stabilize_many works on the bounding box: a chunk spans about
-    # ENUMERATION_CHUNK * n_sites of its cells, however sparse the lattice.
-    rows = max(1, ENUMERATION_CHUNK * n // math.prod(lat.grid_shape))
+    # No site topples twice, so heights stay below 2 * 2d, which fits
+    # int16 up to d = 2^13.
+    dtype = np.int16 if lat.d <= 2**13 else np.int64
+    beta = lat.boundary_degree.astype(dtype)
     found = []
-    for start in range(0, total, rows):
-        index = np.arange(start, min(start + rows, total), dtype=np.int64)
-        h = (index[:, None] // place % two_d).astype(np.int16, order="F")
+    for start in range(0, total, ENUMERATION_CHUNK):
+        index = np.arange(start, min(start + ENUMERATION_CHUNK, total), dtype=np.int64)
+        h = (index[:, None] // place % two_d).astype(dtype, order="F")
         h += beta
         found.append(h[stabilize_many(lat, h).all(axis=1)])
     return np.concatenate(found).astype(np.int64, order="C")
@@ -324,7 +320,7 @@ def _solve_toppling(lat, x):
     """
     n = lat.n_sites
     rows = [{i: Fraction(lat.threshold)} for i in range(n)]
-    for i, ys in enumerate(lat.neighbours):
+    for i, ys in enumerate(lat.adjacency):
         rows[i].update((j, Fraction(-1)) for j in ys if j > i)
     rhs = [Fraction(0)] * n
     rhs[x] = Fraction(1)

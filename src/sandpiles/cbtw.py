@@ -185,7 +185,7 @@ def cbtw_topple(lat, config, x, force=False):
     quanta = config.quanta.copy()
     if legal or force:
         quanta[x] -= 2 * lat.d
-        quanta[lat.adjacency[x]] += 1
+        quanta[list(lat.adjacency[x])] += 1
     return CbtwConfig(d=config.d, quanta=quanta, frac=config.frac.copy()), legal
 
 

@@ -6,7 +6,8 @@ every setting of every subcommand once, with its reader and default.
 A setting comes from its flag, else from the JSON config file given by
 --config (its top level holds {"lattice": {"dims": [...]}} plus the
 other settings by name; null counts as unset), else from the default,
-and one reader checks and parses it wherever it came from. Real-valued
+and one reader checks and parses it wherever it came from. A config key
+that the subcommand does not take is a configuration error. Real-valued
 settings accept decimal literals or the token "sqrt2-1". All randomness
 derives from --seed, outputs carry no timestamps, and a rerun with
 identical arguments writes identical bytes.
@@ -104,7 +105,8 @@ def parse_real_list(value, what):
 
 
 def load_config(path):
-    """The settings of a JSON config file by key, lattice.dims as dims."""
+    """The settings of a JSON config file by key, with lattice.dims as
+    the value of "lattice"."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -115,33 +117,35 @@ def load_config(path):
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
-    unknown = sorted(set(data) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    lattice = data.pop("lattice", None)
+    lattice = data.get("lattice")
     if lattice is not None:
         if not isinstance(lattice, dict) or "dims" not in lattice:
             raise ConfigError('config "lattice" must be an object holding a "dims" list')
-        data["dims"] = lattice["dims"]
+        data["lattice"] = lattice["dims"]
     return data
 
 
 def read_settings(args, spec):
     """Resolve every key of `spec` on `args` in place: the flag, else the
-    config value, else the default; then run the key's reader on it."""
+    config value, else the default; then run the key's reader on it. A
+    config key that is not in `spec` is a configuration error."""
     config = load_config(args.config) if args.config else {}
     for key, (reader, default) in spec.items():
+        flag = "--" + key.replace("_", "-")
         value = getattr(args, key)
+        stored = config.pop("lattice" if key == "dims" else key, None)
         if value is None:
-            value = config.get(key)
+            value = stored
         if value is None:
             value = default
         if value is REQUIRED:
             raise ConfigError("missing lattice dims: pass --dims or a config with lattice.dims"
-                              if key == "dims" else f"missing --{key}")
+                              if key == "dims" else f"missing {flag}")
         if value is not None and reader is not None:
-            value = reader(value, f"--{key}")
+            value = reader(value, flag)
         setattr(args, key, value)
+    if config:
+        raise ConfigError(f"{args.config}: unknown config keys: {', '.join(sorted(config))}")
     return args
 
 
@@ -421,13 +425,14 @@ POSITIVE = partial(parse_count, least=1)
 TOLERANCE = partial(parse_real, least=0)
 AMOUNT = (parse_real, REQUIRED)
 INIT = (None, "zero")
-COMMON = {"seed": (parse_count, 0), "out": (parse_text, None), "format": (FORMAT, "json")}
+COMMON = {"seed": (parse_count, 0), "out": (parse_text, None)}
 BOX = {"dims": (parse_dims, REQUIRED), **COMMON}
 CSV = {**BOX, "format": (FORMAT, "csv")}
 
 COMMANDS = {
     "enumerate": (cmd_enumerate,
-                  "recurrent configurations, exact determinants, addition orders", BOX),
+                  "recurrent configurations, exact determinants, addition orders",
+                  {**BOX, "format": (FORMAT, "json")}),
     "simulate": (cmd_simulate, "run the randomized-addition chain, write the trajectory",
                  {**CSV, "a": AMOUNT, "b": (parse_real, None),
                   "steps": (parse_count, REQUIRED), "init": INIT}),
@@ -451,9 +456,6 @@ COMMANDS = {
                 {**BOX, "a": AMOUNT, "steps": (POSITIVE, 100000), "init": INIT,
                  "tolerance": (TOLERANCE, 0.02)}),
 }
-
-CONFIG_KEYS = {"lattice" if key == "dims" else key
-               for _, _, spec in COMMANDS.values() for key in spec}
 
 HELP = {
     "dims": "box side lengths, e.g. 2,2 (config: lattice.dims)",

@@ -25,21 +25,17 @@ class Lattice:
 
     Attributes:
         d: ambient dimension.
-        dims: box side lengths if built from a box, else None.
+        dims: box side lengths if built from a box, else None. A lattice
+            given `dims` holds exactly that box in row-major order
+            (GeometryError otherwise), so `stabilize_many` relaxes its
+            replicas as grids of that shape.
         sites: tuple of coordinate tuples, in frozen order.
         n_sites: number of sites.
-        adjacency: tuple of int arrays; adjacency[i] lists the indices of
-            the in-set nearest neighbours of site i.
-        neighbours: the same lists as tuples of Python ints, for the
-            scalar toppling loop.
+        adjacency: tuple of tuples of ints; adjacency[i] lists the
+            indices of the in-set nearest neighbours of site i.
         boundary_degree: int array; boundary_degree[i] counts the nearest
             neighbours of site i that fall outside the set (mass lost per
             toppling through those bonds).
-        grid_shape: side lengths of the bounding box of the sites.
-        cells: int array; cells[i] is the row-major index of site i in
-            the bounding box, or None when the sites fill the box in
-            row-major order (every box lattice), so that a configuration
-            is already the box in row-major layout.
         neighbour_table: read-only (2d, n) intp array, built on first
             read; row j holds each site's j-th in-set neighbour, or n where
             the site has fewer than j + 1, so that a gather from an array
@@ -62,8 +58,11 @@ class Lattice:
             raise GeometryError("lattice needs at least one site")
         if len(set(pts)) != len(pts):
             raise GeometryError("duplicate sites")
+        dims = tuple(int(n) for n in dims) if dims is not None else None
+        if dims is not None and pts != list(itertools.product(*map(range, dims))):
+            raise GeometryError(f"sites are not the box {dims} in row-major order")
         self.d = d
-        self.dims = tuple(int(n) for n in dims) if dims is not None else None
+        self.dims = dims
         self.sites = tuple(pts)
         self.n_sites = len(pts)
         self.index = {p: i for i, p in enumerate(pts)}
@@ -82,26 +81,15 @@ class Lattice:
                     else:
                         nbrs.append(j)
             adjacency.append(tuple(sorted(nbrs)))
-        self.neighbours = tuple(adjacency)
-        self.adjacency = tuple(np.array(a, dtype=np.int64) for a in adjacency)
+        self.adjacency = tuple(adjacency)
         self.boundary_degree = boundary
         boundary.setflags(write=False)
-
-        coords = np.array(pts, dtype=np.int64)
-        coords -= coords.min(axis=0)
-        self.grid_shape = tuple(int(v) + 1 for v in coords.max(axis=0))
-        cells = np.ravel_multi_index(tuple(coords.T), self.grid_shape)
-        if np.array_equal(cells, np.arange(math.prod(self.grid_shape))):
-            self.cells = None
-        else:
-            cells.setflags(write=False)
-            self.cells = cells
 
     @functools.cached_property
     def neighbour_table(self):
         """Padded (2d, n) neighbour table, built on first read."""
         table = np.full((self.threshold, self.n_sites), self.n_sites, dtype=np.intp)
-        rows = list(itertools.zip_longest(*self.neighbours, fillvalue=self.n_sites))
+        rows = list(itertools.zip_longest(*self.adjacency, fillvalue=self.n_sites))
         table[:len(rows)] = np.reshape(rows, (len(rows), self.n_sites))
         table.setflags(write=False)
         return table
@@ -193,7 +181,7 @@ def toppling_matrix(lat, variant="continuous"):
         row = [Fraction(0)] * lat.n_sites
         row[i] = diag
         for j in lat.adjacency[i]:
-            row[int(j)] = off
+            row[j] = off
         entries.append(row)
     return TopplingMatrix(variant=variant, d=lat.d, entries=entries)
 

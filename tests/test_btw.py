@@ -141,13 +141,17 @@ def test_stabilize_many_matches_scalar(grid33, rng):
 
 
 IRREGULAR = [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]
+# Two clusters far apart: their bounding box has 202x202 cells.
+TWO_CLUSTERS = lattice_from_sites(2, [(0, 0), (0, 1), (1, 0), (200, 200), (200, 201), (201, 200)])
 
 
 @pytest.mark.parametrize("lat, rows, high", [
     (lattice_from_sites(2, IRREGULAR), 200, 12),
     (lattice_from_sites(2, [(i, j) for i in (2, 1, 0) for j in (0, 1, 2)]), 50, 10),
     (build_lattice([32, 32]), 8, 8),
-], ids=["irregular", "box-out-of-order", "32x32"])
+    (lattice_from_sites(2, HOLE_AND_ISLAND), 200, 12),
+    (TWO_CLUSTERS, 200, 12),
+], ids=["irregular", "box-out-of-order", "32x32", "hole-and-island", "two-clusters"])
 def test_stabilize_many_matches_scalar_on(lat, rows, high, rng):
     batch = rng.integers(0, high, size=(rows, lat.n_sites))
     work = batch.copy()
@@ -412,10 +416,15 @@ def test_inverse_add_rejects_transient(path2):
 ORACLE_LATTICES = [build_lattice([n]) for n in range(1, 7)] + [
     build_lattice([2, 2]), build_lattice([2, 3]), build_lattice([3, 3]),
     build_lattice([1, 2, 2]), lattice_from_sites(2, IRREGULAR),
-    lattice_from_sites(2, IRREGULAR + [(5, 5)])]
+    lattice_from_sites(2, IRREGULAR + [(5, 5)]), TWO_CLUSTERS]
 
 
-@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=repr)
+def oracle_id(lat):
+    # TWO_CLUSTERS has as many sites as IRREGULAR + [(5, 5)], hence the same repr.
+    return "two-clusters" if lat is TWO_CLUSTERS else repr(lat)
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES, ids=oracle_id)
 def test_enumerate_recurrent_matches_oracle(lat):
     ours = enumerate_recurrent(lat)
     assert ours.dtype == np.int64
@@ -424,7 +433,8 @@ def test_enumerate_recurrent_matches_oracle(lat):
     assert np.array_equal(ours, oracles.enumerate_recurrent(lat))
 
 
-@pytest.mark.parametrize("lat", [lat for lat in ORACLE_LATTICES if lat.n_sites < 9], ids=repr)
+@pytest.mark.parametrize("lat", [lat for lat in ORACLE_LATTICES if lat.n_sites < 9],
+                         ids=oracle_id)
 def test_addition_order_matches_permutation_oracle(lat):
     rec = oracles.enumerate_recurrent(lat)
     for x in range(lat.n_sites):

@@ -182,6 +182,27 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "stepz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, key, value", [
+    (["invariance", "--dims", "2", "--samples", "100"], "format", "csv"),
+    (["limit-rational", "--dims", "2", "--a", "0.5"], "format", "csv"),
+    (["fourier", "--a", "0.3", "--samples", "10"], "format", "csv"),
+    (["ergodic", "--dims", "2", "--a", "0.3"], "format", "csv"),
+    (["invariance", "--dims", "2", "--samples", "100"], "steps", 5),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_setting_of_another_command_is_rejected(tmp_path, capsys, args, key, value):
+    # Neither as a flag nor in a config file is it silently ignored.
+    with pytest.raises(SystemExit) as stop:
+        run_cli(args + [flag(key), str(value)])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag(key)}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run_cli(args + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: unknown config keys: {key}\n"
+    assert captured.out == ""
+
+
 def test_init_variants(tmp_path):
     inline = json.dumps({"quanta": [1, 0], "frac": [0.1, 0.2]})
     for spec in ("zero", "max", "mu", inline):
@@ -309,6 +330,23 @@ def test_module_entry_point(tmp_path):
     assert data["n_recurrent"] == 3
 
 
+def test_runs_without_scipy():
+    # scipy is a test dependency: no module of the package may import it.
+    code = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import sandpiles
+for module in pkgutil.iter_modules(sandpiles.__path__):
+    if module.name != "__main__":
+        importlib.import_module("sandpiles." + module.name)
+from sandpiles import cli
+sys.exit(cli.main(["enumerate", "--dims", "2"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_recurrent"] == 3
+
+
 def test_missing_dims_is_config_error(capsys):
     rc = run_cli(["invariance"])
     assert rc == 2
@@ -398,7 +436,7 @@ def test_non_numeric_setting_in_config_is_config_error(tmp_path, capsys, command
     cfg.write_text(json.dumps({"lattice": {"dims": [2]}, key: "abc"}))
     rc = run_cli(command + ["--config", str(cfg)])
     assert rc == 2
-    assert f"--{key}: expected" in capsys.readouterr().err
+    assert f"{flag(key)}: expected" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [
@@ -446,7 +484,7 @@ def test_empty_k_flag_is_config_error(capsys):
     (["ergodic", "--dims", "2", "--a", "0.3"], {"tolerance": -0.5},
      "--tolerance must be at least 0, got -0.5"),
     (["couple", "--dims", "2", "--a", "0.2", "--b", "0.8", "--max-epochs", "0"], None,
-     "--max_epochs must be at least 1, got 0"),
+     "--max-epochs must be at least 1, got 0"),
     (["fourier", "--a", "0.3", "--N", "0"], None, "--N must be at least 1, got 0"),
     (["simulate", "--dims", "2", "--a", "0.3", "--steps", "1.5"], None,
      "--steps: expected an integer, got '1.5'"),
@@ -493,7 +531,7 @@ def test_flag_and_config_value_share_one_reader(tmp_path, capsys, command):
             assert captured.out == ""
             errors.append(captured.err)
         assert errors[0] == errors[1]
-        assert errors[0].startswith(f"error: --{key}: expected ")
+        assert errors[0].startswith(f"error: {flag(key)}: expected ")
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

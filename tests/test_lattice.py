@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandpiles import (GeometryError, TopplingMatrix, build_lattice,
+from sandpiles import (GeometryError, Lattice, TopplingMatrix, build_lattice,
                        determinant_exact, lattice_from_sites, toppling_matrix)
 from oracles import cofactor_determinant
 
@@ -44,7 +44,7 @@ def test_cube_corner_has_three_neighbours():
 
 def test_single_site():
     lat = build_lattice([1])
-    assert lat.adjacency[0].size == 0
+    assert lat.adjacency[0] == ()
     assert lat.boundary_degree[0] == 2
 
 
@@ -66,16 +66,14 @@ def test_lattice_from_sites_keeps_order():
     assert list(lat.adjacency[1]) == [0, 2]
 
 
-def test_grid_layout():
-    box = build_lattice([2, 3])
-    assert box.grid_shape == (2, 3)
-    assert box.cells is None
-    lat = lattice_from_sites(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
-    assert lat.grid_shape == (3, 3)
-    assert lat.cells.tolist() == [0, 1, 4, 7, 8]
-    shifted = lattice_from_sites(1, [(5,), (3,)])
-    assert shifted.grid_shape == (3,)
-    assert shifted.cells.tolist() == [2, 0]
+def test_lattice_rejects_dims_unless_sites_are_that_box_in_row_major_order():
+    box = list(build_lattice([2, 3]).sites)
+    assert Lattice(2, box, dims=(2, 3)).dims == (2, 3)
+    for sites in (box[:4] + [box[5], box[4]], box[:5], box + [(2, 0)]):
+        with pytest.raises(GeometryError):
+            Lattice(2, sites, dims=(2, 3))
+    with pytest.raises(GeometryError):
+        Lattice(2, box, dims=(3, 2))
 
 
 def test_lattice_tables_are_linear_in_sites():
@@ -95,7 +93,6 @@ def test_adjacency_matrix_matches_adjacency(lat):
     amat = lat.adjacency_matrix
     for i in range(lat.n_sites):
         assert np.flatnonzero(amat[i]).tolist() == list(lat.adjacency[i])
-        assert list(lat.neighbours[i]) == list(lat.adjacency[i])
     assert lat.adjacency_matrix is amat
     assert not amat.flags.writeable
 
@@ -109,7 +106,7 @@ def test_neighbour_table_pads_with_the_sink(lat):
     assert "neighbour_table" not in vars(lat)
     table = lat.neighbour_table
     assert table.shape == (lat.threshold, lat.n_sites)
-    for i, ys in enumerate(lat.neighbours):
+    for i, ys in enumerate(lat.adjacency):
         assert table[:, i].tolist() == list(ys) + [lat.n_sites] * (lat.threshold - len(ys))
     assert lat.neighbour_table is table
     assert not table.flags.writeable
