@@ -18,11 +18,10 @@ from .btw import (addition_order, btw_add, btw_inverse_add, btw_stabilize,
                   stabilize_many)
 from .cbtw import (AdditionParams, CbtwConfig, cbtw_add, cbtw_inverse_add,
                    cbtw_stabilize, cbtw_topple, decompose, is_allowed_cbtw,
-                   max_config, quantum_multiple, recompose, zero_config)
-from .measures import (Binning, Histogram, accumulate, estimate_tv, frac_bins,
-                       sample_rational_limit, sample_rational_limit_batch,
-                       sample_uniform_allowed, sample_uniform_allowed_batch,
-                       tv_noise_floor)
+                   max_config, quantum_multiple, zero_config)
+from .measures import (Binning, Histogram, estimate_tv, frac_bins,
+                       sample_rational_limit_batch, sample_uniform_allowed,
+                       sample_uniform_allowed_batch, tv_noise_floor)
 from .experiments import (ChainState, CouplingEnsembleResult, CouplingResult,
                           EpochRecord, InvarianceResult, RationalLimitResult,
                           TvDecayResult, coupling_success_probability,

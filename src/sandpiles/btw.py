@@ -146,9 +146,9 @@ def btw_stabilize(lat, heights):
     its in-set neighbours through `lat.neighbour_table`, whose padding
     points at a count that stays 0 (the sink). A whole configuration
     relaxes in whole-array work per round instead of interpreted work per
-    toppling. It shares no code with the FIFO `stabilize_from` or the
-    grid-slice `stabilize_many`, which tests and the benchmark check
-    against it.
+    toppling. It shares no code with the FIFO `stabilize_from` or with
+    `stabilize_many` (box slices or neighbour-table rounds), which tests
+    and the benchmark check against it.
     """
     h = _as_heights(lat, heights).copy()
     n, two_d = lat.n_sites, lat.threshold
@@ -274,15 +274,15 @@ def is_recurrent_burning(lat, heights):
     return bool(stabilize_from(lat, h, range(lat.n_sites)).all())
 
 
-def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
+def enumerate_recurrent(lat):
     """All recurrent stable configurations, in lexicographic order.
 
     Returns a C-ordered int64 array of shape (count, n_sites). The scan
-    covers all (2d)^n_sites stable configurations, so it is capped. It
-    runs Dhar's burning test on chunks of consecutive lexicographic
-    indices at once: `stabilize_many` relaxes eta + beta for every row,
-    and a row is recurrent iff every site toppled, in which case it
-    relaxes back to eta. Chunks of ENUMERATION_CHUNK rows are
+    covers all (2d)^n_sites stable configurations, so it is capped at
+    ENUMERATION_CAP. It runs Dhar's burning test on chunks of consecutive
+    lexicographic indices at once: `stabilize_many` relaxes eta + beta
+    for every row, and a row is recurrent iff every site toppled, in
+    which case it relaxes back to eta. Chunks of ENUMERATION_CHUNK rows are
     column-major, so `stabilize_many` relaxes them in place through a
     view, and its box slices or neighbour-table gathers run along the
     contiguous replica axis.
@@ -290,11 +290,11 @@ def enumerate_recurrent(lat, cap=ENUMERATION_CAP):
     two_d = lat.threshold
     n = lat.n_sites
     total = two_d ** n
-    if total > cap:
+    if total > ENUMERATION_CAP:
         # Printed as a power: str() of (2d)^n past 4300 digits raises.
         raise CapacityError(
             f"{two_d}^{n} (about 10^{math.floor(n * math.log10(two_d))}) stable "
-            f"configurations exceeds the enumeration cap {cap}")
+            f"configurations exceeds the enumeration cap {ENUMERATION_CAP}")
     place = two_d ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # No site topples twice, so heights stay below 2 * 2d, which fits
     # int16 up to d = 2^13.

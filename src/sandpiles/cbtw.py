@@ -157,11 +157,6 @@ def decompose(lat, heights):
     return CbtwConfig(d=lat.d, quanta=quanta + carry, frac=F / grid_scale(lat.d))
 
 
-def recompose(cfg):
-    """Dense real heights of a decomposed configuration."""
-    return cfg.heights()
-
-
 def zero_config(lat):
     """The empty configuration."""
     return CbtwConfig(d=lat.d,
@@ -237,7 +232,7 @@ def cbtw_add(lat, config, x, u):
     return CbtwConfig(d=config.d, quanta=quanta, frac=frac)
 
 
-def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
+def cbtw_inverse_add(lat, config, x, u, recurrent=None):
     """Invert cbtw_add: recover eta from zeta = cbtw_add(eta, x, u).
 
     Defined on stable allowed configurations, whose quanta are exactly
@@ -247,8 +242,9 @@ def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
     k quanta, the carry cbtw_add made, so add(inverse_add(zeta)) == zeta
     bit for bit. The quanta roll back by k quantum additions through
     btw_inverse_add, which adds grains in proportion to k, never to the
-    addition order, so it works on lattices far too large to enumerate.
-    `order` is passed on to it; `recurrent` is unused.
+    addition order, so it works on lattices far too large to enumerate;
+    k lies in [0, 2d], so no order is needed to reduce it. `recurrent` is
+    unused.
     """
     _check_config(lat, config)
     x = btw._site(lat, x)
@@ -258,7 +254,7 @@ def cbtw_inverse_add(lat, config, x, u, order=None, recurrent=None):
         raise DomainError("inverse addition needs a stable configuration")
     scale = grid_scale(lat.d)
     borrow, F = _carry(round(config.frac.item(x) * scale), -round(u * scale))
-    quanta = btw.btw_inverse_add(lat, config.quanta, x, power=-borrow, order=order)
+    quanta = btw.btw_inverse_add(lat, config.quanta, x, power=-borrow)
     frac = config.frac.copy()
     frac[x] = F / scale
     return CbtwConfig(d=config.d, quanta=quanta, frac=frac)
@@ -278,16 +274,18 @@ def is_allowed_cbtw(lat, config):
     return btw.is_recurrent_burning(lat, config.quanta)
 
 
-def quantum_multiple(amount, d, tol=1e-12):
-    """The integer l with amount = l/2d, or None if amount is not within
-    tol of a quantum multiple (NaN and infinities never are)."""
+def quantum_multiple(amount, d):
+    """The integer l with amount = l/2d on the grid, or None.
+
+    A chain step adds the amount's grid units U = rint(amount * S), so it
+    leaves every fractional part where it was exactly when U is a whole
+    number l of quanta (l * 2^50 units). Any other U, and NaN or an
+    infinity, gives None.
+    """
     if not math.isfinite(amount):
         return None
-    scaled = amount * 2 * d
-    l = int(round(scaled))
-    if abs(scaled - l) <= tol:
-        return l
-    return None
+    l, F = _carry(round(float(amount) * grid_scale(d)), 0)
+    return l if F == 0 else None
 
 
 @dataclass(frozen=True)

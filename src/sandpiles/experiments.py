@@ -95,62 +95,58 @@ def _add_units(lat, quanta, frac, cells, units):
 def step_ensemble(lat, quanta, frac, xs, us):
     """Apply one addition to every replica row, in place.
 
-    Row i receives mass us[i] at site xs[i]; all rows are then stabilized
-    together. Float amounts are converted to grid units rint(us * S);
-    an integer array is taken as grid units already. The carry is the
-    same integer rule as the scalar kernel's, so a row evolves bit for
-    bit like _add_inplace on that replica; a negative carry raises
-    DomainError. Ensemble drivers sum units and make the same call once
-    per snapshot or epoch, which abelianness makes exact.
+    Row i receives mass us[i] at integer site xs[i] (one of each per row,
+    DomainError otherwise), in grid units rint(us[i] * S); all rows are
+    then stabilized together. The carry is the same integer rule as the
+    scalar kernel's, so a row evolves bit for bit like _add_inplace on
+    that replica; a negative carry raises DomainError.
     """
-    us = np.asarray(us)
-    units = us if us.dtype.kind in "iu" else grid_units(us, lat.d)
+    xs, us = np.asarray(xs), np.asarray(us)
+    n = quanta.shape[0]
+    if not (xs.shape == us.shape == (n,) and xs.dtype.kind in "iu"
+            and ((xs >= 0) & (xs < lat.n_sites)).all()):
+        raise DomainError(f"need {n} integer sites in [0, {lat.n_sites}) and {n} amounts")
     cells = np.zeros(quanta.shape, dtype=bool)
-    cells[np.arange(quanta.shape[0]), xs] = True
-    _add_units(lat, quanta, frac, cells, units)
+    cells[np.arange(n), xs] = True
+    _add_units(lat, quanta, frac, cells, grid_units(us, lat.d))
 
 
-def run_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots=()):
-    """Evolve replica rows of (quanta, frac) in place for `steps` steps.
+def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
+    """Evolve replica rows of (quanta, frac) in place for `steps` >= 0 steps.
 
-    Returns {t: (quanta copy, frac copy)} for each snapshot time, all in
-    1..steps (DomainError otherwise). Same result and random stream as
-    one step_ensemble call per step, but each row's grid units are summed
-    per site and stabilized once per snapshot and every 2^12/2d steps (so
-    sums fit int64): the carries depend only on the sums, and by
-    abelianness the stable quanta only on the carries.
+    Same result and random stream as one step_ensemble call per step, but
+    each row's grid units are summed per site and stabilized once at the
+    end and every 2^12/2d steps (so sums fit int64): the carries depend
+    only on the sums, and by abelianness the stable quanta only on the
+    carries. A further call with the same generator continues the chain,
+    so consecutive calls give its state at each time.
     """
-    want = sorted(set(int(t) for t in snapshots))
-    if want and not 1 <= want[0] <= want[-1] <= steps:
-        raise DomainError(f"snapshot times must lie in 1..{steps}, got {want}")
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps}")
     n, m = quanta.shape
     offsets = np.arange(n) * m
     fixed = params.mode == "fixed"
     # A fixed amount draws nothing else, so its sites come in blocks.
     block = max(1, DRAW_BLOCK // max(n, 1)) if fixed else 1
-    out, t = {}, 0
-    for stop in sorted({*want, steps}):
-        while t < stop:
-            T = min(stop - t, max(1, FOLD_LIMIT // (2 * lat.d)))
-            hits = np.zeros(n * m, dtype=np.int64 if fixed else bool)
-            total = None if fixed else np.zeros(n * m, dtype=np.int64)
-            for s in range(0, T, block):
-                idx = rng.integers(m, size=(min(T - s, block), n))
-                idx += offsets
-                if fixed:
-                    hits += np.bincount(idx.ravel(), minlength=n * m)
-                else:
-                    total[idx] += grid_units(params.draw(rng, size=n), lat.d)
-                    hits[idx] = True
-            cells = hits.reshape(n, m) > 0
-            units = hits * int(grid_units(params.a, lat.d)) if fixed else total
-            units = units.reshape(n, m)[cells]
-            del idx, hits, total  # freed before stabilization makes its temporaries
-            _add_units(lat, quanta, frac, cells, units)
-            t += T
-        if t in want:
-            out[t] = (quanta.copy(), frac.copy())
-    return out
+    t = 0
+    while t < steps:
+        T = min(steps - t, max(1, FOLD_LIMIT // (2 * lat.d)))
+        hits = np.zeros(n * m, dtype=np.int64 if fixed else bool)
+        total = None if fixed else np.zeros(n * m, dtype=np.int64)
+        for s in range(0, T, block):
+            idx = rng.integers(m, size=(min(T - s, block), n))
+            idx += offsets
+            if fixed:
+                hits += np.bincount(idx.ravel(), minlength=n * m)
+            else:
+                total[idx] += grid_units(params.draw(rng, size=n), lat.d)
+                hits[idx] = True
+        cells = hits.reshape(n, m) > 0
+        units = hits * int(grid_units(params.a, lat.d)) if fixed else total
+        units = units.reshape(n, m)[cells]
+        del idx, hits, total  # freed before stabilization makes its temporaries
+        _add_units(lat, quanta, frac, cells, units)
+        t += T
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +295,8 @@ def run_coupling_ensemble(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac,
     occurred, o_verified the subset where the pair really did agree bit
     for bit at the epoch end (they must all match).
     """
+    if n_epochs < 0:
+        raise DomainError(f"n_epochs must be >= 0, got {n_epochs}")
     grid = _coupling_grid(lat, params)
     M, L = grid[:2]
     n = eta_quanta.shape[0]
@@ -486,9 +484,9 @@ def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=
     more distinct ones, as the slope needs) to the next and bins it there,
     so no snapshot is copied; then measures TV to a uniform-allowed
     reference sample of the same size, and fits a line to log TV over
-    time; the slope is the decay-rate estimate. Each segment ends a fold
-    at a snapshot time, as run_chain_ensemble's snapshots do, so results
-    and random stream are the same.
+    time; the slope is the decay-rate estimate. Each segment is one
+    run_chain_ensemble call that continues the chain of the last, so
+    results and random stream are those of one run read at each time.
     """
     times = sorted(int(t) for t in times)
     if len(set(times)) < 2 or times[0] < 1:

@@ -219,11 +219,6 @@ class Histogram:
         return hist, meta
 
 
-def accumulate(hist, config):
-    """Add one stable configuration to a histogram (returns the histogram)."""
-    return hist.add(config)
-
-
 def estimate_tv(hist_p, hist_q):
     """Total-variation distance between two empirical laws on the same
     discretization: half the sum of absolute cell-probability differences."""
@@ -253,14 +248,6 @@ def sample_uniform_allowed_batch(lat, rng, n, recurrent=None):
     scale = grid_scale(lat.d)
     frac = rng.uniform(0.0, 1.0 / (2 * lat.d), size=(n, lat.n_sites))
     return quanta, np.floor(frac * scale) / scale
-
-
-def sample_rational_limit(lat, base, amount, rng, recurrent=None, t=None):
-    """One draw from the long-run law at time t of the fixed-amount chain
-    when the amount is a quantum multiple l/2d: row 0 of
-    sample_rational_limit_batch."""
-    quanta, frac = sample_rational_limit_batch(lat, base, amount, rng, 1, recurrent, t)
-    return CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
 
 
 def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None, t=None):

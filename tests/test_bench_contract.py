@@ -10,14 +10,18 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [(mod, attr) for mod, attr, _ in module.LAYERS]
+    return [(mod, attr) for mod, attr, _ in load_perfbench("tracing").LAYERS]
 
 
 @pytest.mark.parametrize("module, attribute", load_layers(),
@@ -67,3 +71,14 @@ def test_drop_reference_matches_an_independent_oracle():
         assert np.array_equal(od, od_ref)
         topplings += int(od.sum())
     assert topplings > 0
+
+
+def test_every_workload_runs_one_checked_round(monkeypatch, tmp_path):
+    # Every call the benchmark makes into the package must still resolve
+    # and pass the workload's own checks.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name, workload in load_perfbench("workloads").WORKLOADS.items():
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        state = workload.setup(11, out_dir)
+        assert workload.check(state, workload.run_round(state)) == [], name

@@ -11,7 +11,7 @@ from sandpiles import (AdditionParams, CbtwConfig, DomainError, btw_stabilize,
                        cbtw_stabilize, cbtw_topple, decompose,
                        enumerate_recurrent, is_allowed_bruteforce,
                        is_allowed_cbtw, max_config, quantum_multiple,
-                       recompose, sample_uniform_allowed, zero_config)
+                       sample_uniform_allowed, zero_config)
 from sandpiles import btw
 from sandpiles.experiments import rational_limit_test
 from sandpiles.measures import sample_rational_limit_batch
@@ -32,7 +32,7 @@ def test_decompose_frozen(path2):
     cfg = decompose(path2, [0.8, 0.7])
     assert cfg.quanta.tolist() == [1, 1]
     assert np.allclose(cfg.frac, [0.3, 0.2])
-    assert np.allclose(recompose(cfg), [0.8, 0.7])
+    assert np.allclose(cfg.heights(), [0.8, 0.7])
 
 
 def test_decompose_snaps_to_cell_boundary(path1):
@@ -67,7 +67,7 @@ def test_decompose_recompose_roundtrip(heights):
     cfg = decompose(lat, heights)
     assert (cfg.quanta >= 0).all()
     assert (cfg.frac >= 0.0).all() and (cfg.frac < cfg.cell).all()
-    assert np.allclose(recompose(cfg), heights, atol=1e-12)
+    assert np.allclose(cfg.heights(), heights, atol=1e-12)
 
 
 def test_constructors(path2):
@@ -108,7 +108,7 @@ def test_stabilize_matches_dense_oracle(path3, rng):
         stable, od = cbtw_stabilize(path3, cfg)
         ref_h, ref_od = dense_stabilize(path3, heights, rng)
         assert np.array_equal(od, ref_od)
-        assert np.allclose(recompose(stable), ref_h, atol=1e-9)
+        assert np.allclose(stable.heights(), ref_h, atol=1e-9)
 
 
 def test_add_example_frozen(path2):
@@ -116,7 +116,7 @@ def test_add_example_frozen(path2):
     new = cbtw_add(path2, cfg, 0, 0.3)
     assert new.quanta.tolist() == [1, 0]
     assert np.allclose(new.frac, [0.1, 0.2])
-    assert np.allclose(recompose(new), [0.6, 0.2])
+    assert np.allclose(new.heights(), [0.6, 0.2])
 
 
 def test_add_zero_is_identity_on_stable(path2, rng):
@@ -164,7 +164,7 @@ def test_add_matches_dense_oracle(path3, rng):
         u = float(rng.uniform(0.0, 1.0))
         new = cbtw_add(path3, cfg, x, u)
         ref_h, _ = dense_add(path3, heights, x, u, rng)
-        assert np.allclose(recompose(new), ref_h, atol=1e-9)
+        assert np.allclose(new.heights(), ref_h, atol=1e-9)
 
 
 def test_tracked_add_matches_untracked(path2, rng):
@@ -332,8 +332,19 @@ def test_quantum_multiple():
     assert quantum_multiple(0.25, 2) == 1
     assert quantum_multiple(0.75, 2) == 3
     assert quantum_multiple(np.sqrt(2.0) - 1.0, 1) is None
-    assert quantum_multiple(0.5 + 5e-14, 1) == 1
+    assert quantum_multiple(0.5 + 5e-14, 1) is None
     assert quantum_multiple(0.5 + 1e-9, 1) is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_quantum_multiple_is_decided_on_the_grid(d):
+    # 2^-45 of mass is 64 d grid units: inside a float tolerance of 1e-12,
+    # but a chain adding it moves frac every step.
+    for l in range(2 * d + 1):
+        amount = l / (2 * d)
+        assert quantum_multiple(amount, d) == l
+        assert quantum_multiple(amount + 2.0**-45, d) is None
+        assert quantum_multiple(amount - 2.0**-45, d) is None
 
 
 @pytest.mark.parametrize("amount", [np.nan, np.inf, -np.inf])

@@ -293,6 +293,13 @@ def test_limit_rational_rejects_non_multiple(capsys):
     assert "quantum multiple" in capsys.readouterr().err
 
 
+def test_limit_rational_rejects_amount_off_the_grid(capsys):
+    # 5e-14 of mass off 1/2 is 112 grid units: every step would move frac.
+    rc = run_cli(["limit-rational", "--dims", "2", "--a", "0.50000000000005"])
+    assert rc == 2
+    assert "quantum multiple" in capsys.readouterr().err
+
+
 def test_fourier_report(tmp_path):
     out = tmp_path / "f.json"
     rc = run_cli(["fourier", "--a", "0.3", "--k", "1,-2", "--x", "0.2,0.7",

@@ -8,7 +8,7 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        build_lattice, coupling_success_probability, decompose,
                        epoch_shape, ergodic_average, enumerate_recurrent,
                        invariance_experiment, phase_observable,
-                       rational_limit_test, recompose, run_chain,
+                       rational_limit_test, run_chain,
                        run_chain_ensemble, run_coupling, run_coupling_ensemble,
                        sample_uniform_allowed, sample_uniform_allowed_batch,
                        step_ensemble, translation_mixture_bound,
@@ -108,20 +108,6 @@ def test_step_ensemble_tracked_matches_scalar(path2, rng):
     assert (vf == sf).all()
 
 
-def test_run_chain_ensemble_snapshots(path2, rng):
-    params = AdditionParams(0.1, 0.7)
-    n = 30
-    quanta = np.zeros((n, 2), dtype=np.int64)
-    frac = np.zeros((n, 2))
-    snaps = run_chain_ensemble(path2, quanta, frac, params, 16, rng,
-                               snapshots=(4, 16))
-    assert set(snaps) == {4, 16}
-    for q, f in snaps.values():
-        assert (q >= 0).all() and (q < 2).all()
-        assert (f >= 0.0).all() and (f < 0.5).all()
-    assert np.array_equal(snaps[16][0], quanta)
-
-
 def test_step_ensemble_rejects_negative_carry():
     lat = build_lattice([2])
     quanta, frac = np.array([[0, 0]]), np.array([[-0.3, 0.0]])
@@ -138,12 +124,27 @@ def test_run_chain_ensemble_rejects_negative_carry(path1):
                            np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("snapshots", [(0,), (5,), (-1, 2)])
-def test_run_chain_ensemble_rejects_snapshots_outside_run(path2, snapshots):
-    quanta, frac = np.zeros((3, 2), dtype=np.int64), np.zeros((3, 2))
+def _two_rows(lat):
+    return np.zeros((2, lat.n_sites), dtype=np.int64), np.zeros((2, lat.n_sites))
+
+
+@pytest.mark.parametrize("call", [
+    lambda lat: step_ensemble(lat, *_two_rows(lat), np.array([0, -1]), np.full(2, 0.3)),
+    lambda lat: step_ensemble(lat, *_two_rows(lat), np.array([0, 2]), np.full(2, 0.3)),
+    lambda lat: step_ensemble(lat, *_two_rows(lat), np.array([0.0, 1.0]), np.full(2, 0.3)),
+    lambda lat: step_ensemble(lat, *_two_rows(lat), np.array([0]), np.full(1, 0.3)),
+    lambda lat: step_ensemble(lat, *_two_rows(lat), np.array([0, 1]), np.full(3, 0.3)),
+    lambda lat: run_chain_ensemble(lat, *_two_rows(lat), AdditionParams(0.2, 0.8), -5,
+                                   np.random.default_rng(0)),
+    lambda lat: run_coupling_ensemble(lat, *_two_rows(lat), *_two_rows(lat),
+                                      AdditionParams(0.2, 0.8), -1, np.random.default_rng(0)),
+    lambda lat: rational_limit_test(lat, zero_config(lat), 0.5, -3, 10,
+                                    np.random.default_rng(0)),
+], ids=["site-negative", "site-n", "site-float", "too-few-sites", "too-many-amounts",
+        "chain-negative-steps", "coupling-negative-epochs", "limit-negative-time"])
+def test_ensemble_drivers_reject_bad_arguments(path2, call):
     with pytest.raises(DomainError):
-        run_chain_ensemble(path2, quanta, frac, AdditionParams(0.2, 0.8), 4,
-                           np.random.default_rng(0), snapshots=snapshots)
+        call(path2)
 
 
 @pytest.mark.parametrize("times", [(0, 4), (4, -1), (), (5,), (5, 5)])
@@ -189,7 +190,12 @@ def _assert_chain_matches_stepwise(lat, params, steps, snapshots, n, seed):
     start = frac.copy()
     ref_q, ref_f = quanta.copy(), frac.copy()
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    snaps = run_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots)
+    snaps, t = {}, 0
+    for stop in sorted({*snapshots, steps}):
+        run_chain_ensemble(lat, quanta, frac, params, stop - t, rng)
+        if stop in snapshots:
+            snaps[stop] = (quanta.copy(), frac.copy())
+        t = stop
     ref = stepwise_chain_ensemble(lat, ref_q, ref_f, params, steps, ref_rng, snapshots)
     assert np.array_equal(quanta, ref_q) and np.array_equal(frac, ref_f)
     assert snaps.keys() == ref.keys() == set(snapshots)
@@ -229,7 +235,7 @@ def test_run_chain_ensemble_matches_stepwise_past_one_fold(dims, params, steps):
 def test_phase_observable_matches_dense_form(grid22, rng):
     for _ in range(20):
         cfg = sample_uniform_allowed(grid22, rng)
-        dense = np.exp(4j * np.pi * grid22.d * recompose(cfg).sum())
+        dense = np.exp(4j * np.pi * grid22.d * cfg.heights().sum())
         assert abs(phase_observable(cfg) - dense) < 1e-12
 
 
@@ -531,8 +537,9 @@ def test_tv_decay_holds_one_replica_batch(path2):
 
 @pytest.mark.parametrize("times", [(1, 2, 4, 8), (9, 3, 3, 1, 40, 9), (6, 2)])
 def test_tv_decay_matches_snapshot_route(path2, times):
-    # Same seed: the chain is snapshotted by run_chain_ensemble, then the
-    # reference and the noise floor draw from the same generator.
+    # Same seed: the chain is snapshotted by consecutive run_chain_ensemble
+    # calls, then the reference and the noise floor draw from the same
+    # generator.
     n, binning, params = 3000, Binning(4), AdditionParams(0.2, 0.8)
     rec = enumerate_recurrent(path2)
     result = tv_decay_experiment(path2, params, times, n, binning,
@@ -540,7 +547,10 @@ def test_tv_decay_matches_snapshot_route(path2, times):
     rng = np.random.default_rng(77)
     quanta = np.zeros((n, path2.n_sites), dtype=np.int64)
     frac = np.zeros((n, path2.n_sites))
-    snaps = run_chain_ensemble(path2, quanta, frac, params, max(times), rng, snapshots=times)
+    snaps, t = {}, 0
+    for stop in sorted(set(times)):
+        run_chain_ensemble(path2, quanta, frac, params, stop - t, rng)
+        snaps[stop], t = (quanta.copy(), frac.copy()), stop
     href = Histogram.from_samples(path2.d, binning,
                                   *sample_uniform_allowed_batch(path2, rng, n, rec))
     tvs = [estimate_tv(Histogram.from_samples(path2.d, binning, *snaps[t]), href)

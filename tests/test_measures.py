@@ -4,9 +4,8 @@ from scipy import stats
 
 import oracles
 from sandpiles import (Binning, CbtwConfig, DomainError, Histogram,
-                       accumulate, build_lattice, enumerate_recurrent, estimate_tv,
-                       frac_bins, is_recurrent_burning,
-                       sample_rational_limit, sample_rational_limit_batch,
+                       build_lattice, enumerate_recurrent, estimate_tv,
+                       frac_bins, is_recurrent_burning, sample_rational_limit_batch,
                        sample_uniform_allowed, sample_uniform_allowed_batch,
                        tv_noise_floor, zero_config)
 
@@ -30,7 +29,7 @@ def test_histogram_add_and_batch_agree(path2, rng):
     quanta, frac = sample_uniform_allowed_batch(path2, rng, 200, rec)
     one = Histogram(1, 2, Binning(4))
     for q, f in zip(quanta, frac):
-        accumulate(one, CbtwConfig(d=1, quanta=q, frac=f))
+        one.add(CbtwConfig(d=1, quanta=q, frac=f))
     batch = Histogram.from_samples(1, Binning(4), quanta, frac)
     assert one.counts == batch.counts
     assert one.total == batch.total == 200
@@ -190,7 +189,8 @@ def test_sample_uniform_allowed_support_and_law(path2, rng):
 def test_sample_rational_limit_support(path2, rng):
     rec = enumerate_recurrent(path2)
     base = sample_uniform_allowed(path2, rng, rec)
-    draw = sample_rational_limit(path2, base, 0.5, rng, rec)
+    quanta, frac = sample_rational_limit_batch(path2, base, 0.5, rng, 1, rec)
+    draw = CbtwConfig(d=1, quanta=quanta[0], frac=frac[0])
     assert (draw.frac == base.frac).all()
     assert draw.is_stable()
     assert is_recurrent_burning(path2, draw.quanta)
@@ -203,12 +203,12 @@ def test_sample_rational_limit_support(path2, rng):
 def test_sample_rational_limit_validates_amount(path2, rng):
     base = zero_config(path2)
     with pytest.raises(DomainError):
-        sample_rational_limit(path2, base, 0.3, rng)
+        sample_rational_limit_batch(path2, base, 0.3, rng, 1)
     with pytest.raises(DomainError):
-        sample_rational_limit(path2, base, 0.0, rng)
+        sample_rational_limit_batch(path2, base, 0.0, rng, 1)
     unstable = CbtwConfig(d=1, quanta=np.array([2, 0]), frac=np.array([0.0, 0.0]))
     with pytest.raises(DomainError):
-        sample_rational_limit(path2, unstable, 0.5, rng)
+        sample_rational_limit_batch(path2, unstable, 0.5, rng, 1)
 
 
 def test_rational_limit_from_zero_base_is_uniform_allowed(path2, rng):
@@ -304,7 +304,7 @@ def test_rational_limit_law_is_the_exact_chain_law(dims, base, l, t):
 def test_rational_limit_needs_time_only_on_periodic_lattices(path2):
     box = build_lattice([2, 2])
     with pytest.raises(DomainError, match="period 2"):
-        sample_rational_limit(box, zero_config(box), 0.5, np.random.default_rng(0))
+        sample_rational_limit_batch(box, zero_config(box), 0.5, np.random.default_rng(0), 1)
     # g = 1: the time changes neither the draws nor the random stream
     rngs = [np.random.default_rng(5), np.random.default_rng(5)]
     a = sample_rational_limit_batch(path2, zero_config(path2), 0.5, rngs[0], 50)
