@@ -11,7 +11,7 @@ fixed-amount chains.
 
 from .errors import CapacityError, DomainError, GeometryError, SandpileError
 from .lattice import (Lattice, TopplingMatrix, build_lattice,
-                      determinant_exact, lattice_from_sites, toppling_matrix)
+                      determinant_exact, toppling_matrix)
 from .btw import (addition_order, btw_add, btw_inverse_add, btw_stabilize,
                   btw_topple, enumerate_recurrent, is_allowed_bruteforce,
                   is_recurrent_burning, is_stable, max_stable, stabilize_from,

@@ -37,13 +37,23 @@ def _as_heights(lat, heights):
 _INTEGER_FORMATS = frozenset("bhilqBHILQ")
 
 
+def _integer(value, name, low=None):
+    """`value` as a Python int; DomainError unless it is an integer other
+    than a bool, and at least `low` when `low` is given."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _site(lat, x):
     """Site index x as a Python int; DomainError unless x is an integer in
     [0, n_sites) (a negative index would wrap around silently)."""
     if type(x) is not int:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise DomainError(f"site index must be an integer, got {x!r}")
-        x = int(x)
+        x = _integer(x, "site index")
     if not 0 <= x < lat.n_sites:
         raise DomainError(f"site index {x} outside [0, {lat.n_sites})")
     return x
@@ -73,18 +83,16 @@ def max_stable(lat):
     return np.full(lat.n_sites, lat.threshold - 1, dtype=np.int64)
 
 
-def btw_topple(lat, heights, x, force=False):
+def btw_topple(lat, heights, x):
     """Topple site x once.
 
     Returns (new_heights, legal). The toppling is legal iff x is unstable;
-    when it is not and force is False the configuration is returned
-    unchanged. With force=True the toppling is applied anyway and the
-    height at x may go negative.
+    when it is not the configuration is returned unchanged.
     """
     x = _site(lat, x)
     h = _as_heights(lat, heights)
     legal = bool(h[x] >= lat.threshold)
-    if legal or force:
+    if legal:
         h[x] -= lat.threshold
         h[list(lat.adjacency[x])] += 1
     return h, legal
@@ -192,8 +200,16 @@ def stabilize_many(lat, quanta):
     `quanta.T` (a view when `quanta` is column-major): every site gathers
     its inflow through `lat.neighbour_table`, whose padding points at a
     row of counts that stays 0 (the sink). The work is O(n_sites) per
-    replica-round either way; there is no bounding box.
+    replica-round either way; there is no bounding box. `quanta` must be a
+    writable 2-D integer array with n_sites columns and no negative entry;
+    anything else raises DomainError before any write.
     """
+    if not (isinstance(quanta, np.ndarray) and quanta.ndim == 2 and quanta.dtype.kind in "iu"
+            and quanta.shape[1] == lat.n_sites and quanta.flags.writeable):
+        raise DomainError(
+            f"quanta must be a writable 2-d integer array with {lat.n_sites} columns")
+    if quanta.size and quanta.min() < 0:
+        raise DomainError("quanta must be nonnegative")
     two_d = lat.threshold
     box = lat.dims is not None
     h = quanta.reshape(quanta.shape[:1] + lat.dims) if box else np.ascontiguousarray(quanta.T)
@@ -224,11 +240,12 @@ def stabilize_many(lat, quanta):
 
 
 def btw_add(lat, heights, x, amount=1):
-    """Drop `amount` grains on site x and stabilize."""
-    if amount < 0:
-        raise DomainError("cannot add a negative number of grains")
+    """Drop `amount` grains (an integer >= 0) on site x and stabilize."""
+    amount = _integer(amount, "amount", 0)
     x = _site(lat, x)
     h = _as_heights(lat, heights)
+    if h.item(x) + amount >= 2**63:
+        raise DomainError(f"{amount} grains at site {x} need more than int64 holds")
     h[x] += amount
     stabilize_from(lat, h, np.flatnonzero(h >= lat.threshold))
     return h
@@ -354,7 +371,7 @@ def addition_order(lat, x, recurrent=None):
     of Delta y = e_x; it is a Python int of any size. When the enumerated
     `recurrent` set is given, its size must equal det Delta.
     """
-    y, det = _solve_toppling(lat, x)
+    y, det = _solve_toppling(lat, _site(lat, x))
     if recurrent is not None and len(recurrent) != det:
         raise DomainError(
             f"{len(recurrent)} configurations given, but the recurrent set has {det}")
@@ -371,12 +388,15 @@ def btw_inverse_add(lat, heights, x, power=1, order=None):
     stabilization is the recurrent representative of eta - k e_x. The
     grains added grow with k, not with the addition order. Passing `order`
     reduces `power` modulo it first; a negative power adds grains.
+    `power` is an integer and `order` a positive one.
     """
     x = _site(lat, x)
+    k = _integer(power, "power")
+    if order is not None:
+        k %= _integer(order, "order", 1)
     h = _as_heights(lat, heights)
     if not is_recurrent_burning(lat, h):
         raise DomainError("inverse addition is defined only on recurrent configurations")
-    k = int(power) if order is None else int(power) % int(order)
     c = -(-k // (lat.threshold - 1)) if k > 0 else 0
     eps = np.zeros_like(h)
     if c:

@@ -171,14 +171,14 @@ def max_config(lat):
                       frac=np.zeros(lat.n_sites, dtype=np.float64))
 
 
-def cbtw_topple(lat, config, x, force=False):
+def cbtw_topple(lat, config, x):
     """Topple site x once: mass 1 leaves x, 1/2d lands on each in-set
     neighbour. Returns (new_config, legal); frac is untouched."""
     _check_config(lat, config)
     x = btw._site(lat, x)
     legal = bool(config.quanta[x] >= 2 * lat.d)
     quanta = config.quanta.copy()
-    if legal or force:
+    if legal:
         quanta[x] -= 2 * lat.d
         quanta[list(lat.adjacency[x])] += 1
     return CbtwConfig(d=config.d, quanta=quanta, frac=config.frac.copy()), legal
@@ -307,11 +307,3 @@ class AdditionParams:
     @property
     def mode(self):
         return "fixed" if self.a == self.b else "interval"
-
-    def draw(self, rng, size=None):
-        """Sample addition amounts."""
-        if self.mode == "fixed":
-            if size is None:
-                return self.a
-            return np.full(size, self.a, dtype=np.float64)
-        return rng.uniform(self.a, self.b, size=size)

@@ -216,7 +216,7 @@ def cmd_enumerate(args):
     recurrent = btw.enumerate_recurrent(lat)
     det_int = determinant_exact(toppling_matrix(lat, "integer"))
     det_cont = determinant_exact(toppling_matrix(lat, "continuous"))
-    orders = [btw.addition_order(lat, x, recurrent) for x in range(lat.n_sites)]
+    orders = [btw.addition_order(lat, x) for x in range(lat.n_sites)]
     match = (len(recurrent) == det_int
              and det_int == det_cont * (2 * lat.d) ** lat.n_sites)
     if args.format == "json":

@@ -139,7 +139,7 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
             if fixed:
                 hits += np.bincount(idx.ravel(), minlength=n * m)
             else:
-                total[idx] += grid_units(params.draw(rng, size=n), lat.d)
+                total[idx] += grid_units(rng.uniform(params.a, params.b, size=n), lat.d)
                 hits[idx] = True
         cells = hits.reshape(n, m) > 0
         units = hits * int(grid_units(params.a, lat.d)) if fixed else total
@@ -357,7 +357,9 @@ def translation_mixture_fourier(step, k, start, n_terms):
     on {0..n_terms-1}. The coefficient at integer frequency vector k is
     f_k(start) * (1/n_terms) * (1 - alpha^n_terms)/(1 - alpha) with
     alpha = mean_j exp(2 pi i step k_j), and f_k(start) when alpha = 1.
+    n_terms is an integer >= 1.
     """
+    n_terms = btw._integer(n_terms, "n_terms", 1)
     k = np.asarray(k, dtype=np.int64)
     start = np.asarray(start, dtype=np.float64)
     if k.shape != start.shape:
@@ -371,7 +373,8 @@ def translation_mixture_fourier(step, k, start, n_terms):
 
 def translation_mixture_bound(step, k, n_terms):
     """Upper bound 2/(n_terms |1 - alpha|) on the coefficient modulus,
-    infinite when alpha = 1."""
+    infinite when alpha = 1; n_terms is an integer >= 1."""
+    n_terms = btw._integer(n_terms, "n_terms", 1)
     k = np.asarray(k, dtype=np.int64)
     alpha = complex(np.mean(np.exp(2j * np.pi * step * k)))
     gap = abs(1.0 - alpha)
@@ -383,9 +386,10 @@ def translation_mixture_bound(step, k, n_terms):
 def translation_mixture_fourier_mc(step, k, start, n_terms, n_samples, rng):
     """Monte Carlo estimate of the same coefficient; returns (estimate,
     standard error), the latter combining real and imaginary spread, so
-    it needs n_samples >= 2."""
+    it needs n_samples >= 2 and n_terms >= 1."""
     if n_samples < 2:
         raise DomainError(f"a standard error needs at least 2 samples, got {n_samples}")
+    n_terms = btw._integer(n_terms, "n_terms", 1)
     k = np.asarray(k, dtype=np.int64)
     start = np.asarray(start, dtype=np.float64)
     m = len(k)
@@ -413,6 +417,7 @@ def invariance_experiment(lat, binning, n_samples, rng, recurrent=None):
     reported next to the resolution floor measured between two
     independent uniform-allowed sample sets of the same size.
     """
+    n_samples = btw._integer(n_samples, "n_samples", 1)
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
     href = Histogram.from_samples(
@@ -449,6 +454,7 @@ def rational_limit_test(lat, base, amount, t_chain, n_samples, rng,
     sides are estimated with n_samples replicas and compared in TV, next
     to the floor between two independent draws of the prediction itself.
     """
+    n_samples = btw._integer(n_samples, "n_samples", 1)
     if quantum_multiple(amount, lat.d) is None:
         raise DomainError(f"amount {amount} is not a quantum multiple")
     if recurrent is None:
@@ -492,9 +498,9 @@ def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=
     if len(set(times)) < 2 or times[0] < 1:
         raise DomainError(
             f"tv_decay_experiment needs two distinct snapshot times >= 1, got {times}")
+    n = btw._integer(n_replicas, "n_replicas", 1)
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
-    n = int(n_replicas)
     quanta = np.zeros((n, lat.n_sites), dtype=np.int64)
     frac = np.zeros((n, lat.n_sites), dtype=np.float64)
     hists, t = {}, 0

@@ -29,7 +29,7 @@ class Lattice:
             given `dims` holds exactly that box in row-major order
             (GeometryError otherwise), so `stabilize_many` relaxes its
             replicas as grids of that shape.
-        sites: tuple of coordinate tuples, in frozen order.
+        sites: tuple of coordinate tuples, in the order given, frozen.
         n_sites: number of sites.
         adjacency: tuple of tuples of ints; adjacency[i] lists the
             indices of the in-set nearest neighbours of site i.
@@ -41,8 +41,6 @@ class Lattice:
             the site has fewer than j + 1, so that a gather from an array
             of length n + 1 whose last entry is 0 treats missing bonds as
             the sink.
-        adjacency_matrix: dense symmetric 0/1 n x n int matrix, built on
-            first read; no kernel uses it.
     """
 
     def __init__(self, d, sites, dims=None):
@@ -65,7 +63,7 @@ class Lattice:
         self.dims = dims
         self.sites = tuple(pts)
         self.n_sites = len(pts)
-        self.index = {p: i for i, p in enumerate(pts)}
+        index = {p: i for i, p in enumerate(pts)}
 
         adjacency = []
         boundary = np.zeros(self.n_sites, dtype=np.int64)
@@ -75,7 +73,7 @@ class Lattice:
                 for step in (-1, 1):
                     q = list(p)
                     q[axis] += step
-                    j = self.index.get(tuple(q))
+                    j = index.get(tuple(q))
                     if j is None:
                         boundary[i] += 1
                     else:
@@ -94,26 +92,10 @@ class Lattice:
         table.setflags(write=False)
         return table
 
-    @functools.cached_property
-    def adjacency_matrix(self):
-        """Dense symmetric 0/1 adjacency (n x n int64), built on first read."""
-        amat = np.zeros((self.n_sites, self.n_sites), dtype=np.int64)
-        for i, nbrs in enumerate(self.adjacency):
-            amat[i, nbrs] = 1
-        amat.setflags(write=False)
-        return amat
-
     @property
     def threshold(self):
         """Number of grains shed per toppling (2d)."""
         return 2 * self.d
-
-    def degree(self, i):
-        """In-set degree of site i."""
-        return len(self.adjacency[i])
-
-    def __len__(self):
-        return self.n_sites
 
     def __repr__(self):
         if self.dims is not None:
@@ -135,14 +117,6 @@ def build_lattice(dims):
     return Lattice(len(dims), sites, dims=dims)
 
 
-def lattice_from_sites(d, sites):
-    """Build a lattice from an explicit list of Z^d points.
-
-    The given order becomes the frozen site order.
-    """
-    return Lattice(d, sites)
-
-
 @dataclass
 class TopplingMatrix:
     """Exact toppling matrix of a lattice.
@@ -156,14 +130,6 @@ class TopplingMatrix:
     variant: str
     d: int
     entries: list
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def as_array(self):
-        """Dense float copy (for quick numpy checks, not for exact work)."""
-        return np.array([[float(v) for v in row] for row in self.entries])
 
 
 def toppling_matrix(lat, variant="continuous"):

@@ -29,8 +29,7 @@ class Binning:
     bins_per_site: int = 8
 
     def __post_init__(self):
-        if self.bins_per_site < 1:
-            raise DomainError("bins_per_site must be >= 1")
+        btw._integer(self.bins_per_site, "bins_per_site", 1)
 
 
 def frac_bins(frac, d, binning):
@@ -53,9 +52,7 @@ def _decode(codes, cells, radices):
 class Histogram:
     """Counts of stable configurations on the quanta x frac-bin grid.
 
-    Keys are (quanta tuple, bin tuple). Merging histograms with the same
-    shape parameters is associative and commutative, so accumulation can
-    be split across workers and combined afterwards.
+    Keys are (quanta tuple, bin tuple).
     """
 
     def __init__(self, d, n_sites, binning):
@@ -67,11 +64,6 @@ class Histogram:
 
     def _shape_key(self):
         return (self.d, self.n_sites, self.binning.bins_per_site)
-
-    def add(self, config):
-        if config.d != self.d:
-            raise DomainError("configuration does not match histogram shape")
-        return self.add_batch(config.quanta[None, :], config.frac[None, :])
 
     def add_batch(self, quanta, frac):
         """Accumulate many configurations at once (rows are replicas).
@@ -132,17 +124,6 @@ class Histogram:
     def from_samples(cls, d, binning, quanta, frac):
         quanta = np.asarray(quanta)
         return cls(d, quanta.shape[1], binning).add_batch(quanta, frac)
-
-    def merge(self, other):
-        """New histogram with the combined counts."""
-        if self._shape_key() != other._shape_key():
-            raise DomainError("cannot merge histograms with different shapes")
-        out = Histogram(self.d, self.n_sites, self.binning)
-        out.counts = dict(self.counts)
-        for key, c in other.counts.items():
-            out.counts[key] = out.counts.get(key, 0) + c
-        out.total = self.total + other.total
-        return out
 
     def probabilities(self):
         if self.total == 0:
@@ -241,6 +222,7 @@ def sample_uniform_allowed_batch(lat, rng, n, recurrent=None):
     """n independent uniform-allowed draws as (quanta, frac) matrices:
     quanta uniform over the recurrent set, frac uniform per site, floored
     onto the fixed-point grid (floor keeps it below the cell width)."""
+    n = btw._integer(n, "replica count", 0)
     if recurrent is None:
         recurrent = btw.enumerate_recurrent(lat)
     rows = rng.integers(len(recurrent), size=n)
@@ -264,6 +246,7 @@ def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None, t=Non
     when g > 1 the limit law depends on t mod g, so `t` is required. The
     frac part of `base` is untouched.
     """
+    n = btw._integer(n, "replica count", 0)
     l = quantum_multiple(amount, lat.d)
     if l is None or not (1 <= l <= 2 * lat.d - 1):
         raise DomainError(f"amount {amount} is not a quantum multiple l/2d with 0 < l < 1 mass")
@@ -287,6 +270,7 @@ def tv_noise_floor(lat, binning, n_samples, rng, recurrent=None):
     """TV distance between two independent uniform-allowed sample sets of
     the given size: the Monte Carlo resolution limit for this
     discretization and sample budget."""
+    n_samples = btw._integer(n_samples, "n_samples", 1)
     ha = Histogram.from_samples(
         lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples, recurrent))
     hb = Histogram.from_samples(

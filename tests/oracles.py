@@ -238,7 +238,8 @@ def stepwise_chain_ensemble(lat, quanta, frac, params, steps, rng, snapshots=())
     out = {}
     for t in range(1, steps + 1):
         xs = rng.integers(lat.n_sites, size=len(quanta)).tolist()
-        us = params.draw(rng, size=len(quanta)).tolist()
+        us = ([params.a] * len(quanta) if params.mode == "fixed"
+              else rng.uniform(params.a, params.b, size=len(quanta)).tolist())
         for row, (x, u) in enumerate(zip(xs, us)):
             _add_inplace(lat, quanta[row], frac[row], x, u)
         if t in snapshots:

@@ -7,8 +7,7 @@ from sandpiles import (CapacityError, DomainError, addition_order, btw_add,
                        btw_inverse_add, btw_stabilize, btw_topple,
                        build_lattice, enumerate_recurrent,
                        is_allowed_bruteforce, is_recurrent_burning, is_stable,
-                       lattice_from_sites, max_stable, stabilize_from,
-                       stabilize_many)
+                       Lattice, max_stable, stabilize_from, stabilize_many)
 from sandpiles.cbtw import CbtwConfig, cbtw_add, cbtw_inverse_add
 import oracles
 from oracles import lifo_stabilize, random_order_stabilize, stable_configurations
@@ -28,12 +27,6 @@ def test_topple_illegal_without_force(path3):
     new, legal = btw_topple(path3, [1, 0, 0], 0)
     assert not legal
     assert list(new) == [1, 0, 0]
-
-
-def test_topple_force_can_go_negative(path3):
-    new, legal = btw_topple(path3, [1, 0, 0], 0, force=True)
-    assert not legal
-    assert list(new) == [-1, 1, 0]
 
 
 def test_topple_interior_conserves_grains(path3):
@@ -107,7 +100,7 @@ HOLE_AND_ISLAND = [(i, j) for i in range(4) for j in range(4) if (i, j) != (1, 2
 @pytest.mark.parametrize("lat, rows", [
     (build_lattice([5]), 20),
     (build_lattice([2, 2, 3]), 6),
-    (lattice_from_sites(2, HOLE_AND_ISLAND), 6),
+    (Lattice(2, HOLE_AND_ISLAND), 6),
 ], ids=["d1", "d3", "hole-and-island"])
 def test_stabilize_rounds_match_oracles_on(lat, rows, rng):
     # heights up to 50 * 2d, so a site topples many times in one round
@@ -142,14 +135,14 @@ def test_stabilize_many_matches_scalar(grid33, rng):
 
 IRREGULAR = [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]
 # Two clusters far apart: their bounding box has 202x202 cells.
-TWO_CLUSTERS = lattice_from_sites(2, [(0, 0), (0, 1), (1, 0), (200, 200), (200, 201), (201, 200)])
+TWO_CLUSTERS = Lattice(2, [(0, 0), (0, 1), (1, 0), (200, 200), (200, 201), (201, 200)])
 
 
 @pytest.mark.parametrize("lat, rows, high", [
-    (lattice_from_sites(2, IRREGULAR), 200, 12),
-    (lattice_from_sites(2, [(i, j) for i in (2, 1, 0) for j in (0, 1, 2)]), 50, 10),
+    (Lattice(2, IRREGULAR), 200, 12),
+    (Lattice(2, [(i, j) for i in (2, 1, 0) for j in (0, 1, 2)]), 50, 10),
     (build_lattice([32, 32]), 8, 8),
-    (lattice_from_sites(2, HOLE_AND_ISLAND), 200, 12),
+    (Lattice(2, HOLE_AND_ISLAND), 200, 12),
     (TWO_CLUSTERS, 200, 12),
 ], ids=["irregular", "box-out-of-order", "32x32", "hole-and-island", "two-clusters"])
 def test_stabilize_many_matches_scalar_on(lat, rows, high, rng):
@@ -170,7 +163,7 @@ def test_stabilize_many_writes_through_strided_view(grid22, rng):
     assert np.array_equal(batch[:, ::2], expected)
 
 
-@pytest.mark.parametrize("lat", [build_lattice([3, 3]), lattice_from_sites(2, IRREGULAR)],
+@pytest.mark.parametrize("lat", [build_lattice([3, 3]), Lattice(2, IRREGULAR)],
                          ids=repr)
 def test_stabilize_many_relaxes_column_major_batch_in_place(lat, rng):
     # enumerate_recurrent relaxes column-major int16 chunks.
@@ -192,6 +185,31 @@ def test_stabilize_rejects_bad_input(path2):
         btw_stabilize(path2, [1, 1, 1])
     with pytest.raises(DomainError):
         btw_stabilize(path2, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("batch", [
+    np.array([[-5, 0]]), np.array([1, 0]), np.array([[1, 0, 0]]), np.array([[1.0, 0.0]]),
+    np.array([[True, False]]), [[3, 0]],
+], ids=["negative", "1-d", "wrong-width", "float", "bool", "list"])
+def test_stabilize_many_rejects_bad_batches(path2, batch):
+    for lat in (path2, Lattice(1, [(0,), (1,)])):
+        before = np.array(batch, copy=True)
+        with pytest.raises(DomainError):
+            stabilize_many(lat, batch)
+        assert np.array_equal(batch, before)
+
+
+def test_stabilize_many_rejects_read_only_batch(path2):
+    batch = np.array([[3, 0]])
+    batch.flags.writeable = False
+    with pytest.raises(DomainError):
+        stabilize_many(path2, batch)
+
+
+@pytest.mark.parametrize("amount", [1.5, True, np.float64(2.0), 2**63, 2**63 - 1])
+def test_add_rejects_bad_amounts(path2, amount):
+    with pytest.raises(DomainError):
+        btw_add(path2, [1, 0], 0, amount=amount)
 
 
 def test_add_examples_frozen(path2):
@@ -272,7 +290,9 @@ def test_fifo_drops_match_lifo_oracle(dims, rng):
 def test_site_index_outside_the_lattice_is_rejected(path3):
     # A negative index used to wrap around: btw_add(..., -1) dropped on site 2.
     cfg = CbtwConfig(d=1, quanta=np.array([1, 1, 1]), frac=np.zeros(3))
-    for x in (-1, 3, 1.0, True, "0"):
+    for x in (-1, 3, 1.0, 1.5, True, "0"):
+        with pytest.raises(DomainError):
+            addition_order(path3, x)
         with pytest.raises(DomainError):
             btw_add(path3, [0, 0, 1], x)
         with pytest.raises(DomainError):
@@ -321,7 +341,7 @@ def test_allowed_bruteforce_frozen_path3(path3):
 
 def test_burning_matches_bruteforce_exhaustive():
     lattices = [build_lattice(dims) for dims in ([2], [3], [4], [2, 2], [1, 2, 2])]
-    for lat in lattices + [lattice_from_sites(2, IRREGULAR + [(5, 5)])]:
+    for lat in lattices + [Lattice(2, IRREGULAR + [(5, 5)])]:
         for h in stable_configurations(lat):
             h = list(h)
             assert is_recurrent_burning(lat, h) == is_allowed_bruteforce(lat, h)
@@ -408,6 +428,15 @@ def test_inverse_add_power(path2):
     assert np.array_equal(btw_inverse_add(path2, h, 0, power=2), one_by_one)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"power": 1.5}, {"power": True}, {"power": "1"}, {"order": 0}, {"order": -3},
+    {"order": 1.5},
+], ids=["power-float", "power-bool", "power-str", "order-0", "order-negative", "order-float"])
+def test_inverse_add_rejects_bad_power_and_order(path2, kwargs):
+    with pytest.raises(DomainError):
+        btw_inverse_add(path2, [1, 1], 0, **kwargs)
+
+
 def test_inverse_add_rejects_transient(path2):
     with pytest.raises(DomainError):
         btw_inverse_add(path2, [0, 0], 0)
@@ -415,8 +444,8 @@ def test_inverse_add_rejects_transient(path2):
 
 ORACLE_LATTICES = [build_lattice([n]) for n in range(1, 7)] + [
     build_lattice([2, 2]), build_lattice([2, 3]), build_lattice([3, 3]),
-    build_lattice([1, 2, 2]), lattice_from_sites(2, IRREGULAR),
-    lattice_from_sites(2, IRREGULAR + [(5, 5)]), TWO_CLUSTERS]
+    build_lattice([1, 2, 2]), Lattice(2, IRREGULAR),
+    Lattice(2, IRREGULAR + [(5, 5)]), TWO_CLUSTERS]
 
 
 def oracle_id(lat):

@@ -315,10 +315,6 @@ def test_addition_params():
     assert p.mode == "interval"
     fixed = AdditionParams(0.5, 0.5)
     assert fixed.mode == "fixed"
-    assert fixed.draw(np.random.default_rng(0)) == 0.5
-    assert (fixed.draw(np.random.default_rng(0), size=3) == 0.5).all()
-    drawn = p.draw(np.random.default_rng(0), size=1000)
-    assert ((drawn >= 0.25) & (drawn <= 0.75)).all()
     with pytest.raises(DomainError):
         AdditionParams(0.7, 0.3)
     with pytest.raises(DomainError):

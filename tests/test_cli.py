@@ -74,6 +74,13 @@ def test_enumerate_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_enumerate_count_mismatch_exits_1(monkeypatch, capsys):
+    full = cli.btw.enumerate_recurrent
+    monkeypatch.setattr(cli.btw, "enumerate_recurrent", lambda lat: full(lat)[1:])
+    assert run_cli(["enumerate", "--dims", "2"]) == 1
+    assert "recurrent count does not equal the exact determinant" in capsys.readouterr().err
+
+
 def test_enumerate_capacity_exit_code(tmp_path, capsys):
     rc = run_cli(["enumerate", "--dims", "4,4"])
     assert rc == 3

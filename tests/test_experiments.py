@@ -15,7 +15,7 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        translation_mixture_fourier,
                        translation_mixture_fourier_mc, tv_decay_experiment,
                        zero_config)
-from sandpiles import experiments, lattice_from_sites
+from sandpiles import Lattice, experiments
 from sandpiles.cbtw import FRAC_MASK, _add_inplace, grid_scale, grid_units
 from sandpiles.measures import Histogram, estimate_tv, tv_noise_floor
 
@@ -154,7 +154,27 @@ def test_tv_decay_rejects_bad_times(path2, times):
                             np.random.default_rng(0))
 
 
-IRREGULAR5 = lattice_from_sites(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda lat, n, rng: invariance_experiment(lat, Binning(2), n, rng),
+    lambda lat, n, rng: rational_limit_test(lat, zero_config(lat), 0.5, 5, n, rng),
+    lambda lat, n, rng: tv_decay_experiment(lat, AdditionParams(0.2, 0.8), (1, 2), n,
+                                            Binning(2), rng),
+    lambda lat, n, rng: tv_noise_floor(lat, Binning(2), n, rng),
+], ids=["invariance", "rational-limit", "tv-decay", "noise-floor"])
+def test_experiments_reject_empty_samples_before_any_work(monkeypatch, path2, call, n):
+    def no_work(lat):
+        raise AssertionError("the sample count was checked after work began")
+
+    monkeypatch.setattr(experiments.btw, "enumerate_recurrent", no_work)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        call(path2, n, rng)
+    assert rng.bit_generator.state == state
+
+
+IRREGULAR5 = Lattice(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
 SQRT2M1 = float(np.sqrt(2.0) - 1.0)
 
 
@@ -419,6 +439,17 @@ def test_fourier_mc_agrees_with_closed_form(rng):
 def test_fourier_mc_needs_two_samples(rng, n_samples):
     with pytest.raises(DomainError, match="at least 2 samples"):
         translation_mixture_fourier_mc(0.3, [1], [0.0], 10, n_samples, rng)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: translation_mixture_fourier(0.3, [1], [0.0], n),
+    lambda n: translation_mixture_bound(0.3, [1], n),
+    lambda n: translation_mixture_fourier_mc(0.3, [1], [0.0], n, 10, np.random.default_rng(0)),
+], ids=["closed-form", "bound", "monte-carlo"])
+@pytest.mark.parametrize("n_terms", [0, -2, 2.5])
+def test_fourier_rejects_bad_term_counts(call, n_terms):
+    with pytest.raises(DomainError):
+        call(n_terms)
 
 
 def test_fourier_mc_zero_frequency_is_exact(rng):

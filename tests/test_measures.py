@@ -12,8 +12,9 @@ from sandpiles import (Binning, CbtwConfig, DomainError, Histogram,
 
 def test_binning_validation():
     assert Binning(1).bins_per_site == 1
-    with pytest.raises(DomainError):
-        Binning(0)
+    for bad in (0, 2.5, True, "8"):
+        with pytest.raises(DomainError):
+            Binning(bad)
 
 
 def test_frac_bins_frozen():
@@ -22,17 +23,6 @@ def test_frac_bins_frozen():
     assert out.tolist() == [0, 0, 1, 3]
     edge = frac_bins([np.nextafter(0.5, 0.0)], 1, Binning(4))
     assert edge.tolist() == [3]
-
-
-def test_histogram_add_and_batch_agree(path2, rng):
-    rec = enumerate_recurrent(path2)
-    quanta, frac = sample_uniform_allowed_batch(path2, rng, 200, rec)
-    one = Histogram(1, 2, Binning(4))
-    for q, f in zip(quanta, frac):
-        one.add(CbtwConfig(d=1, quanta=q, frac=f))
-    batch = Histogram.from_samples(1, Binning(4), quanta, frac)
-    assert one.counts == batch.counts
-    assert one.total == batch.total == 200
 
 
 def test_histogram_batch_cells_in_lexicographic_order(grid22, rng):
@@ -100,24 +90,7 @@ def test_histogram_rejects_bad_batches(quanta, frac):
 def test_histogram_rejects_unstable(path2):
     hist = Histogram(1, 2, Binning(4))
     with pytest.raises(DomainError):
-        hist.add(CbtwConfig(d=1, quanta=np.array([2, 0]), frac=np.array([0.0, 0.0])))
-    with pytest.raises(DomainError):
         hist.add_batch(np.array([[2, 0]]), np.array([[0.0, 0.0]]))
-
-
-def test_merge_is_commutative_and_counts_add(path2, rng):
-    rec = enumerate_recurrent(path2)
-    qa, fa = sample_uniform_allowed_batch(path2, rng, 150, rec)
-    qb, fb = sample_uniform_allowed_batch(path2, rng, 250, rec)
-    ha = Histogram.from_samples(1, Binning(4), qa, fa)
-    hb = Histogram.from_samples(1, Binning(4), qb, fb)
-    ab = ha.merge(hb)
-    ba = hb.merge(ha)
-    assert ab.counts == ba.counts
-    assert ab.total == 400
-    assert sum(ab.counts.values()) == 400
-    with pytest.raises(DomainError):
-        ha.merge(Histogram(1, 2, Binning(8)))
 
 
 def test_estimate_tv_extremes(path2):
@@ -125,16 +98,16 @@ def test_estimate_tv_extremes(path2):
     h2 = Histogram(1, 2, Binning(2))
     cfg_a = CbtwConfig(d=1, quanta=np.array([0, 1]), frac=np.array([0.0, 0.0]))
     cfg_b = CbtwConfig(d=1, quanta=np.array([1, 0]), frac=np.array([0.0, 0.0]))
-    h1.add(cfg_a)
-    h2.add(cfg_a)
+    h1.add_batch(cfg_a.quanta[None], cfg_a.frac[None])
+    h2.add_batch(cfg_a.quanta[None], cfg_a.frac[None])
     assert estimate_tv(h1, h2) == 0.0
     h3 = Histogram(1, 2, Binning(2))
-    h3.add(cfg_b)
+    h3.add_batch(cfg_b.quanta[None], cfg_b.frac[None])
     assert estimate_tv(h1, h3) == 1.0
     # half overlap: {a:1/2, b:1/2} vs {a:1} has TV 1/2
     h4 = Histogram(1, 2, Binning(2))
-    h4.add(cfg_a)
-    h4.add(cfg_b)
+    h4.add_batch(cfg_a.quanta[None], cfg_a.frac[None])
+    h4.add_batch(cfg_b.quanta[None], cfg_b.frac[None])
     assert estimate_tv(h4, h1) == 0.5
     assert estimate_tv(h1, h4) == 0.5
 
@@ -220,6 +193,19 @@ def test_rational_limit_from_zero_base_is_uniform_allowed(path2, rng):
     _, counts = np.unique(quanta, axis=0, return_counts=True)
     assert len(counts) == 3
     assert stats.chisquare(counts).pvalue > 1e-4
+
+
+def test_samplers_reject_negative_replica_counts(path2):
+    rng = np.random.default_rng(0)
+    base = zero_config(path2)
+    for n in (-1, 2.0, True):
+        with pytest.raises(DomainError):
+            sample_uniform_allowed_batch(path2, rng, n)
+        with pytest.raises(DomainError):
+            sample_rational_limit_batch(path2, base, 0.5, rng, n)
+    for quanta, frac in (sample_uniform_allowed_batch(path2, rng, 0),
+                         sample_rational_limit_batch(path2, base, 0.5, rng, 0)):
+        assert quanta.shape == frac.shape == (0, 2)
 
 
 def test_tv_noise_floor_is_small_and_positive(path2, rng):

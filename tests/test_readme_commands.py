@@ -1,7 +1,8 @@
 """Every command in the README's "Command line" block runs and, as the
 README promises, writes identical bytes when rerun with identical
 arguments. Commands run in-process with --out pointed at a temporary file.
-The README's settings table states what cli.COMMANDS declares."""
+The README's settings table states what cli.COMMANDS declares, and its
+library tour runs as written."""
 
 import inspect
 from pathlib import Path
@@ -38,6 +39,11 @@ def test_readme_command_reruns_byte_identical(tmp_path, argv):
         assert main(argv + ["--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_readme_library_tour_runs():
+    block = README.read_text().split("## Library tour", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README library tour", "exec"), {})
 
 
 def readme_settings():
