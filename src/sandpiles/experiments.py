@@ -61,8 +61,7 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
     step with live views (copy them to keep them); a step changes frac
     at x only.
     """
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    steps = btw._integer(steps, "steps", 0)
     cfg = initial.copy()
     quanta, frac = cfg.quanta, cfg.frac
     theta = [0.0] * lat.n_sites
@@ -121,8 +120,7 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
     carries. A further call with the same generator continues the chain,
     so consecutive calls give its state at each time.
     """
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    steps = btw._integer(steps, "steps", 0)
     n, m = quanta.shape
     offsets = np.arange(n) * m
     fixed = params.mode == "fixed"
@@ -257,6 +255,7 @@ def run_coupling(lat, eta0, zeta0, params, rng, max_epochs=200000):
     raises if that fails, since it would mean the dynamics are broken.
     Equality is only ever checked at epoch boundaries.
     """
+    max_epochs = btw._integer(max_epochs, "max_epochs", 1)
     grid = _coupling_grid(lat, params)
     M, L = grid[:2]
     eta, zeta = eta0.copy(), zeta0.copy()
@@ -295,8 +294,7 @@ def run_coupling_ensemble(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac,
     occurred, o_verified the subset where the pair really did agree bit
     for bit at the epoch end (they must all match).
     """
-    if n_epochs < 0:
-        raise DomainError(f"n_epochs must be >= 0, got {n_epochs}")
+    n_epochs = btw._integer(n_epochs, "n_epochs", 0)
     grid = _coupling_grid(lat, params)
     M, L = grid[:2]
     n = eta_quanta.shape[0]
@@ -332,8 +330,7 @@ def ergodic_average(lat, initial, amount, steps, observable, rng):
     The observable is called once per step with a live view of the
     configuration (copy it to keep it); values may be scalars or arrays.
     """
-    if steps < 1:
-        raise DomainError(f"an ergodic average needs steps >= 1, got {steps}")
+    steps = btw._integer(steps, "steps", 1)
     if not 0.0 <= amount < 1.0:
         raise DomainError(f"the fixed amount must lie in [0, 1), got {amount}")
     view, total = None, None
@@ -387,6 +384,7 @@ def translation_mixture_fourier_mc(step, k, start, n_terms, n_samples, rng):
     """Monte Carlo estimate of the same coefficient; returns (estimate,
     standard error), the latter combining real and imaginary spread, so
     it needs n_samples >= 2 and n_terms >= 1."""
+    n_samples = btw._integer(n_samples, "n_samples")
     if n_samples < 2:
         raise DomainError(f"a standard error needs at least 2 samples, got {n_samples}")
     n_terms = btw._integer(n_terms, "n_terms", 1)
@@ -494,8 +492,8 @@ def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=
     run_chain_ensemble call that continues the chain of the last, so
     results and random stream are those of one run read at each time.
     """
-    times = sorted(int(t) for t in times)
-    if len(set(times)) < 2 or times[0] < 1:
+    times = sorted(btw._integer(t, "snapshot time", 1) for t in times)
+    if len(set(times)) < 2:
         raise DomainError(
             f"tv_decay_experiment needs two distinct snapshot times >= 1, got {times}")
     n = btw._integer(n_replicas, "n_replicas", 1)

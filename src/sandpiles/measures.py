@@ -62,9 +62,6 @@ class Histogram:
         self.counts = {}
         self.total = 0
 
-    def _shape_key(self):
-        return (self.d, self.n_sites, self.binning.bins_per_site)
-
     def add_batch(self, quanta, frac):
         """Accumulate many configurations at once (rows are replicas).
 
@@ -123,92 +120,22 @@ class Histogram:
     @classmethod
     def from_samples(cls, d, binning, quanta, frac):
         quanta = np.asarray(quanta)
+        if quanta.ndim != 2:
+            raise DomainError("quanta batch must be (replicas, n_sites)")
         return cls(d, quanta.shape[1], binning).add_batch(quanta, frac)
-
-    def probabilities(self):
-        if self.total == 0:
-            raise DomainError("empty histogram")
-        return {k: c / self.total for k, c in self.counts.items()}
-
-    def to_csv(self, path, metadata=None):
-        """Write `# key=value` metadata lines, a header, then one sorted
-        row per occupied cell: quanta and bins comma-joined, fields
-        separated by semicolons."""
-        lines = []
-        meta = {"d": self.d, "n_sites": self.n_sites,
-                "bins_per_site": self.binning.bins_per_site, "total": self.total}
-        if metadata:
-            meta.update(metadata)
-        for key, value in meta.items():
-            lines.append(f"# {key}={value}")
-        lines.append("quanta;bins;count")
-        for (q, b) in sorted(self.counts):
-            c = self.counts[(q, b)]
-            lines.append(f"{','.join(map(str, q))};{','.join(map(str, b))};{c}")
-        text = "\n".join(lines) + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
-
-    @classmethod
-    def from_csv(cls, path):
-        """Inverse of to_csv; returns (histogram, metadata dict). A `total`
-        metadata value must equal the sum of the counts."""
-        meta = {}
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line.lstrip("# ").partition("=")
-                    meta[key.strip()] = value.strip()
-                elif line != "quanta;bins;count":
-                    rows.append(line)
-        try:
-            d = int(meta["d"])
-            n_sites = int(meta["n_sites"])
-            bins = int(meta["bins_per_site"])
-            total = int(meta["total"]) if "total" in meta else None
-        except KeyError as exc:
-            raise DomainError(f"histogram file missing metadata key {exc}") from exc
-        except ValueError as exc:
-            raise DomainError(f"histogram file has a non-integer metadata value: {exc}") from exc
-        hist = cls(d, n_sites, Binning(bins))
-        for line in rows:
-            fields = line.split(";")
-            if len(fields) != 3:
-                raise DomainError(f"histogram row {line!r} does not have 3 fields")
-            try:
-                q = tuple(int(v) for v in fields[0].split(","))
-                b = tuple(int(v) for v in fields[1].split(","))
-                c = int(fields[2])
-            except ValueError as exc:
-                raise DomainError(f"histogram row {line!r} has a non-integer entry") from exc
-            if len(q) != n_sites or len(b) != n_sites:
-                raise DomainError(f"histogram row {line!r} does not have {n_sites} sites")
-            if not all(0 <= v < 2 * d for v in q):
-                raise DomainError(f"histogram row {line!r} has a quantum outside 0..{2 * d - 1}")
-            if not all(0 <= v < bins for v in b):
-                raise DomainError(f"histogram row {line!r} has a bin outside 0..{bins - 1}")
-            if c < 1:
-                raise DomainError(f"histogram row {line!r} has a count below 1")
-            hist.counts[(q, b)] = hist.counts.get((q, b), 0) + c
-            hist.total += c
-        if total is not None and total != hist.total:
-            raise DomainError(f"histogram file says total={total}, its counts sum to {hist.total}")
-        return hist, meta
 
 
 def estimate_tv(hist_p, hist_q):
     """Total-variation distance between two empirical laws on the same
     discretization: half the sum of absolute cell-probability differences."""
-    if hist_p._shape_key() != hist_q._shape_key():
+    if ((hist_p.d, hist_p.n_sites, hist_p.binning.bins_per_site)
+            != (hist_q.d, hist_q.n_sites, hist_q.binning.bins_per_site)):
         raise DomainError("histograms live on different discretizations")
-    p = hist_p.probabilities()
-    q = hist_q.probabilities()
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    p, q = hist_p.counts, hist_q.counts
+    n_p, n_q = hist_p.total, hist_q.total
+    if n_p == 0 or n_q == 0:
+        raise DomainError("empty histogram")
+    return 0.5 * sum(abs(p.get(k, 0) / n_p - q.get(k, 0) / n_q) for k in set(p) | set(q))
 
 
 def sample_uniform_allowed(lat, rng, recurrent=None):

@@ -147,11 +147,34 @@ def test_ensemble_drivers_reject_bad_arguments(path2, call):
         call(path2)
 
 
-@pytest.mark.parametrize("times", [(0, 4), (4, -1), (), (5,), (5, 5)])
+@pytest.mark.parametrize("count", [2.5, True])
+@pytest.mark.parametrize("call", [
+    lambda lat, n, rng: run_chain(lat, zero_config(lat), AdditionParams(0.3, 0.3), n, rng),
+    lambda lat, n, rng: run_chain_ensemble(lat, *_two_rows(lat), AdditionParams(0.3, 0.3),
+                                           n, rng),
+    lambda lat, n, rng: ergodic_average(lat, zero_config(lat), 0.3, n, lambda cfg: 1.0, rng),
+    lambda lat, n, rng: run_coupling(lat, zero_config(lat), zero_config(lat),
+                                     AdditionParams(0.2, 0.8), rng, max_epochs=n),
+    lambda lat, n, rng: run_coupling_ensemble(lat, *_two_rows(lat), *_two_rows(lat),
+                                              AdditionParams(0.2, 0.8), n, rng),
+    lambda lat, n, rng: translation_mixture_fourier_mc(0.3, [1], [0.0], 10, n, rng),
+], ids=["chain-steps", "ensemble-steps", "ergodic-steps", "coupling-max-epochs",
+        "coupling-ensemble-epochs", "fourier-mc-samples"])
+def test_drivers_reject_non_integer_counts(path2, call, count):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(path2, count, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("times", [(0, 4), (4, -1), (), (5,), (5, 5), (1.5, 2), (True, 2)])
 def test_tv_decay_rejects_bad_times(path2, times):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(DomainError):
-        tv_decay_experiment(path2, AdditionParams(0.2, 0.8), times, 10, Binning(2),
-                            np.random.default_rng(0))
+        tv_decay_experiment(path2, AdditionParams(0.2, 0.8), times, 10, Binning(2), rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("n", [0, -1])
