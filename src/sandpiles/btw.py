@@ -98,35 +98,11 @@ def btw_topple(lat, heights, x):
     return h, legal
 
 
-def stabilize_from(lat, heights, seeds):
-    """FIFO stabilization of `heights` in place, seeded from `seeds`.
-
-    `heights` is a writable 1-D integer array of length n_sites (a strided
-    view, such as a column of a 2-D array, is fine); anything else raises
-    DomainError before any write. `seeds` are site indices, each an
-    integer in [0, n_sites), repeats allowed. Only unstable seeds start
-    the avalanche, and a site topples only when the avalanche reaches it:
-    an unstable site that no toppling touches stays as it is. The
-    interpreted work is proportional to the seeds plus the topplings times
-    2d, not to n_sites; only the zeroed odometer and queue flags have
-    n_sites entries. Returns the odometer as an int64 array.
-    """
-    n, two_d = lat.n_sites, lat.threshold
-    h = _relaxable(lat, heights)
-    od = np.zeros(n, dtype=np.int64)
-    queued = bytearray(n)
-    queue = []
-    for s in seeds:
-        i = _site(lat, s)
-        if not queued[i] and h[i] >= two_d:
-            queued[i] = 1
-            queue.append(i)
-    # The loop reads and writes Python ints through memoryviews: indexing
-    # numpy scalars costs several times more than the toppling itself.
-    # The views are released with this frame: `with` blocks cost about
-    # 0.5 us per call, as much as relaxing a one-toppling avalanche.
-    fired = od.data
-    nbrs = lat.adjacency
+def _relax(h, fired, queued, queue, nbrs, two_d):
+    """The FIFO loop of `stabilize_from`, unchecked: topples the flagged
+    sites of `queue` and all they make unstable, adds the topplings to
+    `fired` and clears `queued`. It works on Python ints through
+    memoryviews: indexing numpy scalars costs more than a toppling."""
     while queue:
         later = []
         enqueue = later.append
@@ -142,6 +118,35 @@ def stabilize_from(lat, heights, seeds):
                     queued[y] = 1
                     enqueue(y)
         queue = later
+
+
+def stabilize_from(lat, heights, seeds):
+    """FIFO stabilization of `heights` in place, seeded from `seeds`.
+
+    `heights` is a writable 1-D integer array of length n_sites (a strided
+    view, such as a column of a 2-D array, is fine); anything else raises
+    DomainError before any write. `seeds` are site indices, each an
+    integer in [0, n_sites), repeats allowed. Only unstable seeds start
+    the avalanche, and a site topples only when the avalanche reaches it:
+    an unstable site that no toppling touches stays as it is. The
+    interpreted work is proportional to the seeds plus the topplings times
+    2d, not to n_sites; only the zeroed odometer and queue flags have
+    n_sites entries, and `run_chain` sets those up once per run for the
+    shared loop `_relax`. Returns the odometer as an int64 array.
+    """
+    n, two_d = lat.n_sites, lat.threshold
+    h = _relaxable(lat, heights)
+    od = np.zeros(n, dtype=np.int64)
+    queued = bytearray(n)
+    queue = []
+    for s in seeds:
+        i = _site(lat, s)
+        if not queued[i] and h[i] >= two_d:
+            queued[i] = 1
+            queue.append(i)
+    # The views are released with this frame: `with` blocks cost about
+    # 0.5 us per call, as much as relaxing a one-toppling avalanche.
+    _relax(h, od.data, queued, queue, lat.adjacency, two_d)
     return od
 
 

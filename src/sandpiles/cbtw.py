@@ -198,9 +198,9 @@ def cbtw_stabilize(lat, config):
 
 def _add_inplace(lat, quanta, frac, x, u):
     """Add mass u at site x and stabilize, mutating the arrays in place:
-    the kernel of cbtw_add and the scalar chain drivers. A float u is
-    converted to grid units rint(u * S); an int is grid units already.
-    Only an unstable site x starts a stabilization."""
+    cbtw_add's kernel, and the one-step reference that run_chain's loop
+    is tested against. A float u is converted to grid units rint(u * S);
+    an int is grid units already. Only an unstable x starts stabilize_from."""
     scale = grid_scale(lat.d)
     units = round(u * scale) if isinstance(u, float) else u
     carry, F = _carry(round(frac.item(x) * scale), units)

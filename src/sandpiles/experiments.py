@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import btw
-from .cbtw import FRAC_BITS, AdditionParams, CbtwConfig, _add_inplace, _carry, \
+from .cbtw import FRAC_BITS, AdditionParams, CbtwConfig, _carry, _check_config, \
     grid_scale, grid_units, quantum_multiple
 from .errors import DomainError
 from .measures import Binning, Histogram, estimate_tv, \
@@ -38,35 +38,50 @@ class ChainState:
 def _chain_draws(m, params, steps, rng):
     """(x, u) for each step: the site first, then the amount. A fixed
     amount draws nothing else, so its sites come in blocks of 4096 and
-    the random stream stays that of one draw per step."""
+    the random stream stays that of one draw per step. An interval amount
+    a + (b - a) * rng.random() has the bits of rng.uniform(a, b)."""
     if params.mode == "fixed":
         u = float(params.a)
         for start in range(0, steps, 4096):
             for x in rng.integers(m, size=min(steps - start, 4096)).tolist():
                 yield x, u
     else:
+        a, width = float(params.a), float(params.b) - float(params.a)
         for _ in range(steps):
             x = int(rng.integers(m))
-            yield x, float(rng.uniform(params.a, params.b))
+            yield x, a + width * rng.random()
 
 
 def run_chain(lat, initial, params, steps, rng, on_step=None):
-    """Run the randomized-addition chain for `steps` steps (>= 0).
+    """Run the randomized-addition chain for `steps` steps (>= 0) from
+    `initial`, which must fit the lattice (DomainError before any draw).
 
-    Each step draws the site first, then the amount, and adds it in grid
-    units rint(u * S): a fixed amount moves the fractional parts by the
-    same integer every step, so long runs cannot drift. A fixed amount
-    draws its sites in blocks ahead of the steps, so on_step must not
-    draw from `rng`. on_step(t, x, u, quanta, frac) is called after each
-    step with live views (copy them to keep them); a step changes frac
-    at x only.
+    Each step draws the site first, then the amount, and carries it in
+    grid units rint(u * S) at x as `_add_inplace` does; only an unstable
+    x starts the FIFO `btw._relax`, whose buffers are set up once per run.
+    A fixed amount moves the fractional parts by the same integer every
+    step, so long runs cannot drift; it draws its sites in blocks ahead
+    of the steps, so on_step must not draw from `rng`.
+    on_step(t, x, u, quanta, frac) is called after each step with live
+    views (copy them to keep them); a step changes frac at x only.
     """
     steps = btw._integer(steps, "steps", 0)
+    _check_config(lat, initial)
     cfg = initial.copy()
     quanta, frac = cfg.quanta, cfg.frac
-    theta = [0.0] * lat.n_sites
-    for t, (x, u) in enumerate(_chain_draws(lat.n_sites, params, steps, rng), 1):
-        _add_inplace(lat, quanta, frac, x, u)
+    n, two_d, scale = lat.n_sites, lat.threshold, grid_scale(lat.d)
+    h, fired, queued = btw._relaxable(lat, quanta), np.zeros(n, dtype=np.int64).data, bytearray(n)
+    theta = [0.0] * n
+    for t, (x, u) in enumerate(_chain_draws(n, params, steps, rng), 1):
+        carry, F = _carry(round(frac.item(x) * scale), round(u * scale))
+        if carry < 0:
+            raise DomainError(f"addition at site {x} would remove quanta: fractional part "
+                              f"{frac[x]} lies outside [0, {1.0 / (2 * lat.d)})")
+        frac[x] = F / scale
+        h[x] += carry
+        if h[x] >= two_d:
+            queued[x] = 1
+            btw._relax(h, fired, queued, [x], lat.adjacency, two_d)
         theta[x] += u
         if on_step is not None:
             on_step(t, x, u, quanta, frac)
@@ -96,9 +111,9 @@ def step_ensemble(lat, quanta, frac, xs, us):
 
     Row i receives mass us[i] at integer site xs[i] (one of each per row,
     DomainError otherwise), in grid units rint(us[i] * S); all rows are
-    then stabilized together. The carry is the same integer rule as the
-    scalar kernel's, so a row evolves bit for bit like _add_inplace on
-    that replica; a negative carry raises DomainError.
+    then stabilized together. The carry is the integer rule of run_chain
+    and _add_inplace, so a row evolves bit for bit like one run_chain step
+    on that replica; a negative carry raises DomainError.
     """
     xs, us = np.asarray(xs), np.asarray(us)
     n = quanta.shape[0]

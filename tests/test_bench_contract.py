@@ -32,11 +32,6 @@ def test_traced_layer_resolves(module, attribute):
     assert callable(target)
 
 
-def test_experiments_binds_the_scalar_kernel_by_name():
-    from sandpiles import cbtw, experiments
-    assert experiments._add_inplace is cbtw._add_inplace
-
-
 def test_relaxation_reference_uses_neither_checked_kernel(monkeypatch):
     # large_box checks stabilize_many against a btw_stabilize reference and
     # btw_add drops against stabilize_from; the reference must run neither.

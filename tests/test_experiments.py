@@ -212,20 +212,75 @@ def _offgrid_start(lat, n, seed):
 
 @pytest.mark.parametrize("lat", [build_lattice([2]), build_lattice([3, 3])],
                          ids=["path2", "box3x3"])
-@pytest.mark.parametrize("params", [AdditionParams(SQRT2M1, SQRT2M1), AdditionParams(0.2, 0.8)],
-                         ids=["fixed", "interval"])
-def test_run_chain_matches_stepwise_draws(lat, params):
+@pytest.mark.parametrize("params, start", [
+    (AdditionParams(SQRT2M1, SQRT2M1), "allowed"),
+    (AdditionParams(0.2, 0.8), "allowed"),
+    (AdditionParams(0.0, 0.9999999999999999), "allowed"),
+    (AdditionParams(0.3, 0.3 + 2**-40), "allowed"),
+    (AdditionParams(0.123456789, 0.987654321), "allowed"),
+    (AdditionParams(0.2, 0.8), "overfull"),
+    (AdditionParams(0.2, 0.8), "negative-carry"),
+], ids=["fixed", "interval", "interval-below-1", "interval-2^-40-wide", "interval-decimals",
+        "interval-overfull", "interval-negative-carry"])
+def test_run_chain_matches_stepwise_draws(lat, params, start):
     # 5000 fixed-amount steps span two site-draw blocks; the reference draws
-    # one site per step. The start is off the fixed-point grid.
+    # one site per step and each amount through rng.uniform, and adds it
+    # through _add_inplace. The start is off the fixed-point grid. An
+    # overfull start holds 2d + 1 quanta at site 0 and none elsewhere;
+    # site 0 must not topple until a step adds there or an avalanche
+    # reaches it.
     quanta, frac = _offgrid_start(lat, 1, 4)
     init = CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
+    if start == "overfull":
+        init.quanta[:] = 0
+        init.quanta[0] = lat.threshold + 1
     rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
-    state = run_chain(lat, init, params, 5000, rng)
-    quanta, frac, theta = stepwise_chain(lat, init, params, 5000, ref_rng)
-    assert np.array_equal(state.config.quanta, quanta)
-    assert np.array_equal(state.config.frac, frac)
-    assert np.array_equal(state.theta, theta)
+    if start == "negative-carry":
+        # The start is checked, so only a callback writing through its live
+        # views can leave a negative fractional part. The next step carries
+        # a negative number of quanta and must raise as _add_inplace does.
+        def corrupt(t, x, u, quanta, frac):
+            if t == 100:
+                frac[:] = -1.0
+
+        errors = []
+        for chain, r in ((run_chain, rng), (stepwise_chain, ref_rng)):
+            with pytest.raises(DomainError, match="would remove quanta") as err:
+                chain(lat, init, params, 5000, r, corrupt)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+    else:
+        # Abelianness makes the end state blind to when a site topples, so
+        # every step's state is compared.
+        seen, ref_seen = [], []
+        state = run_chain(lat, init, params, 5000, rng,
+                          lambda t, x, u, q, f: seen.append((x, u, q.tobytes(), f.tobytes())))
+        quanta, frac, theta = stepwise_chain(
+            lat, init, params, 5000, ref_rng,
+            lambda t, x, u, q, f: ref_seen.append((x, u, q.tobytes(), f.tobytes())))
+        assert seen == ref_seen
+        assert np.array_equal(state.config.quanta, quanta)
+        assert np.array_equal(state.config.frac, frac)
+        assert np.array_equal(state.theta, theta)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("initial", [
+    CbtwConfig(d=1, quanta=np.zeros(3, dtype=np.int64), frac=np.zeros(3)),
+    CbtwConfig(d=2, quanta=np.zeros(2, dtype=np.int64), frac=np.zeros(2)),
+    CbtwConfig(d=1, quanta=np.array([-1, 0]), frac=np.zeros(2)),
+    CbtwConfig(d=1, quanta=np.zeros(1, dtype=np.int64), frac=np.zeros(1)),
+], ids=["three-sites", "d2", "negative-quanta", "one-site"])
+@pytest.mark.parametrize("driver", ["run_chain", "ergodic_average"])
+def test_chain_drivers_reject_initial_off_the_lattice(path2, initial, driver):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        if driver == "run_chain":
+            run_chain(path2, initial, AdditionParams(0.2, 0.8), 10, rng)
+        else:
+            ergodic_average(path2, initial, 0.3, 10, lambda cfg: 1.0, rng)
+    assert rng.bit_generator.state == before
 
 
 def _assert_chain_matches_stepwise(lat, params, steps, snapshots, n, seed):
