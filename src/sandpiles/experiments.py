@@ -89,8 +89,9 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
 
 
 # A fold sums at most FOLD_LIMIT/2d additions per cell (F + sum U < 2^63);
-# fixed-amount chains draw their sites in blocks of DRAW_BLOCK (memory).
-FOLD_LIMIT, DRAW_BLOCK = 1 << 12, 1 << 20
+# fixed-amount chains draw their sites in blocks of DRAW_BLOCK (memory), or,
+# in a fold of at least COUNTS_MIN steps per site, each row's hit counts.
+FOLD_LIMIT, DRAW_BLOCK, COUNTS_MIN = 1 << 12, 1 << 20, 16
 
 
 def _add_units(lat, quanta, frac, cells, units):
@@ -125,41 +126,88 @@ def step_ensemble(lat, quanta, frac, xs, us):
     _add_units(lat, quanta, frac, cells, grid_units(us, lat.d))
 
 
+def _check_rows(lat, quanta, frac):
+    """DomainError unless quanta and frac are writable replica rows on the
+    lattice: 2-d arrays of one shape with n_sites columns, quanta integer
+    and nonnegative, frac float64 in [0, 1/2d)."""
+    if not (isinstance(quanta, np.ndarray) and isinstance(frac, np.ndarray)
+            and quanta.ndim == 2 and quanta.shape[1] == lat.n_sites
+            and frac.shape == quanta.shape and quanta.dtype.kind in "iu"
+            and frac.dtype == np.float64 and quanta.flags.writeable and frac.flags.writeable):
+        raise DomainError(f"quanta and frac must be writable 2-d integer and float64 arrays "
+                          f"of one shape with {lat.n_sites} columns")
+    if quanta.size and quanta.min() < 0:
+        raise DomainError("quanta must be nonnegative")
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not ((frac >= 0) & (frac < 1.0 / (2 * lat.d))).all():
+        raise DomainError(f"frac entries must lie in [0, {1.0 / (2 * lat.d)})")
+
+
 def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
     """Evolve replica rows of (quanta, frac) in place for `steps` >= 0 steps.
 
-    Same result and random stream as one step_ensemble call per step, but
-    each row's grid units are summed per site and stabilized once at the
-    end and every 2^12/2d steps (so sums fit int64): the carries depend
-    only on the sums, and by abelianness the stable quanta only on the
-    carries. A further call with the same generator continues the chain,
-    so consecutive calls give its state at each time.
+    The rows are checked before any draw (DomainError). Each row's grid
+    units are summed per site and stabilized once at the end and every
+    2^12/2d steps (so sums fit int64): the carries depend only on the
+    sums, and by abelianness the stable quanta only on the carries. An
+    interval amount, and a fixed amount in a fold of fewer than 16 steps
+    per site, draw each step's sites, then its amounts: the same result
+    and random stream as one step_ensemble call per step. A longer
+    fixed-amount fold draws each row's hit counts from numpy's multinomial
+    with p = 1/m as a double (exact when the number of sites m is a power
+    of two, otherwise off by under one ulp, while per-step draws are
+    exactly uniform); the row then evolves bit for bit like the stepwise
+    chain fed any site sequence with those counts. A further call with the
+    same generator continues the chain, so consecutive calls give its
+    state at each time.
     """
     steps = btw._integer(steps, "steps", 0)
+    _check_rows(lat, quanta, frac)
     n, m = quanta.shape
     offsets = np.arange(n) * m
-    fixed = params.mode == "fixed"
-    # A fixed amount draws nothing else, so its sites come in blocks.
-    block = max(1, DRAW_BLOCK // max(n, 1)) if fixed else 1
-    t = 0
-    while t < steps:
-        T = min(steps - t, max(1, FOLD_LIMIT // (2 * lat.d)))
-        hits = np.zeros(n * m, dtype=np.int64 if fixed else bool)
-        total = None if fixed else np.zeros(n * m, dtype=np.int64)
-        for s in range(0, T, block):
-            idx = rng.integers(m, size=(min(T - s, block), n))
-            idx += offsets
-            if fixed:
-                hits += np.bincount(idx.ravel(), minlength=n * m)
+    fold = max(1, FOLD_LIMIT // (2 * lat.d))
+    if params.mode == "fixed":
+        U = int(grid_units(params.a, lat.d))
+        # A fixed amount draws nothing else, so its sites come in blocks.
+        block = max(1, DRAW_BLOCK // max(n, 1))
+        for t in range(0, steps, fold):
+            T = min(steps - t, fold)
+            if T >= COUNTS_MIN * m:
+                hits = rng.multinomial(T, np.full(m, 1.0 / m), size=n)
             else:
-                total[idx] += grid_units(rng.uniform(params.a, params.b, size=n), lat.d)
-                hits[idx] = True
-        cells = hits.reshape(n, m) > 0
-        units = hits * int(grid_units(params.a, lat.d)) if fixed else total
-        units = units.reshape(n, m)[cells]
-        del idx, hits, total  # freed before stabilization makes its temporaries
-        _add_units(lat, quanta, frac, cells, units)
-        t += T
+                hits = np.zeros(n * m, dtype=np.int64)
+                for s in range(0, T, block):
+                    idx = rng.integers(m, size=(min(T - s, block), n))
+                    idx += offsets
+                    hits += np.bincount(idx.ravel(), minlength=n * m)
+                del idx  # freed before stabilization makes its temporaries
+                hits = hits.reshape(n, m)
+            cells = hits > 0
+            units = hits[cells] * U
+            del hits
+            _add_units(lat, quanta, frac, cells, units)
+        return
+    # An interval step reuses these buffers: its amounts are
+    # rint((a + (b - a) * rng.random()) * S), the bits of grid_units(rng.uniform(a, b)).
+    a, width, scale = float(params.a), float(params.b) - float(params.a), grid_scale(lat.d)
+    r, units = np.empty(n), np.empty(n, dtype=np.int64)
+    hits, total = np.zeros(n * m, dtype=bool), np.zeros(n * m, dtype=np.int64)
+    for t in range(0, steps, fold):
+        for _ in range(min(steps - t, fold)):
+            idx = rng.integers(m, size=n)
+            idx += offsets
+            rng.random(out=r)
+            r *= width
+            r += a
+            r *= scale
+            np.rint(r, out=r)
+            np.copyto(units, r, casting="unsafe")
+            np.add.at(total, idx, units)
+            hits[idx] = True
+        cells = hits.reshape(n, m)
+        _add_units(lat, quanta, frac, cells, total.reshape(n, m)[cells])
+        hits[:] = False
+        total[:] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +552,11 @@ def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=
     so no snapshot is copied; then measures TV to a uniform-allowed
     reference sample of the same size, and fits a line to log TV over
     time; the slope is the decay-rate estimate. Each segment is one
-    run_chain_ensemble call that continues the chain of the last, so
-    results and random stream are those of one run read at each time.
+    run_chain_ensemble call that continues the chain of the last, so the
+    law is that of one run read at each time. With an interval amount,
+    or a fixed one whose folds draw one site per step, so are the results
+    and the random stream; a fixed-amount fold that draws hit counts ends
+    at each snapshot, so there they depend on the snapshot times.
     """
     times = sorted(btw._integer(t, "snapshot time", 1) for t in times)
     if len(set(times)) < 2:

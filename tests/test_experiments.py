@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        build_lattice, coupling_success_probability, decompose,
@@ -117,11 +118,43 @@ def test_step_ensemble_rejects_negative_carry():
 
 
 def test_run_chain_ensemble_rejects_negative_carry(path1):
-    # Two additions of 0.1 leave -0.1 at the only site: a carry of -1.
+    # Two additions of 0.1 would leave -0.1 at the only site, a carry of -1;
+    # the fractional part -0.3 is rejected before any draw.
     quanta, frac = np.zeros((3, 1), dtype=np.int64), np.full((3, 1), -0.3)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="frac"):
+        run_chain_ensemble(path1, quanta, frac, AdditionParams(0.1, 0.1), 2, rng)
+    assert rng.bit_generator.state == state
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("rows", [
+    lambda: (np.zeros((4, 3), dtype=np.int64), np.zeros((4, 3))),
+    lambda: (np.zeros((4, 2), dtype=np.int64), np.zeros((4, 3))),
+    lambda: (np.zeros(2, dtype=np.int64), np.zeros(2)),
+    lambda: (np.zeros((4, 2)), np.zeros((4, 2))),
+    lambda: (np.zeros((4, 2), dtype=np.int64), np.zeros((4, 2), dtype=np.int64)),
+    lambda: (np.full((4, 2), -1), np.zeros((4, 2))),
+    lambda: (np.zeros((4, 2), dtype=np.int64), np.full((4, 2), 0.7)),
+    lambda: (np.zeros((4, 2), dtype=np.int64), np.full((4, 2), np.nan)),
+    lambda: (_read_only(np.zeros((4, 2), dtype=np.int64)), np.zeros((4, 2))),
+    lambda: (np.zeros((4, 2), dtype=np.int64), _read_only(np.zeros((4, 2)))),
+], ids=["three-columns", "frac-shape", "one-d", "float-quanta", "integer-frac",
+        "negative-quanta", "frac-0.7", "frac-nan", "read-only-quanta", "read-only-frac"])
+@pytest.mark.parametrize("params", [AdditionParams(0.3, 0.3), AdditionParams(0.2, 0.8)],
+                         ids=["fixed", "interval"])
+def test_run_chain_ensemble_checks_rows_before_any_draw(path2, rows, params):
+    quanta, frac = rows()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(DomainError):
-        run_chain_ensemble(path1, quanta, frac, AdditionParams(0.1, 0.1), 2,
-                           np.random.default_rng(0))
+        run_chain_ensemble(path2, quanta, frac, params, 100, rng)
+    assert rng.bit_generator.state == state
 
 
 def _two_rows(lat):
@@ -202,10 +235,14 @@ SQRT2M1 = float(np.sqrt(2.0) - 1.0)
 
 
 def _offgrid_start(lat, n, seed):
-    # Uniform allowed quanta with fractional parts off the grid, so every
+    # Uniform allowed quanta (uniform stable ones where the recurrent set is
+    # too large to enumerate) with fractional parts off the grid, so every
     # cell the chain never visits must keep its exact bits.
     rng = np.random.default_rng(seed)
-    quanta, _ = sample_uniform_allowed_batch(lat, rng, n)
+    if lat.threshold ** lat.n_sites > experiments.btw.ENUMERATION_CAP:
+        quanta = rng.integers(lat.threshold, size=(n, lat.n_sites))
+    else:
+        quanta, _ = sample_uniform_allowed_batch(lat, rng, n)
     frac = rng.uniform(0.0, 1.0 / (2 * lat.d), size=quanta.shape)
     return quanta, frac
 
@@ -318,16 +355,78 @@ def test_run_chain_ensemble_matches_stepwise(lat, params, draw_block, monkeypatc
 
 
 @pytest.mark.parametrize("dims, params, steps", [
-    ([2], AdditionParams(SQRT2M1, SQRT2M1), 2100),
+    ([10, 10], AdditionParams(SQRT2M1, SQRT2M1), 2100),
     ([2], AdditionParams(0.2, 0.8), 2100),
     ([1], AdditionParams(0.99, 0.99), 4400),
     ([1], AdditionParams(0.9, 0.99), 4400),
-], ids=["path2-fixed", "path2-interval", "path1-fixed", "path1-interval"])
+], ids=["box10x10-fixed", "path2-interval", "path1-fixed", "path1-interval"])
 def test_run_chain_ensemble_matches_stepwise_past_one_fold(dims, params, steps):
-    # Sums are folded in at least every 2^12/2d = 2048 steps; on the 1-site
-    # path, the 4397 additions near 1 between the snapshots would overflow
-    # int64 in one sum.
+    # Sums are folded in at least every 2^12/2d steps; on the 1-site path,
+    # the 4397 additions near 1 between the snapshots would overflow int64
+    # in one sum. A fixed amount keeps its per-step draws in a fold of fewer
+    # than 16 steps per site, as in the 1024-step folds on 10x10; on one
+    # site the counts draw nothing, like the per-step draws of integers(1).
     _assert_chain_matches_stepwise(build_lattice(dims), params, steps, (3, steps), 3, 29)
+
+
+@pytest.mark.parametrize("dims, amount, steps", [
+    ([2], SQRT2M1, 2100),
+    ([3, 3], SQRT2M1, 400),
+    ([1], 0.99, 4400),
+], ids=["path2", "box3x3", "path1"])
+def test_run_chain_ensemble_fixed_folds_match_stepwise_given_counts(dims, amount, steps):
+    # A fold of at least 16 steps per site draws each row's hit counts in one
+    # multinomial call. A twin generator makes the same calls, and each row
+    # then takes its sites one at a time through _add_inplace, in shuffled
+    # order: abelianness makes the order irrelevant, bit for bit.
+    lat = build_lattice(dims)
+    n, m = 5, lat.n_sites
+    quanta, frac = _offgrid_start(lat, n, 41)
+    ref_q, ref_f = quanta.copy(), frac.copy()
+    rng, ref_rng, order = (np.random.default_rng(s) for s in (43, 43, 47))
+    run_chain_ensemble(lat, quanta, frac, AdditionParams(amount, amount), steps, rng)
+    fold = experiments.FOLD_LIMIT // lat.threshold
+    for t in range(0, steps, fold):
+        T = min(steps - t, fold)
+        assert T >= experiments.COUNTS_MIN * m
+        counts = ref_rng.multinomial(T, np.full(m, 1.0 / m), size=n)
+        for row in range(n):
+            for x in order.permutation(np.repeat(np.arange(m), counts[row])).tolist():
+                _add_inplace(lat, ref_q[row], ref_f[row], x, amount)
+    assert np.array_equal(quanta, ref_q)
+    assert frac.tobytes() == ref_f.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _binomial_chisquare_pvalue(counts, T, p):
+    # Tails with expected counts under 5 are pooled into the end bins.
+    expected = stats.binom.pmf(np.arange(T + 1), T, p) * len(counts)
+    observed = np.bincount(counts, minlength=T + 1)
+    big = np.flatnonzero(expected >= 5)
+    lo, hi = big[0], big[-1] + 1
+    obs = np.r_[observed[:lo].sum(), observed[lo:hi], observed[hi:].sum()]
+    exp = np.r_[expected[:lo].sum(), expected[lo:hi], expected[hi:].sum()]
+    return stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue
+
+
+@pytest.mark.parametrize("steps", [400, 100], ids=["counts", "per-step"])
+def test_run_chain_ensemble_fixed_hit_counts_law(steps):
+    # An amount of 2^-40 is U = 2^12 grid units on 3x3 and never carries in
+    # 400 steps from zero, so the fractional parts give back each row's hit
+    # counts exactly. Site 0's count is Binomial(T, 1/9) on either side of
+    # the 16 steps per site rule.
+    lat = build_lattice([3, 3])
+    n, U = 20_000, int(grid_units(2.0**-40, lat.d))
+    assert U == 1 << 12
+    quanta = np.zeros((n, lat.n_sites), dtype=np.int64)
+    frac = np.zeros((n, lat.n_sites))
+    run_chain_ensemble(lat, quanta, frac, AdditionParams(2.0**-40, 2.0**-40), steps,
+                       np.random.default_rng(53))
+    units = grid_units(frac, lat.d)
+    counts = units // U
+    assert (counts * U == units).all() and not quanta.any()
+    assert (counts.sum(axis=1) == steps).all()
+    assert _binomial_chisquare_pvalue(counts[:, 0], steps, 1.0 / 9) > 1e-4
 
 
 def test_phase_observable_matches_dense_form(grid22, rng):
