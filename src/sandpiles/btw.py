@@ -304,10 +304,19 @@ def enumerate_recurrent(lat):
     ENUMERATION_CAP. It runs Dhar's burning test on chunks of consecutive
     lexicographic indices at once: `stabilize_many` relaxes eta + beta
     for every row, and a row is recurrent iff every site toppled, in
-    which case it relaxes back to eta. Chunks of ENUMERATION_CHUNK rows are
-    column-major, so `stabilize_many` relaxes them in place through a
-    view, and its box slices or neighbour-table gathers run along the
-    contiguous replica axis.
+    which case it relaxes back to eta.
+
+    A chunk holds every value of the k lowest digits, k the smallest
+    exponent (at least 1) with (2d)^k >= min((2d)^n_sites,
+    ENUMERATION_CHUNK), so no row is spelled out by division: those
+    digits plus beta form one block, built once, and each chunk copies it
+    into a reused buffer whose other columns hold the chunk's prefix
+    digits plus beta. No site topples twice, so heights stay below
+    2 * 2d and the buffer takes the narrowest unsigned dtype that holds
+    2 * 2d - 1 (uint8 up to d = 64). It is column-major, so
+    `stabilize_many` relaxes it in place through a view, and its box
+    slices or neighbour-table gathers run along the contiguous replica
+    axis.
     """
     two_d = lat.threshold
     n = lat.n_sites
@@ -317,16 +326,17 @@ def enumerate_recurrent(lat):
         raise CapacityError(
             f"{two_d}^{n} (about 10^{math.floor(n * math.log10(two_d))}) stable "
             f"configurations exceeds the enumeration cap {ENUMERATION_CAP}")
-    place = two_d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # No site topples twice, so heights stay below 2 * 2d, which fits
-    # int16 up to d = 2^13.
-    dtype = np.int16 if lat.d <= 2**13 else np.int64
+    k = 1
+    while two_d ** k < min(total, ENUMERATION_CHUNK):
+        k += 1
+    dtype = np.min_scalar_type(2 * two_d - 1)
     beta = lat.boundary_degree.astype(dtype)
+    low = np.indices((two_d,) * k, dtype=dtype).reshape(k, -1).T + beta[n - k:]
+    h = np.empty((len(low), n), dtype=dtype, order="F")
     found = []
-    for start in range(0, total, ENUMERATION_CHUNK):
-        index = np.arange(start, min(start + ENUMERATION_CHUNK, total), dtype=np.int64)
-        h = (index[:, None] // place % two_d).astype(dtype, order="F")
-        h += beta
+    for prefix in np.ndindex((two_d,) * (n - k)):
+        h[:, n - k:] = low
+        h[:, :n - k] = beta[:n - k] + prefix
         found.append(h[stabilize_many(lat, h).all(axis=1)])
     return np.concatenate(found).astype(np.int64, order="C")
 

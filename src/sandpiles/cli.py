@@ -242,7 +242,7 @@ def cmd_enumerate(args):
             ("identity_match", bool(match)),
         ])
         lines.append(",".join(f"q{i}" for i in range(lat.n_sites)))
-        lines.extend(",".join(str(int(v)) for v in row) for row in recurrent)
+        lines.extend(",".join(map(str, row)) for row in recurrent.tolist())
         write_text(args.out, "\n".join(lines) + "\n")
     if not match:
         print("error: recurrent count does not equal the exact determinant; "

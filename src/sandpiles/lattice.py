@@ -18,6 +18,16 @@ import numpy as np
 from .errors import GeometryError
 
 
+def _integer(value, name):
+    """`value` as a Python int; GeometryError unless it is an integer
+    other than a bool (int() would truncate 2.5 and take True as 1)."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise GeometryError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    return value
+
+
 class Lattice:
     """Immutable finite subset of Z^d with in-set adjacency tables.
 
@@ -44,11 +54,12 @@ class Lattice:
     """
 
     def __init__(self, d, sites, dims=None):
+        d = _integer(d, "dimension")
         if d < 1:
             raise GeometryError("dimension must be >= 1")
         pts = []
         for s in sites:
-            p = tuple(int(c) for c in s)
+            p = tuple([_integer(c, "site coordinate") for c in s])
             if len(p) != d:
                 raise GeometryError(f"site {s!r} does not have {d} coordinates")
             pts.append(p)
@@ -56,7 +67,7 @@ class Lattice:
             raise GeometryError("lattice needs at least one site")
         if len(set(pts)) != len(pts):
             raise GeometryError("duplicate sites")
-        dims = tuple(int(n) for n in dims) if dims is not None else None
+        dims = tuple(_integer(n, "box side") for n in dims) if dims is not None else None
         if dims is not None and pts != list(itertools.product(*map(range, dims))):
             raise GeometryError(f"sites are not the box {dims} in row-major order")
         self.d = d
@@ -106,9 +117,10 @@ class Lattice:
 def build_lattice(dims):
     """Build the box lattice {0..n1-1} x ... x {0..nd-1}.
 
-    Site order is row-major (last coordinate varies fastest).
+    Site order is row-major (last coordinate varies fastest). Each side
+    is an integer other than a bool (GeometryError otherwise).
     """
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(_integer(n, "box side") for n in dims)
     if len(dims) == 0:
         raise GeometryError("dims must be non-empty")
     if any(n < 1 for n in dims):

@@ -7,7 +7,9 @@ from sandpiles import (CapacityError, DomainError, addition_order, btw_add,
                        btw_inverse_add, btw_stabilize, btw_topple,
                        build_lattice, enumerate_recurrent,
                        is_allowed_bruteforce, is_recurrent_burning, is_stable,
-                       Lattice, max_stable, stabilize_from, stabilize_many)
+                       Lattice, determinant_exact, max_stable, stabilize_from,
+                       stabilize_many, toppling_matrix)
+from sandpiles import btw
 from sandpiles.cbtw import CbtwConfig, cbtw_add, cbtw_inverse_add
 import oracles
 from oracles import lifo_stabilize, random_order_stabilize, stable_configurations
@@ -163,16 +165,18 @@ def test_stabilize_many_writes_through_strided_view(grid22, rng):
     assert np.array_equal(batch[:, ::2], expected)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 @pytest.mark.parametrize("lat", [build_lattice([3, 3]), Lattice(2, IRREGULAR)],
                          ids=repr)
-def test_stabilize_many_relaxes_column_major_batch_in_place(lat, rng):
-    # enumerate_recurrent relaxes column-major int16 chunks.
-    batch = rng.integers(0, 3 * lat.threshold, size=(100, lat.n_sites)).astype(np.int16)
+def test_stabilize_many_relaxes_column_major_batch_in_place(lat, dtype, rng):
+    # enumerate_recurrent relaxes column-major uint8 chunks, or uint16
+    # ones past d = 64.
+    batch = rng.integers(0, 3 * lat.threshold, size=(100, lat.n_sites)).astype(dtype)
     f_order = np.asfortranarray(batch)
     c_order = batch.copy()
     od_f = stabilize_many(lat, f_order)
     od_c = stabilize_many(lat, c_order)
-    assert f_order.flags.f_contiguous and f_order.dtype == np.int16
+    assert f_order.flags.f_contiguous and f_order.dtype == dtype
     assert np.array_equal(f_order, [btw_stabilize(lat, row)[0] for row in batch])
     assert np.array_equal(f_order, c_order)
     assert np.array_equal(od_f, od_c)
@@ -460,6 +464,30 @@ def test_enumerate_recurrent_matches_oracle(lat):
     # Callers key rows on row.tobytes() and index them.
     assert ours.flags.c_contiguous
     assert np.array_equal(ours, oracles.enumerate_recurrent(lat))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("lat", [build_lattice([2, 3]), build_lattice([1, 2, 2]),
+                                 Lattice(2, IRREGULAR)], ids=repr)
+def test_enumerate_recurrent_matches_oracle_in_any_chunk(lat, chunk, monkeypatch):
+    # Many chunks; a chunk size that is no power of 2d; k = 1 at size 1.
+    monkeypatch.setattr(btw, "ENUMERATION_CHUNK", chunk)
+    ours = enumerate_recurrent(lat)
+    assert ours.dtype == np.int64 and ours.flags.c_contiguous
+    assert np.array_equal(ours, oracles.enumerate_recurrent(lat))
+
+
+@pytest.mark.parametrize("lat", [
+    # 2d = 200: heights reach 399, past uint8, in 200^2 = 40,000 rows.
+    Lattice(100, [(0,) * 100, (1,) + (0,) * 99]),
+    # Every digit is a low digit: no prefix column.
+    Lattice(200, [(0,) * 200]),
+], ids=["path2-in-Z100", "site-in-Z200"])
+def test_enumerate_recurrent_in_high_dimension(lat):
+    ours = enumerate_recurrent(lat)
+    assert ours.dtype == np.int64 and ours.flags.c_contiguous
+    assert np.array_equal(ours, oracles.enumerate_recurrent(lat))
+    assert len(ours) == determinant_exact(toppling_matrix(lat, "integer"))
 
 
 @pytest.mark.parametrize("lat", [lat for lat in ORACLE_LATTICES if lat.n_sites < 9],

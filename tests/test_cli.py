@@ -11,6 +11,7 @@ from sandpiles import cli
 from sandpiles.cli import (main, build_initial, parse_dims, parse_real, spawn_rngs,
                            ConfigError)
 
+import oracles
 from oracles import csv_row, json_row, occupancy_average, stepwise_chain
 
 
@@ -65,6 +66,18 @@ def test_enumerate_csv_rows(tmp_path):
     assert "# identity_match=True" in meta
     assert rows[0] == "q0,q1"
     assert rows[1:] == ["0,1", "1,0", "1,1"]
+
+
+def test_enumerate_csv_2x3_matches_oracle(tmp_path):
+    out = tmp_path / "enum.csv"
+    assert run_cli(["enumerate", "--dims", "2,3", "--format", "csv", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[:8] == [
+        "# command=enumerate", "# dims=2,3", "# n_recurrent=2415", "# det_integer=2415",
+        "# det_continuous=2415/4096", "# addition_orders=2415,161,2415,2415,161,2415",
+        "# identity_match=True", "q0,q1,q2,q3,q4,q5"]
+    rows = oracles.enumerate_recurrent(build_lattice([2, 3]))
+    assert lines[8:] == [",".join(str(int(v)) for v in row) for row in rows]
 
 
 def test_enumerate_rerun_is_byte_identical(tmp_path):

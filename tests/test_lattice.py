@@ -110,6 +110,32 @@ def test_geometry_errors():
         Lattice(1, [])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_lattice([2.5]),
+    lambda: build_lattice([True, 2]),
+    lambda: build_lattice(np.array([2.9, 3.1])),
+    lambda: build_lattice("23"),
+    lambda: Lattice(2, [(0.5, 0), (1, 0)]),
+    lambda: Lattice(2, [(0, 0), (np.float64(1), 0)]),
+    lambda: Lattice(1, [(False,), (1,)]),
+    lambda: Lattice(2.0, [(0, 0), (0, 1)]),
+    lambda: Lattice(np.True_, [(0,)]),
+    lambda: Lattice(2, [(0, 0), (0, 1)], dims=(1, 2.0)),
+], ids=["side-2.5", "side-bool", "sides-float-array", "sides-str", "coordinate-0.5",
+        "coordinate-float64", "coordinate-bool", "d-2.0", "d-numpy-bool", "dims-float"])
+def test_non_integer_geometry_is_rejected_not_truncated(build):
+    with pytest.raises(GeometryError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_geometry_is_accepted():
+    lat = build_lattice(np.array([2, 3]))
+    assert lat.dims == (2, 3) and type(lat.dims[0]) is int
+    lat = Lattice(np.int64(2), [np.array([0, 1]), (np.int32(1), 1)])
+    assert lat.d == 2 and lat.sites == ((0, 1), (1, 1))
+    assert all(type(c) is int for p in lat.sites for c in p)
+
+
 def test_toppling_matrix_entries():
     lat = build_lattice([2])
     tm = toppling_matrix(lat, "integer")
