@@ -163,7 +163,7 @@ def btw_stabilize(lat, heights):
     `stabilize_many` (box slices or neighbour-table rounds), which tests
     and the benchmark check against it.
     """
-    h = _as_heights(lat, heights).copy()
+    h = _as_heights(lat, heights)
     n, two_d = lat.n_sites, lat.threshold
     od = np.zeros(n, dtype=np.int64)
     # k[n] stays 0: the padding of the table gathers nothing from the sink.
@@ -393,7 +393,7 @@ def addition_order(lat, x, recurrent=None):
     return math.lcm(*(v.denominator for v in y))
 
 
-def btw_inverse_add(lat, heights, x, power=1, order=None):
+def btw_inverse_add(lat, heights, x, power=1):
     """Undo `power` grain additions at x on a recurrent configuration.
 
     eps = 2m - stab(2m), with m the maximal stable configuration, is Delta
@@ -401,14 +401,11 @@ def btw_inverse_add(lat, heights, x, power=1, order=None):
     at every site. Hence a_x^-k eta = stab(eta - k e_x + c eps) with
     c = ceil(k / (2d - 1)): the argument is at least eta, so its
     stabilization is the recurrent representative of eta - k e_x. The
-    grains added grow with k, not with the addition order. Passing `order`
-    reduces `power` modulo it first; a negative power adds grains.
-    `power` is an integer and `order` a positive one.
+    grains added grow with k, not with the addition order. `power` is an
+    integer; a negative power adds grains.
     """
     x = _site(lat, x)
     k = _integer(power, "power")
-    if order is not None:
-        k %= _integer(order, "order", 1)
     h = _as_heights(lat, heights)
     if not is_recurrent_burning(lat, h):
         raise DomainError("inverse addition is defined only on recurrent configurations")

@@ -117,26 +117,33 @@ class CbtwConfig:
             raise DomainError("frac must be a list of numbers")
         cfg = cls(d=d, quanta=np.array(quanta, dtype=np.int64),
                   frac=np.array(frac, dtype=np.float64))
-        _check_config_values(cfg)
+        _check_state(d, len(cfg.quanta), cfg.quanta, cfg.frac)
         return cfg
 
 
-def _check_config_values(cfg):
-    if cfg.quanta.shape != cfg.frac.shape or cfg.quanta.ndim != 1:
-        raise DomainError("quanta and frac must be 1-d arrays of equal length")
-    if (cfg.quanta < 0).any():
+def _check_state(d, n_sites, quanta, frac):
+    """The one check of a continuous state, or of any array of states:
+    DomainError unless quanta and frac are numpy arrays of one shape whose
+    last axis has n_sites entries, quanta of an integer dtype and
+    nonnegative, frac float64 with every entry in [0, 1/2d)."""
+    if not (isinstance(quanta, np.ndarray) and isinstance(frac, np.ndarray)
+            and quanta.ndim and quanta.shape[-1] == n_sites and frac.shape == quanta.shape
+            and quanta.dtype.kind in "iu" and frac.dtype == np.float64):
+        raise DomainError(f"quanta and frac must be integer and float64 arrays of one "
+                          f"shape ending in {n_sites} sites")
+    if quanta.size and quanta.min() < 0:
         raise DomainError("quanta must be nonnegative")
     # Written so that NaN, which fails every comparison, is rejected too.
-    if not ((cfg.frac >= 0) & (cfg.frac < cfg.cell)).all():
-        raise DomainError(f"frac entries must lie in [0, {cfg.cell})")
+    if not ((frac >= 0) & (frac < 1.0 / (2 * d))).all():
+        raise DomainError(f"frac entries must lie in [0, {1.0 / (2 * d)})")
 
 
 def _check_config(lat, cfg):
     if cfg.d != lat.d:
         raise DomainError(f"configuration dimension {cfg.d} != lattice dimension {lat.d}")
-    if cfg.n_sites != lat.n_sites:
-        raise DomainError(f"configuration has {cfg.n_sites} sites, lattice has {lat.n_sites}")
-    _check_config_values(cfg)
+    _check_state(lat.d, lat.n_sites, cfg.quanta, cfg.frac)
+    if cfg.quanta.ndim != 1:
+        raise DomainError("a configuration's quanta and frac must be 1-d arrays")
 
 
 def decompose(lat, heights):
@@ -302,7 +309,7 @@ class AdditionParams:
     def __post_init__(self):
         if not (0.0 <= self.a <= self.b < 1.0):
             raise DomainError(
-                f"need 0 <= a <= b < 1, got a={self.a}, b={self.b}")
+                f"addition amounts need 0 <= a <= b < 1, got a={self.a}, b={self.b}")
 
     @property
     def mode(self):

@@ -14,7 +14,7 @@ identical arguments writes identical bytes.
 
 Exit codes: 0 success (thresholds met), 1 a checked threshold failed,
 2 configuration error, 3 capacity exceeded (a lattice too large for
-recurrent enumeration or the subset scan).
+recurrent enumeration).
 """
 
 import argparse
@@ -181,11 +181,9 @@ def build_initial(lat, spec, rng, recurrent=None):
             f"--init must be zero, max, mu, inline JSON or @path, got {spec!r}")
     try:
         cfg = cbtw.CbtwConfig.from_json(lat.d, text)
+        cbtw._check_config(lat, cfg)
     except (DomainError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad init configuration: {exc}") from None
-    if cfg.n_sites != lat.n_sites:
-        raise ConfigError(
-            f"init configuration has {cfg.n_sites} sites, lattice has {lat.n_sites}")
     if not cfg.is_stable():
         raise ConfigError("init configuration must be stable (all masses below 1)")
     return cfg

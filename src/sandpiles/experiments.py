@@ -17,7 +17,7 @@ import numpy as np
 
 from . import btw
 from .cbtw import FRAC_BITS, AdditionParams, CbtwConfig, _carry, _check_config, \
-    grid_scale, grid_units, quantum_multiple
+    _check_state, grid_scale, grid_units, quantum_multiple
 from .errors import DomainError
 from .measures import Binning, Histogram, estimate_tv, \
     sample_rational_limit_batch, sample_uniform_allowed_batch, tv_noise_floor
@@ -107,40 +107,38 @@ def _add_units(lat, quanta, frac, cells, units):
     btw.stabilize_many(lat, quanta)
 
 
+def _check_replicas(lat, *states):
+    """_check_state on each (quanta, frac) pair in `states`, which the
+    drivers write in place: every array must also be writable and of one
+    (replicas, n_sites) shape. DomainError otherwise."""
+    for quanta, frac in zip(states[::2], states[1::2]):
+        _check_state(lat.d, lat.n_sites, quanta, frac)
+    if not all(v.ndim == 2 and v.shape == states[0].shape and v.flags.writeable
+               for v in states):
+        raise DomainError(f"quanta and frac must be writable (replicas, {lat.n_sites}) "
+                          f"arrays of one shape")
+
+
 def step_ensemble(lat, quanta, frac, xs, us):
     """Apply one addition to every replica row, in place.
 
-    Row i receives mass us[i] at integer site xs[i] (one of each per row,
-    DomainError otherwise), in grid units rint(us[i] * S); all rows are
-    then stabilized together. The carry is the integer rule of run_chain
-    and _add_inplace, so a row evolves bit for bit like one run_chain step
-    on that replica; a negative carry raises DomainError.
+    Row i receives mass us[i] in [0, 1) at integer site xs[i] (one of each
+    per row), in grid units rint(us[i] * S); all rows are then stabilized
+    together. The rows and the additions are checked before any write
+    (DomainError). The carry is the integer rule of run_chain and
+    _add_inplace, so a row evolves bit for bit like one run_chain step on
+    that replica.
     """
+    _check_replicas(lat, quanta, frac)
     xs, us = np.asarray(xs), np.asarray(us)
     n = quanta.shape[0]
     if not (xs.shape == us.shape == (n,) and xs.dtype.kind in "iu"
-            and ((xs >= 0) & (xs < lat.n_sites)).all()):
-        raise DomainError(f"need {n} integer sites in [0, {lat.n_sites}) and {n} amounts")
+            and ((xs >= 0) & (xs < lat.n_sites)).all() and ((us >= 0) & (us < 1)).all()):
+        raise DomainError(f"need {n} integer sites in [0, {lat.n_sites}) "
+                          f"and {n} amounts in [0, 1)")
     cells = np.zeros(quanta.shape, dtype=bool)
     cells[np.arange(n), xs] = True
     _add_units(lat, quanta, frac, cells, grid_units(us, lat.d))
-
-
-def _check_rows(lat, quanta, frac):
-    """DomainError unless quanta and frac are writable replica rows on the
-    lattice: 2-d arrays of one shape with n_sites columns, quanta integer
-    and nonnegative, frac float64 in [0, 1/2d)."""
-    if not (isinstance(quanta, np.ndarray) and isinstance(frac, np.ndarray)
-            and quanta.ndim == 2 and quanta.shape[1] == lat.n_sites
-            and frac.shape == quanta.shape and quanta.dtype.kind in "iu"
-            and frac.dtype == np.float64 and quanta.flags.writeable and frac.flags.writeable):
-        raise DomainError(f"quanta and frac must be writable 2-d integer and float64 arrays "
-                          f"of one shape with {lat.n_sites} columns")
-    if quanta.size and quanta.min() < 0:
-        raise DomainError("quanta must be nonnegative")
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if not ((frac >= 0) & (frac < 1.0 / (2 * lat.d))).all():
-        raise DomainError(f"frac entries must lie in [0, {1.0 / (2 * lat.d)})")
 
 
 def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
@@ -162,7 +160,7 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
     state at each time.
     """
     steps = btw._integer(steps, "steps", 0)
-    _check_rows(lat, quanta, frac)
+    _check_replicas(lat, quanta, frac)
     n, m = quanta.shape
     offsets = np.arange(n) * m
     fold = max(1, FOLD_LIMIT // (2 * lat.d))
@@ -321,6 +319,8 @@ def run_coupling(lat, eta0, zeta0, params, rng, max_epochs=200000):
     max_epochs = btw._integer(max_epochs, "max_epochs", 1)
     grid = _coupling_grid(lat, params)
     M, L = grid[:2]
+    _check_config(lat, eta0)
+    _check_config(lat, zeta0)
     eta, zeta = eta0.copy(), zeta0.copy()
     rows = [v[None, :] for v in (eta.quanta, eta.frac, zeta.quanta, zeta.frac)]
     records = []
@@ -360,6 +360,7 @@ def run_coupling_ensemble(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac,
     n_epochs = btw._integer(n_epochs, "n_epochs", 0)
     grid = _coupling_grid(lat, params)
     M, L = grid[:2]
+    _check_replicas(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac)
     n = eta_quanta.shape[0]
     o_events = np.zeros((n_epochs, n), dtype=bool)
     o_verified = np.zeros((n_epochs, n), dtype=bool)
@@ -394,8 +395,6 @@ def ergodic_average(lat, initial, amount, steps, observable, rng):
     configuration (copy it to keep it); values may be scalars or arrays.
     """
     steps = btw._integer(steps, "steps", 1)
-    if not 0.0 <= amount < 1.0:
-        raise DomainError(f"the fixed amount must lie in [0, 1), got {amount}")
     view, total = None, None
 
     def on_step(t, x, u, quanta, frac):

@@ -46,7 +46,8 @@ class Lattice:
         boundary_degree: int array; boundary_degree[i] counts the nearest
             neighbours of site i that fall outside the set (mass lost per
             toppling through those bonds).
-        neighbour_table: read-only (2d, n) intp array, built on first
+        neighbour_table: read-only (k, n) intp array, k the largest
+            in-set degree (0 for a lattice with no bonds), built on first
             read; row j holds each site's j-th in-set neighbour, or n where
             the site has fewer than j + 1, so that a gather from an array
             of length n + 1 whose last entry is 0 treats missing bonds as
@@ -96,10 +97,9 @@ class Lattice:
 
     @functools.cached_property
     def neighbour_table(self):
-        """Padded (2d, n) neighbour table, built on first read."""
-        table = np.full((self.threshold, self.n_sites), self.n_sites, dtype=np.intp)
+        """Padded (k, n) neighbour table, built on first read."""
         rows = list(itertools.zip_longest(*self.adjacency, fillvalue=self.n_sites))
-        table[:len(rows)] = np.reshape(rows, (len(rows), self.n_sites))
+        table = np.array(rows, dtype=np.intp).reshape(len(rows), self.n_sites)
         table.setflags(write=False)
         return table
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import btw
-from .cbtw import CbtwConfig, grid_scale, quantum_multiple
+from .cbtw import CbtwConfig, _check_config, _check_state, grid_scale, quantum_multiple
 from .errors import DomainError
 
 
@@ -74,27 +74,18 @@ class Histogram:
         column would take the radix product to 2^63, the code so far is
         replaced by its rank among its distinct values, which keeps the
         order; those values are decoded then, and the final decode looks
-        ranks up in them.
+        ranks up in them. Rows must be stable states on the histogram's
+        lattice (`cbtw._check_state`), or DomainError is raised before any
+        count.
         """
         quanta = np.asarray(quanta)
         frac = np.asarray(frac)
         m, two_d, b = self.n_sites, 2 * int(self.d), int(self.binning.bins_per_site)
-        if quanta.ndim != 2 or quanta.shape[1] != m:
+        _check_state(self.d, m, quanta, frac)
+        if quanta.ndim != 2:
             raise DomainError("quanta batch must be (replicas, n_sites)")
-        if frac.shape != quanta.shape:
-            raise DomainError(f"frac batch has shape {frac.shape}, quanta batch {quanta.shape}")
-        if quanta.dtype.kind == "f":
-            if (quanta != np.floor(quanta)).any():
-                raise DomainError("batch contains non-integral quanta")
-        elif quanta.dtype.kind not in "iu":
-            raise DomainError(f"quanta batch has non-integer dtype {quanta.dtype}")
-        if (quanta >= two_d).any() or (quanta < 0).any():
-            raise DomainError("batch contains unstable or negative quanta")
-        if frac.dtype.kind not in "fiu":
-            raise DomainError(f"frac batch has non-real dtype {frac.dtype}")
-        # Written so that NaN, which fails every comparison, is rejected too.
-        if not ((frac >= 0) & (frac < 1.0 / two_d)).all():
-            raise DomainError(f"frac entries must lie in [0, {1.0 / two_d})")
+        if quanta.size and quanta.max() >= two_d:
+            raise DomainError("batch contains unstable quanta")
         columns = [*quanta.astype(np.int64, copy=False).T, *frac_bins(frac, self.d, self.binning).T]
         radices = [two_d] * m + [b] * m
         code = np.zeros(len(quanta), dtype=np.int64)
@@ -177,6 +168,7 @@ def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None, t=Non
     l = quantum_multiple(amount, lat.d)
     if l is None or not (1 <= l <= 2 * lat.d - 1):
         raise DomainError(f"amount {amount} is not a quantum multiple l/2d with 0 < l < 1 mass")
+    _check_config(lat, base)
     if not base.is_stable():
         raise DomainError("base configuration must be stable")
     g = int(np.gcd.reduce(lat.boundary_degree))

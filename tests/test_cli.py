@@ -167,7 +167,8 @@ def test_simulate_bad_interval_is_config_error(capsys):
     rc = run_cli(["simulate", "--dims", "2", "--a", "0.8", "--b", "0.2",
                   "--steps", "5"])
     assert rc == 2
-    assert capsys.readouterr().err == "error: need 0 <= a <= b < 1, got a=0.8, b=0.2\n"
+    assert (capsys.readouterr().err
+            == "error: addition amounts need 0 <= a <= b < 1, got a=0.8, b=0.2\n")
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -6,12 +6,14 @@ import pytest
 from scipy import stats
 
 from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
-                       build_lattice, coupling_success_probability, decompose,
+                       build_lattice, cbtw_add, cbtw_inverse_add, cbtw_stabilize,
+                       cbtw_topple, coupling_success_probability, decompose,
                        epoch_shape, ergodic_average, enumerate_recurrent,
-                       invariance_experiment, phase_observable,
+                       invariance_experiment, is_allowed_cbtw, phase_observable,
                        rational_limit_test, run_chain,
                        run_chain_ensemble, run_coupling, run_coupling_ensemble,
-                       sample_uniform_allowed, sample_uniform_allowed_batch,
+                       sample_rational_limit_batch, sample_uniform_allowed,
+                       sample_uniform_allowed_batch,
                        step_ensemble, translation_mixture_bound,
                        translation_mixture_fourier,
                        translation_mixture_fourier_mc, tv_decay_experiment,
@@ -302,22 +304,72 @@ def test_run_chain_matches_stepwise_draws(lat, params, start):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("initial", [
-    CbtwConfig(d=1, quanta=np.zeros(3, dtype=np.int64), frac=np.zeros(3)),
-    CbtwConfig(d=2, quanta=np.zeros(2, dtype=np.int64), frac=np.zeros(2)),
-    CbtwConfig(d=1, quanta=np.array([-1, 0]), frac=np.zeros(2)),
-    CbtwConfig(d=1, quanta=np.zeros(1, dtype=np.int64), frac=np.zeros(1)),
-], ids=["three-sites", "d2", "negative-quanta", "one-site"])
-@pytest.mark.parametrize("driver", ["run_chain", "ergodic_average"])
-def test_chain_drivers_reject_initial_off_the_lattice(path2, initial, driver):
+def _state(quanta, frac, d=1):
+    return CbtwConfig(d=d, quanta=np.array(quanta), frac=np.array(frac))
+
+
+# States off the 2-site path (d = 1, frac cell [0, 1/2)). "d2" is off it
+# only where a CbtwConfig carries its own dimension. The NaN sits on site
+# 1, and every addition below goes to site 0.
+_BAD_STATES = {
+    "three-sites": _state([0, 0, 0], [0.0, 0.0, 0.0]),
+    "d2": _state([0, 0], [0.0, 0.0], d=2),
+    "negative-quanta": _state([-1, 0], [0.0, 0.0]),
+    "one-site": _state([0], [0.0]),
+    "integer-frac": _state([0, 0], [0, 0]),
+    "float32-frac": _state([0, 0], np.zeros(2, dtype=np.float32)),
+    "float-quanta": _state([0.0, 1.0], [0.0, 0.0]),
+    "frac-at-cell-edge": _state([0, 0], [0.5, 0.0]),
+    "frac-above-cell": _state([0, 0], [0.7, 0.0]),
+    "nan-frac": _state([0, 0], [0.0, np.nan]),
+    "mismatched-shapes": _state([0, 0], [0.0, 0.0, 0.0]),
+}
+_BAD_AMOUNTS = {"amount-1.7": 1.7, "nan-amount": np.nan}
+_INTERVAL = AdditionParams(0.2, 0.8)
+
+# Every entry point that takes a state, called on the CbtwConfig `cfg` or on
+# `rows`, two replica rows of it, with amount u.
+_CONFIG_ENTRY_POINTS = {
+    "cbtw_topple": lambda lat, cfg, rows, u, rng: cbtw_topple(lat, cfg, 0),
+    "cbtw_stabilize": lambda lat, cfg, rows, u, rng: cbtw_stabilize(lat, cfg),
+    "cbtw_add": lambda lat, cfg, rows, u, rng: cbtw_add(lat, cfg, 0, u),
+    "cbtw_inverse_add": lambda lat, cfg, rows, u, rng: cbtw_inverse_add(lat, cfg, 0, u),
+    "is_allowed_cbtw": lambda lat, cfg, rows, u, rng: is_allowed_cbtw(lat, cfg),
+    "run_chain": lambda lat, cfg, rows, u, rng: run_chain(lat, cfg, _INTERVAL, 10, rng),
+    "ergodic_average": lambda lat, cfg, rows, u, rng: ergodic_average(
+        lat, cfg, u, 10, lambda c: 1.0, rng),
+    "run_coupling": lambda lat, cfg, rows, u, rng: run_coupling(
+        lat, cfg, zero_config(lat), _INTERVAL, rng, max_epochs=1),
+    "sample_rational_limit_batch": lambda lat, cfg, rows, u, rng: sample_rational_limit_batch(
+        lat, cfg, 0.5, rng, 4),
+}
+_ENTRY_POINTS = {
+    **_CONFIG_ENTRY_POINTS,
+    "step_ensemble": lambda lat, cfg, rows, u, rng: step_ensemble(lat, *rows, [0, 0], [u, u]),
+    "run_chain_ensemble": lambda lat, cfg, rows, u, rng: run_chain_ensemble(
+        lat, *rows, _INTERVAL, 10, rng),
+    "run_coupling_ensemble": lambda lat, cfg, rows, u, rng: run_coupling_ensemble(
+        lat, *_two_rows(lat), *rows, _INTERVAL, 1, rng),
+}
+_REJECTED = [(driver, state) for driver in _ENTRY_POINTS for state in _BAD_STATES
+             if state != "d2" or driver in _CONFIG_ENTRY_POINTS]
+_REJECTED += [("step_ensemble", amount) for amount in _BAD_AMOUNTS]
+
+
+@pytest.mark.parametrize("driver, state", _REJECTED, ids=[f"{d}-{s}" for d, s in _REJECTED])
+def test_chain_drivers_reject_initial_off_the_lattice(path2, driver, state):
+    """Every entry point that takes a state raises DomainError on a bad
+    one before any write or draw."""
+    cfg = _BAD_STATES.get(state, zero_config(path2))
+    rows = [np.tile(v, (2, 1)) for v in (cfg.quanta, cfg.frac)]
+    inputs = [cfg.quanta, cfg.frac, *rows]
+    before = [(v.dtype, v.shape, v.tobytes()) for v in inputs]
     rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
+    rng_before = rng.bit_generator.state
     with pytest.raises(DomainError):
-        if driver == "run_chain":
-            run_chain(path2, initial, AdditionParams(0.2, 0.8), 10, rng)
-        else:
-            ergodic_average(path2, initial, 0.3, 10, lambda cfg: 1.0, rng)
-    assert rng.bit_generator.state == before
+        _ENTRY_POINTS[driver](path2, cfg, rows, _BAD_AMOUNTS.get(state, 0.3), rng)
+    assert [(v.dtype, v.shape, v.tobytes()) for v in inputs] == before
+    assert rng.bit_generator.state == rng_before
 
 
 def _assert_chain_matches_stepwise(lat, params, steps, snapshots, n, seed):

@@ -86,13 +86,15 @@ def test_lattice_tables_are_linear_in_sites():
     build_lattice([3, 4]),
     build_lattice([2, 2, 2]),
     Lattice(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (5, 5)]),
-], ids=["box", "cube", "irregular-with-island"])
+    Lattice(2, [(0, 0), (1, 1), (2, 0)]),
+], ids=["box", "cube", "irregular-with-island", "no-bonds"])
 def test_neighbour_table_pads_with_the_sink(lat):
     assert "neighbour_table" not in vars(lat)
     table = lat.neighbour_table
-    assert table.shape == (lat.threshold, lat.n_sites)
+    rows = max(len(ys) for ys in lat.adjacency)
+    assert table.shape == (rows, lat.n_sites)
     for i, ys in enumerate(lat.adjacency):
-        assert table[:, i].tolist() == list(ys) + [lat.n_sites] * (lat.threshold - len(ys))
+        assert table[:, i].tolist() == list(ys) + [lat.n_sites] * (rows - len(ys))
     assert lat.neighbour_table is table
     assert not table.flags.writeable
 

@@ -78,13 +78,23 @@ def test_estimate_tv_equals_tv_of_row_oracle_histograms(path2, rng):
     ([[0, 1]], [[7.0, 0.0]]),
     ([[0, 1]], [[0.0, 0.5]]),
     ([[0, 1]], [[-0.1, 0.0]]),
+    ([[0, 1]], [[0, 0]]),
+    ([[0, 1]], np.zeros((1, 2), dtype=np.float32)),
+    ([[0.0, 1.0]], [[0.0, 0.0]]),
+    ([[-1, 1]], [[0.0, 0.0]]),
+    ([[0, 1, 0]], [[0.0, 0.0, 0.0]]),
+    ([0, 1], [0.0, 0.0]),
 ], ids=["frac-shape", "fractional-quanta", "nan-frac", "frac-above-cell",
-        "frac-at-cell-edge", "negative-frac"])
+        "frac-at-cell-edge", "negative-frac", "integer-frac", "float32-frac",
+        "integral-float-quanta", "negative-quanta", "three-sites", "one-row-1-d"])
 def test_histogram_rejects_bad_batches(quanta, frac):
+    quanta, frac = np.array(quanta), np.array(frac)
+    before = [(v.dtype, v.shape, v.tobytes()) for v in (quanta, frac)]
     hist = Histogram(1, 2, Binning(8))
     with pytest.raises(DomainError):
-        hist.add_batch(np.array(quanta), np.array(frac))
+        hist.add_batch(quanta, frac)
     assert hist.counts == {} and hist.total == 0
+    assert [(v.dtype, v.shape, v.tobytes()) for v in (quanta, frac)] == before
 
 
 def test_histogram_rejects_unstable(path2):
