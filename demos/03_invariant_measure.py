@@ -11,20 +11,20 @@ calibrate with two fresh draws from the same law.
 import numpy as np
 from scipy import stats
 
-from sandpiles import (Binning, Histogram, build_lattice, enumerate_recurrent,
+from sandpiles import (Binning, Histogram, build_lattice,
                        sample_uniform_allowed_batch, step_ensemble,
                        tv_noise_floor, estimate_tv)
 
 rng = np.random.default_rng(7)
 lat = build_lattice([2])
-recurrent = enumerate_recurrent(lat)
+recurrent = lat.recurrent
 N = 50000
 binning = Binning(8)
 
 print(f"2-site path: {len(recurrent)} recurrent quanta cells, "
       f"{binning.bins_per_site} fractional bins per site, {N} samples")
 
-quanta, frac = sample_uniform_allowed_batch(lat, rng, N, recurrent)
+quanta, frac = sample_uniform_allowed_batch(lat, rng, N)
 before = Histogram.from_samples(lat.d, binning, quanta, frac)
 
 xs = rng.integers(lat.n_sites, size=N)
@@ -33,7 +33,7 @@ step_ensemble(lat, quanta, frac, xs, us)
 after = Histogram.from_samples(lat.d, binning, quanta, frac)
 
 tv = estimate_tv(before, after)
-floor = tv_noise_floor(lat, binning, N, rng, recurrent)
+floor = tv_noise_floor(lat, binning, N, rng)
 print()
 print(f"TV(before, after)  = {tv:.4f}")
 print(f"noise floor        = {floor:.4f}  (two fresh same-law samples)")

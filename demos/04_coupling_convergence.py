@@ -13,15 +13,14 @@ stationary law along the chain.
 import numpy as np
 
 from sandpiles import (AdditionParams, Binning, build_lattice,
-                       coupling_success_probability, enumerate_recurrent,
-                       epoch_shape, run_coupling, run_coupling_ensemble,
+                       coupling_success_probability, epoch_shape,
+                       run_coupling, run_coupling_ensemble,
                        sample_uniform_allowed, sample_uniform_allowed_batch,
                        tv_decay_experiment, zero_config)
 
 rng = np.random.default_rng(11)
 lat = build_lattice([2])
 params = AdditionParams(0.2, 0.8)
-recurrent = enumerate_recurrent(lat)
 
 M, L = epoch_shape(lat, params)
 p = coupling_success_probability(lat, params)
@@ -32,7 +31,7 @@ print(f"epoch = {L} steps ({M} visits per site); "
 print()
 print("one coupled pair, from the empty configuration vs a stationary draw:")
 eta0 = zero_config(lat)
-zeta0 = sample_uniform_allowed(lat, rng, recurrent)
+zeta0 = sample_uniform_allowed(lat, rng)
 result = run_coupling(lat, eta0, zeta0, params, rng)
 print(f"  coalesced after {result.n_epochs} epochs "
       f"({result.n_epochs * L} steps)")
@@ -43,7 +42,7 @@ print(f"  final heights agree exactly: "
 n_rep, n_ep = 4000, 50
 eta_q = np.zeros((n_rep, lat.n_sites), dtype=np.int64)
 eta_f = np.zeros((n_rep, lat.n_sites))
-zeta_q, zeta_f = sample_uniform_allowed_batch(lat, rng, n_rep, recurrent)
+zeta_q, zeta_f = sample_uniform_allowed_batch(lat, rng, n_rep)
 ens = run_coupling_ensemble(lat, eta_q, eta_f, zeta_q, zeta_f, params, n_ep, rng)
 cells = n_rep * n_ep
 observed = int(ens.o_events.sum())
@@ -55,7 +54,7 @@ print(f"  O occurred {observed} times (expected {cells * float(p):.1f} "
       f"+- {sigma:.1f}), every one coalesced exactly: {verified == observed}")
 
 times = (1, 2, 4, 8, 16, 32, 64, 128)
-decay = tv_decay_experiment(lat, params, times, 20000, Binning(8), rng, recurrent)
+decay = tv_decay_experiment(lat, params, times, 20000, Binning(8), rng)
 print()
 print("TV distance from the stationary law, chain started empty:")
 print("    t    TV")

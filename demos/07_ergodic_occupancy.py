@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from sandpiles import build_lattice, enumerate_recurrent, ergodic_average, zero_config
+from sandpiles import build_lattice, ergodic_average, zero_config
 
 rng = np.random.default_rng(47)
 lat = build_lattice([2])
-recurrent = enumerate_recurrent(lat)
+recurrent = lat.recurrent
 a = math.sqrt(2.0) - 1.0
 
 def occupancy(cfg):

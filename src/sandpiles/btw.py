@@ -383,8 +383,8 @@ def addition_order(lat, x, recurrent=None):
     recurrent configurations (Dhar 1990), so a_x^k is the identity iff
     k e_x lies in Delta Z^n, i.e. iff k Delta^-1 e_x is integral. The
     order is therefore the lcm of the denominators of the exact solution
-    of Delta y = e_x; it is a Python int of any size. When the enumerated
-    `recurrent` set is given, its size must equal det Delta.
+    of Delta y = e_x; it is a Python int of any size. A `recurrent` set a
+    caller scanned (exact_group's) is only cross-checked against det Delta.
     """
     y, det = _solve_toppling(lat, _site(lat, x))
     if recurrent is not None and len(recurrent) != det:

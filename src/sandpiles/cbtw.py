@@ -244,14 +244,14 @@ def cbtw_inverse_add(lat, config, x, u, recurrent=None):
 
     Defined on stable allowed configurations, whose quanta are exactly
     the recurrent ones: btw_inverse_add's burning test raises DomainError
-    for the rest. In grid units, F - U at x
-    splits through `_carry` into the old fractional part and a borrow of
-    k quanta, the carry cbtw_add made, so add(inverse_add(zeta)) == zeta
-    bit for bit. The quanta roll back by k quantum additions through
-    btw_inverse_add, which adds grains in proportion to k, never to the
-    addition order, so it works on lattices far too large to enumerate;
-    k lies in [0, 2d], so no order is needed to reduce it. `recurrent` is
-    unused.
+    for the rest. In grid units, F - U at x splits through `_carry` into
+    the old fractional part and a borrow of k quanta, the carry cbtw_add
+    made, so add(inverse_add(zeta)) == zeta bit for bit. The quanta roll
+    back by k quantum additions through btw_inverse_add, which adds
+    grains in proportion to k, never to the addition order, so it works
+    on lattices far too large to enumerate; k lies in [0, 2d], so no
+    order is needed to reduce it. `recurrent` is ignored; the exact_group
+    benchmark still passes one.
     """
     _check_config(lat, config)
     x = btw._site(lat, x)

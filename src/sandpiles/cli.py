@@ -154,7 +154,7 @@ def spawn_rngs(seed, n):
     return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
-def build_initial(lat, spec, rng, recurrent=None):
+def build_initial(lat, spec, rng):
     """Initial configuration from an init spec.
 
     Accepts "zero", "max", "mu" (a seeded uniform-allowed draw), an
@@ -165,7 +165,7 @@ def build_initial(lat, spec, rng, recurrent=None):
     if spec == "max":
         return cbtw.max_config(lat)
     if spec == "mu":
-        return measures.sample_uniform_allowed(lat, rng, recurrent)
+        return measures.sample_uniform_allowed(lat, rng)
     if isinstance(spec, dict):
         text = json.dumps(spec)
     elif isinstance(spec, str) and spec.startswith("@"):
@@ -312,9 +312,8 @@ def cmd_couple(args):
     lat = build_lattice(args.dims)
     params = cbtw.AdditionParams(a, b)
     rng_init, rng_other, rng_run = spawn_rngs(args.seed, 3)
-    recurrent = btw.enumerate_recurrent(lat)
-    eta0 = build_initial(lat, args.init, rng_init, recurrent)
-    zeta0 = measures.sample_uniform_allowed(lat, rng_other, recurrent)
+    eta0 = build_initial(lat, args.init, rng_init)
+    zeta0 = measures.sample_uniform_allowed(lat, rng_other)
     result = experiments.run_coupling(lat, eta0, zeta0, params, rng_run,
                                       max_epochs=args.max_epochs)
     p = experiments.coupling_success_probability(lat, params)
@@ -389,7 +388,7 @@ def cmd_ergodic(args):
         raise ConfigError(f"--a must lie in [0, 1), got {a}")
     rng_init, rng_run = spawn_rngs(args.seed, 2)
     initial = build_initial(lat, args.init, rng_init)
-    recurrent = btw.enumerate_recurrent(lat)
+    recurrent = lat.recurrent
     visits = Counter()
 
     def on_step(t, x, u, quanta, frac):

@@ -469,7 +469,7 @@ class InvarianceResult:
     n_samples: int
 
 
-def invariance_experiment(lat, binning, n_samples, rng, recurrent=None):
+def invariance_experiment(lat, binning, n_samples, rng):
     """Push one random addition step through uniform-allowed samples and
     compare the empirical law before and after.
 
@@ -477,20 +477,16 @@ def invariance_experiment(lat, binning, n_samples, rng, recurrent=None):
     reported next to the resolution floor measured between two
     independent uniform-allowed sample sets of the same size.
     """
-    n_samples = btw._integer(n_samples, "n_samples", 1)
-    if recurrent is None:
-        recurrent = btw.enumerate_recurrent(lat)
-    href = Histogram.from_samples(
-        lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples, recurrent))
-    quanta, frac = sample_uniform_allowed_batch(lat, rng, n_samples, recurrent)
-    xs = rng.integers(lat.n_sites, size=n_samples)
-    us = rng.uniform(0.0, 1.0, size=n_samples)
+    n = btw._integer(n_samples, "n_samples", 1)
+    href = Histogram.from_samples(lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n))
+    quanta, frac = sample_uniform_allowed_batch(lat, rng, n)
+    xs = rng.integers(lat.n_sites, size=n)
+    us = rng.uniform(0.0, 1.0, size=n)
     step_ensemble(lat, quanta, frac, xs, us)
     hpush = Histogram.from_samples(lat.d, binning, quanta, frac)
     del quanta, frac
     tv = estimate_tv(hpush, href)
-    floor = tv_noise_floor(lat, binning, n_samples, rng, recurrent)
-    return InvarianceResult(tv=tv, noise_floor=floor, n_samples=n_samples)
+    return InvarianceResult(tv=tv, noise_floor=tv_noise_floor(lat, binning, n, rng), n_samples=n)
 
 
 @dataclass
@@ -507,28 +503,24 @@ def rational_limit_test(lat, base, amount, t_chain, n_samples, rng,
     """Compare the chain at time t_chain against the predicted limit law.
 
     The fixed amount must be a quantum multiple l/2d; the prediction is
-    the law `sample_rational_limit_batch` draws at time t_chain: the
-    stabilized sum of `base` and l quanta at every site of a uniform
-    recurrent configuration, moved onto the coset the chain occupies at
-    t_chain when the lattice's boundary degrees share a factor. Both
+    the law `sample_rational_limit_batch` draws at time t_chain. Both
     sides are estimated with n_samples replicas and compared in TV, next
     to the floor between two independent draws of the prediction itself.
+    `recurrent` is ignored; the ensemble_path benchmark still passes one.
     """
     n_samples = btw._integer(n_samples, "n_samples", 1)
     if quantum_multiple(amount, lat.d) is None:
         raise DomainError(f"amount {amount} is not a quantum multiple")
-    if recurrent is None:
-        recurrent = btw.enumerate_recurrent(lat)
-    params = AdditionParams(amount, amount)
+    lat.recurrent  # scanned here: CapacityError before the chain runs
     quanta = np.tile(base.quanta, (n_samples, 1))
     frac = np.tile(base.frac, (n_samples, 1))
-    run_chain_ensemble(lat, quanta, frac, params, t_chain, rng)
+    run_chain_ensemble(lat, quanta, frac, AdditionParams(amount, amount), t_chain, rng)
     h_chain = Histogram.from_samples(lat.d, binning, quanta, frac)
     del quanta, frac
     h_limit = Histogram.from_samples(lat.d, binning, *sample_rational_limit_batch(
-        lat, base, amount, rng, n_samples, recurrent, t_chain))
+        lat, base, amount, rng, n_samples, t_chain))
     h_floor = Histogram.from_samples(lat.d, binning, *sample_rational_limit_batch(
-        lat, base, amount, rng, n_samples, recurrent, t_chain))
+        lat, base, amount, rng, n_samples, t_chain))
     return RationalLimitResult(
         tv=estimate_tv(h_chain, h_limit),
         noise_floor=estimate_tv(h_limit, h_floor),
@@ -556,14 +548,14 @@ def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=
     or a fixed one whose folds draw one site per step, so are the results
     and the random stream; a fixed-amount fold that draws hit counts ends
     at each snapshot, so there they depend on the snapshot times.
+    `recurrent` is ignored; the ensemble_path benchmark still passes one.
     """
     times = sorted(btw._integer(t, "snapshot time", 1) for t in times)
     if len(set(times)) < 2:
         raise DomainError(
             f"tv_decay_experiment needs two distinct snapshot times >= 1, got {times}")
     n = btw._integer(n_replicas, "n_replicas", 1)
-    if recurrent is None:
-        recurrent = btw.enumerate_recurrent(lat)
+    lat.recurrent  # scanned here: CapacityError before the chain runs
     quanta = np.zeros((n, lat.n_sites), dtype=np.int64)
     frac = np.zeros((n, lat.n_sites), dtype=np.float64)
     hists, t = {}, 0
@@ -572,9 +564,8 @@ def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=
         hists[stop] = Histogram.from_samples(lat.d, binning, quanta, frac)
         t = stop
     del quanta, frac
-    href = Histogram.from_samples(
-        lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n, recurrent))
+    href = Histogram.from_samples(lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n))
     tvs = [estimate_tv(hists[t], href) for t in times]
-    floor = tv_noise_floor(lat, binning, n, rng, recurrent)
+    floor = tv_noise_floor(lat, binning, n, rng)
     slope = float(np.polyfit(times, np.log(np.maximum(tvs, 1e-12)), 1)[0])
     return TvDecayResult(times=times, tvs=tvs, noise_floor=floor, slope=slope)

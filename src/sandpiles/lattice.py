@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .errors import GeometryError
+from . import btw
+from .errors import DomainError, GeometryError
 
 
 def _integer(value, name):
@@ -31,7 +32,7 @@ def _integer(value, name):
 class Lattice:
     """Immutable finite subset of Z^d with in-set adjacency tables.
 
-    Every table is O(n) in the number of sites.
+    Every table but the cached `recurrent` set is O(n) in the number of sites.
 
     Attributes:
         d: ambient dimension.
@@ -103,6 +104,14 @@ class Lattice:
         table.setflags(write=False)
         return table
 
+    @functools.cached_property
+    def recurrent(self):
+        """Read-only (count, n) int64 recurrent set for every sampler, scanned on
+        first read and kept; past the scan's cap each read raises CapacityError."""
+        table = btw.enumerate_recurrent(self)
+        table.setflags(write=False)
+        return table
+
     @property
     def threshold(self):
         """Number of grains shed per toppling (2d)."""
@@ -150,7 +159,7 @@ def toppling_matrix(lat, variant="continuous"):
     variant: "continuous" (threshold-1 mass form) or "integer" (grain form).
     """
     if variant not in ("continuous", "integer"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise DomainError(f"unknown variant {variant!r}")
     two_d = 2 * lat.d
     diag = Fraction(two_d) if variant == "integer" else Fraction(1)
     off = Fraction(-1) if variant == "integer" else Fraction(-1, two_d)

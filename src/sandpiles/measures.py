@@ -8,9 +8,10 @@ equal bins; total-variation distances between empirical laws are computed
 on that discretization.
 
 The reference law used throughout is uniform-on-allowed: quanta uniform
-over the recurrent set, frac independent uniform on [0, 1/2d) per site.
-Under the randomized-addition dynamics this law is preserved, which is
-what several experiments in this package measure.
+over the recurrent set (the lattice's cached `Lattice.recurrent`), frac
+independent uniform on [0, 1/2d) per site. Under the randomized-addition
+dynamics this law is preserved, which is what several experiments in this
+package measure.
 """
 
 from dataclasses import dataclass
@@ -129,28 +130,31 @@ def estimate_tv(hist_p, hist_q):
     return 0.5 * sum(abs(p.get(k, 0) / n_p - q.get(k, 0) / n_q) for k in set(p) | set(q))
 
 
-def sample_uniform_allowed(lat, rng, recurrent=None):
-    """One draw from the uniform law on stable allowed configurations:
-    row 0 of sample_uniform_allowed_batch."""
-    quanta, frac = sample_uniform_allowed_batch(lat, rng, 1, recurrent)
-    return CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
+def _recurrent_rows(recurrent, rng, n):
+    return recurrent[rng.integers(len(recurrent), size=n)]  # fancy indexing copies
 
 
-def sample_uniform_allowed_batch(lat, rng, n, recurrent=None):
-    """n independent uniform-allowed draws as (quanta, frac) matrices:
-    quanta uniform over the recurrent set, frac uniform per site, floored
-    onto the fixed-point grid (floor keeps it below the cell width)."""
-    n = btw._integer(n, "replica count", 0)
-    if recurrent is None:
-        recurrent = btw.enumerate_recurrent(lat)
-    rows = rng.integers(len(recurrent), size=n)
-    quanta = recurrent[rows].copy()
-    scale = grid_scale(lat.d)
+def _uniform_allowed(lat, rng, n, recurrent):
+    quanta, scale = _recurrent_rows(recurrent, rng, n), grid_scale(lat.d)
     frac = rng.uniform(0.0, 1.0 / (2 * lat.d), size=(n, lat.n_sites))
     return quanta, np.floor(frac * scale) / scale
 
 
-def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None, t=None):
+def sample_uniform_allowed(lat, rng, recurrent=None):
+    """One uniform-allowed draw: row 0 of sample_uniform_allowed_batch, or
+    from `recurrent` when given, sparing a caller that holds it (exact_group) a scan."""
+    quanta, frac = _uniform_allowed(lat, rng, 1, lat.recurrent if recurrent is None else recurrent)
+    return CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
+
+
+def sample_uniform_allowed_batch(lat, rng, n):
+    """n independent uniform-allowed draws as (quanta, frac) matrices:
+    quanta uniform over `lat.recurrent`, frac uniform per site, floored
+    onto the fixed-point grid (floor keeps it below the cell width)."""
+    return _uniform_allowed(lat, rng, btw._integer(n, "replica count", 0), lat.recurrent)
+
+
+def sample_rational_limit_batch(lat, base, amount, rng, n, t=None):
     """n independent draws from the limit law at time t of the
     fixed-amount chain from `base`, as (quanta, frac) matrices.
 
@@ -161,10 +165,11 @@ def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None, t=Non
     Each draw adds l(xi + r e_0) to `base` and stabilizes, with xi uniform
     recurrent and r = (t - sum(xi)) mod g, so that xi + r e_0 is uniform
     on the coset of t e_0. When g = 1, r is 0 and `t` may be omitted;
-    when g > 1 the limit law depends on t mod g, so `t` is required. The
-    frac part of `base` is untouched.
+    when g > 1 the limit law depends on t mod g, so `t`, an integer >= 0,
+    is required. The frac part of `base` is untouched.
     """
     n = btw._integer(n, "replica count", 0)
+    t = None if t is None else btw._integer(t, "time", 0)
     l = quantum_multiple(amount, lat.d)
     if l is None or not (1 <= l <= 2 * lat.d - 1):
         raise DomainError(f"amount {amount} is not a quantum multiple l/2d with 0 < l < 1 mass")
@@ -174,24 +179,19 @@ def sample_rational_limit_batch(lat, base, amount, rng, n, recurrent=None, t=Non
     g = int(np.gcd.reduce(lat.boundary_degree))
     if g > 1 and t is None:
         raise DomainError(f"the limit law has period {g} on this lattice; give the chain time t")
-    if recurrent is None:
-        recurrent = btw.enumerate_recurrent(lat)
-    xi = recurrent[rng.integers(len(recurrent), size=n)]
+    xi = _recurrent_rows(lat.recurrent, rng, n)
     quanta = base.quanta[None, :] + l * xi
     if g > 1:
-        quanta[:, 0] += l * ((int(t) - xi.sum(axis=1)) % g)
+        quanta[:, 0] += l * ((t - xi.sum(axis=1)) % g)
     btw.stabilize_many(lat, quanta)
-    frac = np.broadcast_to(base.frac, quanta.shape).copy()
-    return quanta, frac
+    return quanta, np.tile(base.frac, (n, 1))
 
 
-def tv_noise_floor(lat, binning, n_samples, rng, recurrent=None):
+def tv_noise_floor(lat, binning, n_samples, rng):
     """TV distance between two independent uniform-allowed sample sets of
     the given size: the Monte Carlo resolution limit for this
     discretization and sample budget."""
     n_samples = btw._integer(n_samples, "n_samples", 1)
-    ha = Histogram.from_samples(
-        lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples, recurrent))
-    hb = Histogram.from_samples(
-        lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples, recurrent))
+    ha = Histogram.from_samples(lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples))
+    hb = Histogram.from_samples(lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples))
     return estimate_tv(ha, hb)

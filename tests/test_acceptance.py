@@ -166,8 +166,7 @@ def test_criterion_07_coupling_event_and_tv_decay(capfd):
     n_replicas, n_epochs = 20000, 100
     eta_q = np.zeros((n_replicas, lat.n_sites), dtype=np.int64)
     eta_f = np.zeros((n_replicas, lat.n_sites))
-    zeta_q, zeta_f = measures.sample_uniform_allowed_batch(lat, rng, n_replicas,
-                                                          recurrent)
+    zeta_q, zeta_f = measures.sample_uniform_allowed_batch(lat, rng, n_replicas)
     ensemble = experiments.run_coupling_ensemble(
         lat, eta_q, eta_f, zeta_q, zeta_f, params, n_epochs, rng)
     all_verified = np.array_equal(ensemble.o_events, ensemble.o_verified)

@@ -1,3 +1,4 @@
+from collections import Counter
 import json
 import re
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sandpiles import AdditionParams, build_lattice, enumerate_recurrent
+from sandpiles import AdditionParams, btw, build_lattice, enumerate_recurrent
 from sandpiles import cli
 from sandpiles.cli import (main, build_initial, parse_dims, parse_real, spawn_rngs,
                            ConfigError)
@@ -92,6 +93,27 @@ def test_enumerate_count_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli.btw, "enumerate_recurrent", lambda lat: full(lat)[1:])
     assert run_cli(["enumerate", "--dims", "2"]) == 1
     assert "recurrent count does not equal the exact determinant" in capsys.readouterr().err
+
+
+def test_each_subcommand_scans_the_recurrent_set_at_most_once(monkeypatch, tmp_path):
+    scans, scan = Counter(), btw.enumerate_recurrent
+    commands = {
+        "enumerate": ["--dims", "2"],
+        "simulate": ["--dims", "2,2", "--a", "0.2", "--b", "0.8", "--steps", "5",
+                     "--init", "mu"],
+        "invariance": ["--dims", "2", "--samples", "200", "--tolerance", "1"],
+        "couple": ["--dims", "2", "--a", "0.2", "--b", "0.8", "--init", "mu",
+                   "--max-epochs", "2"],
+        "limit-rational": ["--dims", "2", "--a", "0.5", "--steps", "10", "--samples", "200",
+                           "--init", "mu", "--tolerance", "1"],
+        "ergodic": ["--dims", "2,2", "--a", "0.25", "--steps", "50", "--init", "mu",
+                    "--tolerance", "1"],
+    }
+    for command, args in commands.items():
+        monkeypatch.setattr(btw, "enumerate_recurrent",
+                            lambda lat, command=command: scans.update([command]) or scan(lat))
+        assert run_cli([command, *args, "--out", str(tmp_path / command)]) in (0, 1)
+    assert all(count <= 1 for count in scans.values()), scans
 
 
 def test_enumerate_capacity_exit_code(tmp_path, capsys):
@@ -615,7 +637,7 @@ def test_ergodic_bytes_match_reference_occupancy(tmp_path, dims, steps, seed, in
     lat = build_lattice(parse_dims(dims))
     recurrent = enumerate_recurrent(lat)
     rng_init, rng_run = spawn_rngs(seed, 2)
-    initial = build_initial(lat, init, rng_init, recurrent)
+    initial = build_initial(lat, init, rng_init)
     a = parse_real("sqrt2-1")
     freqs = occupancy_average(lat, initial, a, steps, rng_run, recurrent)
     expected = 1.0 / len(recurrent)

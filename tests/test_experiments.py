@@ -80,9 +80,8 @@ def test_fixed_mode_tracks_counts(path2):
 
 
 def test_step_ensemble_matches_scalar_kernel(path2, rng):
-    rec = enumerate_recurrent(path2)
     n = 60
-    quanta, frac = sample_uniform_allowed_batch(path2, rng, n, rec)
+    quanta, frac = sample_uniform_allowed_batch(path2, rng, n)
     xs = rng.integers(2, size=n)
     us = rng.uniform(0.0, 1.0, size=n)
     vq, vf = quanta.copy(), frac.copy()
@@ -96,10 +95,9 @@ def test_step_ensemble_matches_scalar_kernel(path2, rng):
 
 def test_step_ensemble_tracked_matches_scalar(path2, rng):
     # Fixed-amount steps: the ensemble kernel equals the scalar one bit for bit.
-    rec = enumerate_recurrent(path2)
     n = 40
     amount = np.sqrt(2.0) - 1.0
-    quanta, frac = sample_uniform_allowed_batch(path2, rng, n, rec)
+    quanta, frac = sample_uniform_allowed_batch(path2, rng, n)
     vq, vf = quanta.copy(), frac.copy()
     sq, sf = quanta.copy(), frac.copy()
     for step in range(50):
@@ -812,9 +810,9 @@ def test_tv_decay_matches_snapshot_route(path2, times):
         run_chain_ensemble(path2, quanta, frac, params, stop - t, rng)
         snaps[stop], t = (quanta.copy(), frac.copy()), stop
     href = Histogram.from_samples(path2.d, binning,
-                                  *sample_uniform_allowed_batch(path2, rng, n, rec))
+                                  *sample_uniform_allowed_batch(path2, rng, n))
     tvs = [estimate_tv(Histogram.from_samples(path2.d, binning, *snaps[t]), href)
            for t in sorted(times)]
     assert result.times == sorted(times)
     assert result.tvs == tvs
-    assert result.noise_floor == tv_noise_floor(path2, binning, n, rng, rec)
+    assert result.noise_floor == tv_noise_floor(path2, binning, n, rng)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandpiles import (GeometryError, Lattice, TopplingMatrix, build_lattice,
-                       determinant_exact, toppling_matrix)
+from sandpiles import (CapacityError, DomainError, GeometryError, Lattice, TopplingMatrix,
+                       btw, build_lattice, determinant_exact, enumerate_recurrent,
+                       toppling_matrix)
 from oracles import cofactor_determinant
 
 
@@ -99,6 +100,40 @@ def test_neighbour_table_pads_with_the_sink(lat):
     assert not table.flags.writeable
 
 
+@pytest.mark.parametrize("lat", [
+    build_lattice([2]),
+    build_lattice([2, 3]),
+    Lattice(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]),
+], ids=["path2", "box2x3", "irregular5"])
+def test_recurrent_is_scanned_once_on_first_read(monkeypatch, lat):
+    assert "recurrent" not in vars(lat)
+    scans = []
+    scan = btw.enumerate_recurrent
+    monkeypatch.setattr(btw, "enumerate_recurrent", lambda l: scans.append(l) or scan(l))
+    table = lat.recurrent
+    assert table.dtype == np.int64 and np.array_equal(table, scan(lat))
+    assert lat.recurrent is table
+    assert scans == [lat]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+def test_recurrent_past_the_cap_raises_on_every_read():
+    lat = build_lattice([4, 4])
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            lat.recurrent
+        assert "recurrent" not in vars(lat)
+
+
+def test_enumerate_recurrent_keeps_nothing_on_the_lattice():
+    lat = build_lattice([2, 2])
+    before = set(vars(lat))
+    enumerate_recurrent(lat)
+    assert set(vars(lat)) == before and "recurrent" not in before
+
+
 def test_geometry_errors():
     with pytest.raises(GeometryError):
         build_lattice([])
@@ -144,7 +179,7 @@ def test_toppling_matrix_entries():
     assert tm.entries == [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]]
     tc = toppling_matrix(lat, "continuous")
     assert tc.entries == [[Fraction(1), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(1)]]
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         toppling_matrix(lat, "other")
 
 

@@ -26,8 +26,7 @@ def test_frac_bins_frozen():
 
 
 def test_histogram_batch_cells_in_lexicographic_order(grid22, rng):
-    rec = enumerate_recurrent(grid22)
-    quanta, frac = sample_uniform_allowed_batch(grid22, rng, 5000, rec)
+    quanta, frac = sample_uniform_allowed_batch(grid22, rng, 5000)
     hist = Histogram.from_samples(2, Binning(2), quanta, frac)
     rows = np.concatenate([quanta, frac_bins(frac, 2, Binning(2))], axis=1)
     uniq, cnt = np.unique(rows, axis=0, return_counts=True)
@@ -59,8 +58,8 @@ def test_histogram_matches_row_oracle(rng, dims, d, m, b):
 def test_estimate_tv_equals_tv_of_row_oracle_histograms(path2, rng):
     rec = enumerate_recurrent(path2)
     base = sample_uniform_allowed(path2, rng, rec)
-    batches = [sample_uniform_allowed_batch(path2, rng, 3000, rec),
-               sample_rational_limit_batch(path2, base, 0.5, rng, 3000, rec)]
+    batches = [sample_uniform_allowed_batch(path2, rng, 3000),
+               sample_rational_limit_batch(path2, base, 0.5, rng, 3000)]
     ours = [Histogram.from_samples(1, Binning(8), q, f) for q, f in batches]
     theirs = []
     for q, f in batches:
@@ -162,7 +161,7 @@ def test_from_samples_rejects_batches_that_are_not_matrices(quanta, frac):
 def test_sample_uniform_allowed_support_and_law(path2, rng):
     rec = enumerate_recurrent(path2)
     allowed = {tuple(r) for r in rec}
-    quanta, frac = sample_uniform_allowed_batch(path2, rng, 30000, rec)
+    quanta, frac = sample_uniform_allowed_batch(path2, rng, 30000)
     assert {tuple(r) for r in np.unique(quanta, axis=0)} <= allowed
     assert (frac >= 0.0).all() and (frac < 0.5).all()
     # quanta uniform over the three recurrent configurations
@@ -178,12 +177,12 @@ def test_sample_uniform_allowed_support_and_law(path2, rng):
 def test_sample_rational_limit_support(path2, rng):
     rec = enumerate_recurrent(path2)
     base = sample_uniform_allowed(path2, rng, rec)
-    quanta, frac = sample_rational_limit_batch(path2, base, 0.5, rng, 1, rec)
+    quanta, frac = sample_rational_limit_batch(path2, base, 0.5, rng, 1)
     draw = CbtwConfig(d=1, quanta=quanta[0], frac=frac[0])
     assert (draw.frac == base.frac).all()
     assert draw.is_stable()
     assert is_recurrent_burning(path2, draw.quanta)
-    quanta, frac = sample_rational_limit_batch(path2, base, 0.5, rng, 500, rec)
+    quanta, frac = sample_rational_limit_batch(path2, base, 0.5, rng, 500)
     assert (frac == base.frac).all()
     for row in np.unique(quanta, axis=0):
         assert is_recurrent_burning(path2, row)
@@ -209,6 +208,16 @@ def test_rational_limit_from_zero_base_is_uniform_allowed(path2, rng):
     _, counts = np.unique(quanta, axis=0, return_counts=True)
     assert len(counts) == 3
     assert stats.chisquare(counts).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("t", [7.9, True, "7", -1], ids=["float", "bool", "str", "negative"])
+def test_sample_rational_limit_rejects_bad_time_before_any_draw(grid22, t):
+    # 2x2 has period 2, so t picks the coset and must be an integer >= 0.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="time"):
+        sample_rational_limit_batch(grid22, zero_config(grid22), 0.25, rng, 10, t=t)
+    assert rng.bit_generator.state == state
 
 
 def test_samplers_reject_negative_replica_counts(path2):
@@ -260,7 +269,7 @@ def test_rational_limit_law_is_the_exact_chain_law(dims, base, l, t):
     start = CbtwConfig(d=lat.d, quanta=np.array(base), frac=np.zeros(lat.n_sites))
     exact = oracles.fixed_amount_law(lat, start.quanta, l, t)
     quanta, _ = sample_rational_limit_batch(lat, start, l / (2 * lat.d), EveryIndex(),
-                                            len(rec), rec, t)
+                                            len(rec), t)
     rows, counts = np.unique(quanta, axis=0, return_counts=True)
     predicted = {tuple(r): c / len(rec) for r, c in zip(rows.tolist(), counts.tolist())}
     tv = 0.5 * sum(abs(exact.get(c, 0.0) - predicted.get(c, 0.0))
