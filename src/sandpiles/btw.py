@@ -8,7 +8,6 @@ the per-site toppling counts (odometer) do not depend on the order in
 which legal topplings are performed.
 """
 
-from fractions import Fraction
 import math
 
 import numpy as np
@@ -341,39 +340,54 @@ def enumerate_recurrent(lat):
     return np.concatenate(found).astype(np.int64, order="C")
 
 
-def _solve_toppling(lat, x):
-    """Exact solution y of Delta y = e_x and det Delta, for the integer
-    toppling matrix Delta (2d on the diagonal, -1 across each in-set bond).
-
-    Delta is symmetric positive definite, so Gaussian elimination needs no
-    pivoting, its Schur complements stay symmetric, and fill-in stays
-    inside the band of the site order. Only the upper triangle is kept,
-    one sparse row per site; the pivots multiply to det Delta.
+def _bareiss(rows, b=None):
+    """Fraction-free (Bareiss) elimination of a square integer matrix given
+    as sparse rows, dicts column -> nonzero int: (det, z) with
+    z = det * A^-1 b for a right-hand side `b` of n ints, z None when b is
+    None or det is 0. A zero pivot swaps in a later row. Every entry is an
+    integer minor of A, so every division is exact. A row last written at
+    step s is its step-k value times scale[s] / scale[k], scale[k] being
+    the step k-1 pivot, so a row is rescaled only when a step reaches it
+    and band fill-in costs O(n w^2). An empty matrix has determinant 1.
     """
-    n = lat.n_sites
-    rows = [{i: Fraction(lat.threshold)} for i in range(n)]
-    for i, ys in enumerate(lat.adjacency):
-        rows[i].update((j, Fraction(-1)) for j in ys if j > i)
-    rhs = [Fraction(0)] * n
-    rhs[x] = Fraction(1)
-    det = Fraction(1)
-    for k, row in enumerate(rows):
-        pivot = row[k]
-        det *= pivot
-        upper = sorted((j, v) for j, v in row.items() if j > k)
-        for j, a in upper:
-            factor = a / pivot
-            target = rows[j]
-            for l, b in upper:
-                if l >= j:
-                    target[l] = target.get(l, 0) - factor * b
-            rhs[j] -= factor * rhs[k]
-    y = [Fraction(0)] * n
+    n = len(rows)
+    # Copies of the rows; b rides along as column n, so row operations carry it.
+    rows = [{**r, n: v} if v else dict(r) for r, v in zip(rows, [0] * n if b is None else b)]
+    holders = [set() for _ in range(n + 1)]  # column -> rows that ever held it
+    for i, r in enumerate(rows):
+        for j in r:
+            holders[j].add(i)
+    perm, level, scale, sign = list(range(n)), [0] * n, [1], 1  # a pivoted row has level n
+    for k in range(n):
+        reach = [i for i in holders[k] if level[i] <= k and rows[i].get(k)]
+        if not reach:
+            return 0, None
+        for r in reach:
+            if level[r] != k:
+                rows[r] = {j: v * scale[k] // scale[level[r]] for j, v in rows[r].items()}
+        i = perm[k] if perm[k] in reach else reach[0]
+        if i != perm[k]:
+            j = perm.index(i, k)
+            perm[k], perm[j], sign = i, perm[k], -sign
+        top, p, level[i] = rows[i], rows[i][k], n
+        for r in reach:
+            if r != i:
+                row, a, new = rows[r], rows[r][k], {}
+                for j in row.keys() | top.keys():
+                    v = (p * row.get(j, 0) - a * top.get(j, 0)) // scale[k]  # 0 at j = k
+                    if v:
+                        new[j] = v
+                        holders[j].add(r)
+                rows[r], level[r] = new, k + 1
+        scale.append(p)
+    det = sign * scale[n]
+    if b is None:
+        return det, None
+    z = [0] * n
     for k in range(n - 1, -1, -1):
-        row = rows[k]
-        acc = rhs[k] - sum(v * y[j] for j, v in row.items() if j > k)
-        y[k] = acc / row[k]
-    return y, int(det)
+        row = rows[perm[k]]
+        z[k] = (det * row.get(n, 0) - sum(v * z[j] for j, v in row.items() if k < j < n)) // row[k]
+    return det, z
 
 
 def addition_order(lat, x, recurrent=None):
@@ -382,15 +396,18 @@ def addition_order(lat, x, recurrent=None):
     The sandpile group Z^n / Delta Z^n acts simply transitively on the
     recurrent configurations (Dhar 1990), so a_x^k is the identity iff
     k e_x lies in Delta Z^n, i.e. iff k Delta^-1 e_x is integral. The
-    order is therefore the lcm of the denominators of the exact solution
-    of Delta y = e_x; it is a Python int of any size. A `recurrent` set a
-    caller scanned (exact_group's) is only cross-checked against det Delta.
+    order is the lcm of the denominators of Delta^-1 e_x = z / det, i.e.
+    det // gcd(det, *z) with (det, z) from `_bareiss`, a Python int of any
+    size. A `recurrent` set a caller scanned (exact_group's) is only
+    cross-checked against det Delta.
     """
-    y, det = _solve_toppling(lat, _site(lat, x))
+    x = _site(lat, x)
+    rows = [{i: lat.threshold, **dict.fromkeys(ys, -1)} for i, ys in enumerate(lat.adjacency)]
+    det, z = _bareiss(rows, [int(i == x) for i in range(lat.n_sites)])
     if recurrent is not None and len(recurrent) != det:
         raise DomainError(
             f"{len(recurrent)} configurations given, but the recurrent set has {det}")
-    return math.lcm(*(v.denominator for v in y))
+    return det // math.gcd(det, *z)
 
 
 def btw_inverse_add(lat, heights, x, power=1):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import btw
 from .cbtw import FRAC_BITS, AdditionParams, CbtwConfig, _carry, _check_config, \
-    _check_state, grid_scale, grid_units, quantum_multiple
+    _check_state, grid_scale, grid_units
 from .errors import DomainError
 from .measures import Binning, Histogram, estimate_tv, \
     sample_rational_limit_batch, sample_uniform_allowed_batch, tv_noise_floor
@@ -509,9 +509,8 @@ def rational_limit_test(lat, base, amount, t_chain, n_samples, rng,
     `recurrent` is ignored; the ensemble_path benchmark still passes one.
     """
     n_samples = btw._integer(n_samples, "n_samples", 1)
-    if quantum_multiple(amount, lat.d) is None:
-        raise DomainError(f"amount {amount} is not a quantum multiple")
-    lat.recurrent  # scanned here: CapacityError before the chain runs
+    # Draws nothing: its checks and the recurrent scan fail before the chain runs.
+    sample_rational_limit_batch(lat, base, amount, rng, 0, t_chain)
     quanta = np.tile(base.quanta, (n_samples, 1))
     frac = np.tile(base.frac, (n_samples, 1))
     run_chain_ensemble(lat, quanta, frac, AdditionParams(amount, amount), t_chain, rng)

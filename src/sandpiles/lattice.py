@@ -173,48 +173,21 @@ def toppling_matrix(lat, variant="continuous"):
     return TopplingMatrix(variant=variant, d=lat.d, entries=entries)
 
 
-def _bareiss_determinant(rows):
-    """Exact determinant of a square integer matrix.
-
-    Fraction-free (Bareiss) elimination: every intermediate entry is an
-    integer, divisions are exact. Empty matrix has determinant 1.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [[int(v) for v in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def determinant_exact(matrix):
     """Exact determinant of a TopplingMatrix, as a Fraction.
 
-    Row denominators are cleared first, then the integer determinant is
-    computed without any floating point. For the integer variant the
-    result is an integer-valued Fraction equal to the number of recurrent
+    `entries` must be n lists of n values (DomainError otherwise). Each
+    row's denominators are cleared, then `btw._bareiss` eliminates in
+    integers only. For the integer variant the result is an
+    integer-valued Fraction equal to the number of recurrent
     configurations; for the continuous variant it equals the total volume
-    of the stable-allowed region.
+    of the stable-allowed region. An empty matrix has determinant 1.
     """
-    scale = 1
-    int_rows = []
-    for row in matrix.entries:
-        lcm = math.lcm(*(Fraction(v).denominator for v in row)) if row else 1
-        int_rows.append([int(Fraction(v) * lcm) for v in row])
-        scale *= lcm
-    det = _bareiss_determinant(int_rows)
-    return Fraction(det, scale)
+    n = len(matrix.entries)
+    if any(len(row) != n for row in matrix.entries):
+        raise DomainError(f"entries must be {n} rows of {n} values")
+    rows = [[Fraction(v) for v in row] for row in matrix.entries]
+    lcms = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    det, _ = btw._bareiss([{j: int(v * m) for j, v in enumerate(row) if v}
+                           for row, m in zip(rows, lcms)])
+    return Fraction(det, math.prod(lcms))

@@ -142,8 +142,17 @@ def _uniform_allowed(lat, rng, n, recurrent):
 
 def sample_uniform_allowed(lat, rng, recurrent=None):
     """One uniform-allowed draw: row 0 of sample_uniform_allowed_batch, or
-    from `recurrent` when given, sparing a caller that holds it (exact_group) a scan."""
-    quanta, frac = _uniform_allowed(lat, rng, 1, lat.recurrent if recurrent is None else recurrent)
+    from `recurrent` when given, sparing a caller that holds it (exact_group) a scan;
+    that must be a nonempty (count, n_sites) integer array whose drawn row is stable."""
+    if recurrent is None:
+        recurrent = lat.recurrent
+    elif not (isinstance(recurrent, np.ndarray) and recurrent.dtype.kind in "iu"
+              and recurrent.ndim == 2 and recurrent.shape[0] and recurrent.shape[1] == lat.n_sites):
+        raise DomainError(f"recurrent must be a nonempty integer (count, {lat.n_sites}) array")
+    quanta, frac = _uniform_allowed(lat, rng, 1, recurrent)
+    row = quanta[0].tolist()  # builtin min/max: cheaper than numpy's on a few sites
+    if min(row) < 0 or max(row) >= lat.threshold:
+        raise DomainError(f"recurrent row {row} is not stable")
     return CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
 
 

@@ -522,9 +522,33 @@ def test_inverse_add_roundtrip_16x16_is_bit_exact(rng):
 
 
 def test_addition_order_16x16_exceeds_int64():
+    # Frozen from the Fraction elimination that `btw._bareiss` replaced.
     order = addition_order(build_lattice([16, 16]), 0)
     assert type(order) is int
     assert order > 2**63
+    assert order == 1278132865664882026867465276923370915995984753685459657864
+
+
+def test_addition_order_4x4_frozen():
+    # Past the permutation oracle's reach; frozen from the Fraction elimination.
+    lat = build_lattice([4, 4])
+    assert [addition_order(lat, x) for x in range(16)] == [6600] * 16
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_bareiss_solution_is_det_times_inverse(data, n):
+    # A z = det b is an exact identity in integers; it needs no oracle.
+    value = st.one_of(st.just(0), st.just(0), st.integers(-5, 5))
+    a = data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = data.draw(st.lists(value, min_size=n, max_size=n))
+    rows = [{j: v for j, v in enumerate(row) if v} for row in a]
+    det, z = btw._bareiss(rows, b)
+    assert btw._bareiss(rows) == (det, None)
+    if det == 0:
+        assert z is None
+    else:
+        assert [sum(v * w for v, w in zip(row, z)) for row in a] == [det * v for v in b]
 
 
 def test_inverse_add_rejects_power_beyond_int64(path2):

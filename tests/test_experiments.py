@@ -816,3 +816,22 @@ def test_tv_decay_matches_snapshot_route(path2, times):
     assert result.times == sorted(times)
     assert result.tvs == tvs
     assert result.noise_floor == tv_noise_floor(path2, binning, n, rng)
+
+
+def _three_by_three_base(quanta):
+    return CbtwConfig(d=2, quanta=np.array(quanta, dtype=np.int64),
+                      frac=np.zeros(len(quanta)))
+
+
+@pytest.mark.parametrize("base, amount", [
+    (_three_by_three_base([0] * 9), 0.0),
+    (_three_by_three_base([0] * 9), 1.0),
+    (_three_by_three_base([5] * 9), 0.5),
+    (_three_by_three_base([0] * 8), 0.5),
+], ids=["amount-0", "amount-l-2d", "unstable-base", "short-base"])
+def test_rational_limit_checks_amount_and_base_before_the_chain(grid33, base, amount):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        rational_limit_test(grid33, base, amount, 20, 50, rng)
+    assert rng.bit_generator.state == state

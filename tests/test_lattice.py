@@ -246,3 +246,33 @@ def test_determinant_with_zero_pivot_row_swap():
     tm = TopplingMatrix(variant="integer", d=1,
                         entries=[[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert determinant_exact(tm) == -1
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, 2, 3], [4, 5, 6]],
+    [[1], [2]],
+    [[1, 2], [3]],
+    [[]],
+], ids=["2x3", "2x1", "ragged", "one-empty-row"])
+def test_determinant_rejects_non_square_entries(entries):
+    with pytest.raises(DomainError):
+        determinant_exact(TopplingMatrix(variant="integer", d=1, entries=entries))
+
+
+def test_determinant_of_empty_matrix_is_one():
+    assert determinant_exact(TopplingMatrix(variant="integer", d=1, entries=[])) == 1
+
+
+# Mostly zeros, so singular matrices, zero leading pivots and row swaps in
+# mid-elimination are all common.
+_sparse_value = st.one_of(st.just(0), st.just(0), st.integers(-4, 4),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@given(data=st.data(), n=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_determinant_matches_cofactor_oracle_on_sparse_matrices(data, n):
+    entries = data.draw(st.lists(st.lists(_sparse_value, min_size=n, max_size=n),
+                                 min_size=n, max_size=n))
+    tm = TopplingMatrix(variant="integer", d=1, entries=entries)
+    assert determinant_exact(tm) == cofactor_determinant(entries)

@@ -287,3 +287,24 @@ def test_rational_limit_needs_time_only_on_periodic_lattices(path2):
     b = sample_rational_limit_batch(path2, zero_config(path2), 0.5, rngs[1], 50, t=7)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("table", [
+    enumerate_recurrent(build_lattice([2, 2])),
+    np.zeros((0, 2), dtype=np.int64),
+    np.ones((3, 2)),
+    np.ones(2, dtype=np.int64),
+    [[1, 1]],
+], ids=["other-lattice", "empty", "float", "1-d", "list"])
+def test_sample_uniform_allowed_rejects_a_foreign_table_before_the_draw(path2, table):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        sample_uniform_allowed(path2, rng, table)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("row", [[2, 1], [1, -1]], ids=["unstable", "negative"])
+def test_sample_uniform_allowed_rejects_an_unstable_drawn_row(path2, row):
+    with pytest.raises(DomainError, match="not stable"):
+        sample_uniform_allowed(path2, np.random.default_rng(0), np.array([row]))
