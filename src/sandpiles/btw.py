@@ -17,6 +17,9 @@ from .errors import CapacityError, DomainError
 BRUTEFORCE_MAX_SITES = 24
 ENUMERATION_CAP = 1_000_000
 ENUMERATION_CHUNK = 1 << 14
+# Replica batches relax and fold in row blocks of about this many cells:
+# 256 KB per int64 working array, so a round's arrays stay in a 2 MB L2.
+BLOCK_CELLS = 1 << 15
 
 
 def _as_heights(lat, heights):
@@ -192,28 +195,12 @@ def _shifts(ndim):
     return pairs
 
 
-def stabilize_many(lat, quanta):
-    """Stabilize many configurations at once; rows of `quanta` are replicas.
-
-    Mutates `quanta` in place and returns the odometer matrix. Each round
-    topples every unstable site of every replica floor(h/2d) times, which
-    is a legal parallel schedule, so the fixed point matches the scalar
-    stabilizer exactly. A box lattice relaxes as a grid of replicas
-    reshaped from `quanta` (a view where the layout allows), with sliced
-    neighbour additions. Any other lattice relaxes site-major, on
-    `quanta.T` (a view when `quanta` is column-major): every site gathers
-    its inflow through `lat.neighbour_table`, whose padding points at a
-    row of counts that stays 0 (the sink). The work is O(n_sites) per
-    replica-round either way; there is no bounding box. `quanta` must be a
-    writable 2-D integer array with n_sites columns and no negative entry;
-    anything else raises DomainError before any write.
-    """
-    if not (isinstance(quanta, np.ndarray) and quanta.ndim == 2 and quanta.dtype.kind in "iu"
-            and quanta.shape[1] == lat.n_sites and quanta.flags.writeable):
-        raise DomainError(
-            f"quanta must be a writable 2-d integer array with {lat.n_sites} columns")
-    if quanta.size and quanta.min() < 0:
-        raise DomainError("quanta must be nonnegative")
+def _relax_block(lat, quanta):
+    """The rounds of `stabilize_many` on one block of replica rows,
+    unchecked: relaxes `quanta` in place, in its own dtype, which must
+    hold every height and toppling count the rounds reach, and returns
+    the odometer in that dtype and in the layout of the rounds (site-major
+    off a box, so column-major rows)."""
     two_d = lat.threshold
     box = lat.dims is not None
     h = quanta.reshape(quanta.shape[:1] + lat.dims) if box else np.ascontiguousarray(quanta.T)
@@ -241,6 +228,59 @@ def stabilize_many(lat, quanta):
     if not np.may_share_memory(h, quanta):
         quanta[...] = h.reshape(quanta.shape) if box else h.T
     return od.reshape(quanta.shape) if box else od.T
+
+
+def _block_rows(n_sites):
+    """Rows per block of a replica batch with n_sites columns: about
+    BLOCK_CELLS cells, at least one row."""
+    return max(1, BLOCK_CELLS // n_sites)
+
+
+def stabilize_many(lat, quanta):
+    """Stabilize many configurations at once; rows of `quanta` are replicas.
+
+    Mutates `quanta` in place and returns the int64 odometer matrix. Each
+    round topples every unstable site of every replica floor(h/2d) times,
+    which is a legal parallel schedule, so the fixed point matches the
+    scalar stabilizer exactly. The rows relax one block at a time, each of
+    `_block_rows(n_sites)` rows (BLOCK_CELLS cells, so every working array
+    of a round stays in cache); an int64 batch of one block returns the
+    rounds' own odometer. A box lattice relaxes a block as a grid of replicas
+    reshaped from it (a view where the layout allows), with sliced
+    neighbour additions. Any other lattice relaxes it site-major, on its
+    transpose (a view when `quanta` is column-major): every site gathers
+    its inflow through `lat.neighbour_table`, whose padding points at a
+    row of counts that stays 0 (the sink). The work is O(n_sites) per
+    replica-round either way; there is no bounding box. An int64 block
+    relaxes in place; a block of any other integer dtype relaxes in an
+    int64 copy whose stable heights are written back, so nothing wraps.
+    `quanta` must be a writable 2-D integer array with n_sites columns,
+    entries in [0, 2^63 - 2d] and a dtype that holds 2d - 1; anything else
+    raises DomainError before any write.
+    """
+    if not (isinstance(quanta, np.ndarray) and quanta.ndim == 2 and quanta.dtype.kind in "iu"
+            and quanta.shape[1] == lat.n_sites and quanta.flags.writeable):
+        raise DomainError(
+            f"quanta must be a writable 2-d integer array with {lat.n_sites} columns")
+    two_d, top = lat.threshold, np.iinfo(quanta.dtype).max
+    if top < two_d - 1:
+        raise DomainError(f"{quanta.dtype} quanta cannot hold the stable height {two_d - 1}")
+    if quanta.size and quanta.min() < 0:
+        raise DomainError("quanta must be nonnegative")
+    # No round lifts a height past max + 2d - 1, so from here on all fit int64.
+    if top > 2**63 - two_d and quanta.size and quanta.max() > 2**63 - two_d:
+        raise DomainError(f"quanta above 2^63 - {two_d} may overflow int64 while relaxing")
+    rows, wide = _block_rows(lat.n_sites), quanta.dtype == np.int64
+    if wide and len(quanta) <= rows:
+        return _relax_block(lat, quanta)
+    od = np.empty(quanta.shape, dtype=np.int64)
+    for start in range(0, len(quanta), rows):
+        block = quanta[start:start + rows]
+        h = block if wide else block.astype(np.int64)
+        od[start:start + rows] = _relax_block(lat, h)
+        if h is not block:
+            block[...] = h
+    return od
 
 
 def btw_add(lat, heights, x, amount=1):
@@ -301,9 +341,10 @@ def enumerate_recurrent(lat):
     Returns a C-ordered int64 array of shape (count, n_sites). The scan
     covers all (2d)^n_sites stable configurations, so it is capped at
     ENUMERATION_CAP. It runs Dhar's burning test on chunks of consecutive
-    lexicographic indices at once: `stabilize_many` relaxes eta + beta
-    for every row, and a row is recurrent iff every site toppled, in
-    which case it relaxes back to eta.
+    lexicographic indices at once: the rounds of `stabilize_many`
+    (`_relax_block`, on the whole chunk) relax eta + beta for every row,
+    and a row is recurrent iff every site toppled, in which case it
+    relaxes back to eta.
 
     A chunk holds every value of the k lowest digits, k the smallest
     exponent (at least 1) with (2d)^k >= min((2d)^n_sites,
@@ -312,10 +353,10 @@ def enumerate_recurrent(lat):
     into a reused buffer whose other columns hold the chunk's prefix
     digits plus beta. No site topples twice, so heights stay below
     2 * 2d and the buffer takes the narrowest unsigned dtype that holds
-    2 * 2d - 1 (uint8 up to d = 64). It is column-major, so
-    `stabilize_many` relaxes it in place through a view, and its box
-    slices or neighbour-table gathers run along the contiguous replica
-    axis.
+    2 * 2d - 1 (uint8 up to d = 64), in which the rounds run without
+    `stabilize_many`'s int64 copy. It is column-major, so the rounds
+    relax it in place through a view, and its box slices or
+    neighbour-table gathers run along the contiguous replica axis.
     """
     two_d = lat.threshold
     n = lat.n_sites
@@ -336,7 +377,7 @@ def enumerate_recurrent(lat):
     for prefix in np.ndindex((two_d,) * (n - k)):
         h[:, n - k:] = low
         h[:, :n - k] = beta[:n - k] + prefix
-        found.append(h[stabilize_many(lat, h).all(axis=1)])
+        found.append(h[_relax_block(lat, h).all(axis=1)])
     return np.concatenate(found).astype(np.int64, order="C")
 
 
@@ -413,7 +454,8 @@ def addition_order(lat, x, recurrent=None):
 def btw_inverse_add(lat, heights, x, power=1):
     """Undo `power` grain additions at x on a recurrent configuration.
 
-    eps = 2m - stab(2m), with m the maximal stable configuration, is Delta
+    eps = 2m - stab(2m) (`lat.group_zero`, built by the first call with
+    a positive power), with m the maximal stable configuration, is Delta
     times an odometer, so it is zero in the sandpile group, and eps >= m
     at every site. Hence a_x^-k eta = stab(eta - k e_x + c eps) with
     c = ceil(k / (2d - 1)): the argument is at least eta, so its
@@ -427,10 +469,7 @@ def btw_inverse_add(lat, heights, x, power=1):
     if not is_recurrent_burning(lat, h):
         raise DomainError("inverse addition is defined only on recurrent configurations")
     c = -(-k // (lat.threshold - 1)) if k > 0 else 0
-    eps = np.zeros_like(h)
-    if c:
-        twice = 2 * max_stable(lat)
-        eps = twice - btw_stabilize(lat, twice)[0]
+    eps = lat.group_zero if c else np.zeros_like(h)
     if int(h.max()) + c * int(eps.max()) + max(-k, 0) >= 2**63:
         raise DomainError(f"{abs(k)} additions at site {x} need more grains than int64 holds")
     h += c * eps

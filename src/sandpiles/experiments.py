@@ -96,23 +96,34 @@ FOLD_LIMIT, DRAW_BLOCK, COUNTS_MIN = 1 << 12, 1 << 20, 16
 
 def _add_units(lat, quanta, frac, cells, units):
     """Add units[k] grid units at the k-th True cell of the boolean mask
-    `cells` (row-major order) through the carry rule, then stabilize all
-    rows once. Other cells keep their frac bits; a negative carry raises
-    DomainError first."""
-    carry, F = _carry(grid_units(frac[cells], lat.d), units)
-    if (carry < 0).any():
-        raise DomainError(f"an addition would remove quanta: frac must be in [0, 1/{2 * lat.d})")
-    frac[cells] = F / grid_scale(lat.d)
-    quanta[cells] += carry
-    btw.stabilize_many(lat, quanta)
+    `cells` (row-major order) through the carry rule, then stabilize.
+    Other cells keep their frac bits. A negative unit raises DomainError
+    before any write; the states the drivers check have frac >= 0, so no
+    other carry is negative. Then each row block of `btw._block_rows`
+    rows gathers its cells, carries, writes back and runs
+    `btw.stabilize_many`, so no temporary outlives its block."""
+    if (units < 0).any():
+        raise DomainError("an addition would remove quanta: amounts must be nonnegative")
+    rows, scale, done = btw._block_rows(lat.n_sites), grid_scale(lat.d), 0
+    for start in range(0, len(quanta), rows):
+        q, f, c = quanta[start:start + rows], frac[start:start + rows], cells[start:start + rows]
+        end = done + np.count_nonzero(c)
+        carry, F = _carry(grid_units(f[c], lat.d), units[done:end])
+        f[c] = F / scale
+        q[c] += carry
+        btw.stabilize_many(lat, q)
+        done = end
 
 
 def _check_replicas(lat, *states):
     """_check_state on each (quanta, frac) pair in `states`, which the
     drivers write in place: every array must also be writable and of one
-    (replicas, n_sites) shape. DomainError otherwise."""
+    (replicas, n_sites) shape, and quanta int64, as the folds carry in it.
+    DomainError otherwise."""
     for quanta, frac in zip(states[::2], states[1::2]):
         _check_state(lat.d, lat.n_sites, quanta, frac)
+        if quanta.dtype != np.int64:
+            raise DomainError(f"quanta must be int64, got {quanta.dtype}")
     if not all(v.ndim == 2 and v.shape == states[0].shape and v.flags.writeable
                for v in states):
         raise DomainError(f"quanta and frac must be writable (replicas, {lat.n_sites}) "
@@ -323,6 +334,7 @@ def run_coupling(lat, eta0, zeta0, params, rng, max_epochs=200000):
     _check_config(lat, zeta0)
     eta, zeta = eta0.copy(), zeta0.copy()
     rows = [v[None, :] for v in (eta.quanta, eta.frac, zeta.quanta, zeta.frac)]
+    _check_replicas(lat, *rows)
     records = []
     for epoch in range(1, max_epochs + 1):
         occurred, same = _coupling_epoch(lat, grid, *rows, rng)

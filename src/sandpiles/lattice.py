@@ -112,6 +112,17 @@ class Lattice:
         table.setflags(write=False)
         return table
 
+    @functools.cached_property
+    def group_zero(self):
+        """Read-only int64 eps = 2m - stab(2m), m the maximal stable
+        configuration: Delta times an odometer, so zero in the sandpile
+        group, and at least m at every site. Built on first read (the
+        first inverse addition that needs it) and kept."""
+        twice = 2 * btw.max_stable(self)
+        eps = twice - btw.btw_stabilize(self, twice)[0]
+        eps.setflags(write=False)
+        return eps
+
     @property
     def threshold(self):
         """Number of grains shed per toppling (2d)."""

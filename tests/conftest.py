@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sandpiles import build_lattice
+from sandpiles import btw, build_lattice
 
 
 @pytest.fixture
@@ -37,3 +37,16 @@ def grid22():
 @pytest.fixture
 def grid33():
     return build_lattice([3, 3])
+
+
+@pytest.fixture
+def each_block(monkeypatch):
+    """runs(n_sites, run): run() at the default replica block, at one row
+    per block and at three-row blocks (a ragged last block), as a list."""
+    def runs(n_sites, run):
+        outs = [run()]
+        for cells in (n_sites, 3 * n_sites):
+            monkeypatch.setattr(btw, "BLOCK_CELLS", cells)
+            outs.append(run())
+        return outs
+    return runs

@@ -210,6 +210,99 @@ def test_stabilize_many_rejects_read_only_batch(path2):
         stabilize_many(path2, batch)
 
 
+def test_stabilize_many_counts_past_narrow_dtypes():
+    # uint8 heights relax right, but 460,064 topplings in uint8 counts
+    # read 191,776 (mod 256) unless the rows relax in int64.
+    lat = build_lattice([40, 40])
+    batch = np.full((2, lat.n_sites), 7, dtype=np.uint8)
+    od = stabilize_many(lat, batch)
+    ref, od_ref = btw_stabilize(lat, np.full(lat.n_sites, 7))
+    assert od.dtype == np.int64 and batch.dtype == np.uint8
+    assert od[0].sum() == 460_064
+    assert np.array_equal(od, [od_ref, od_ref]) and np.array_equal(batch, [ref, ref])
+
+
+def test_stabilize_many_relaxes_narrow_heights_without_wrapping():
+    # A uint8 centre of 251 with six neighbours at 252 must keep all 83
+    # grains the box does not lose; relaxed in uint8 it kept 67.
+    lat = build_lattice([3, 3, 3])
+    h = np.zeros(lat.n_sites, dtype=np.uint8)
+    h[13] = 251
+    h[list(lat.adjacency[13])] = 252
+    for order in ("C", "F"):
+        batch = np.array([h, h], order=order)
+        od = stabilize_many(lat, batch)
+        ref, od_ref = btw_stabilize(lat, h)
+        assert ref.sum() == 83
+        assert np.array_equal(batch, [ref, ref]) and np.array_equal(od, [od_ref, od_ref])
+        assert batch.dtype == np.uint8 and batch.flags[f"{order}_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("lat, batch", [
+    (Lattice(65, [(0,) * 65]), np.array([[5]], dtype=np.int8)),
+    (build_lattice([2]), np.array([[2**63 - 1, 0]])),
+    (build_lattice([2]), np.array([[0, 2**63 - 1]], dtype=np.uint64)),
+    (build_lattice([2]), np.array([[2**63, 0]], dtype=np.uint64)),
+    (build_lattice([2, 2]), np.array([[0, 0, 2**63 - 3, 0]])),
+], ids=["int8-below-2d-1", "int64-top", "uint64-top", "uint64-past-int64", "int64-d2"])
+def test_stabilize_many_rejects_heights_it_cannot_hold(lat, batch):
+    before = batch.copy()
+    with pytest.raises(DomainError):
+        stabilize_many(lat, batch)
+    assert np.array_equal(batch, before) and batch.dtype == before.dtype
+
+
+@pytest.mark.parametrize("lat, top", [(build_lattice([2]), 2**63 - 2),
+                                      (build_lattice([2, 2]), 2**63 - 4)], ids=repr)
+def test_stabilize_many_relaxes_heights_at_the_int64_bound(lat, top):
+    for dtype in (np.int64, np.uint64):
+        batch = np.zeros((1, lat.n_sites), dtype=dtype)
+        batch[0, -1] = top
+        od = stabilize_many(lat, batch)
+        assert (batch < lat.threshold).all()
+        assert int(np.dot(od[0], lat.boundary_degree)) + int(batch.sum()) == top
+
+
+@pytest.mark.parametrize("lat, rows", [
+    (build_lattice([3, 3]), 100),
+    (Lattice(2, [(i, j) for i in (2, 1, 0) for j in (0, 1, 2)]), 50),
+    (Lattice(2, IRREGULAR), 100),
+    (build_lattice([3, 3]), 0),
+], ids=["box", "box-out-of-order", "irregular", "zero-rows"])
+@pytest.mark.parametrize("layout", ["int64", "uint8-column-major", "strided"])
+def test_stabilize_many_is_blind_to_the_block_size(lat, rows, layout, each_block):
+    batch = np.random.default_rng(3).integers(0, 4 * lat.threshold, size=(rows, lat.n_sites))
+
+    def run():
+        if layout == "int64":
+            work = batch.copy()
+        elif layout == "uint8-column-major":
+            work = np.asfortranarray(batch, dtype=np.uint8)
+        else:
+            work = np.zeros((rows, 2 * lat.n_sites), dtype=np.int64)[:, ::2]
+            work[...] = batch
+        od = stabilize_many(lat, work)
+        return work, od
+
+    outs = each_block(lat.n_sites, run)
+    for work, od in outs:
+        assert od.dtype == np.int64 and od.shape == batch.shape
+        assert np.array_equal(work, outs[0][0]) and np.array_equal(od, outs[0][1])
+    for row_in, row_out, row_od in zip(batch, *outs[0]):
+        ref, od_ref = btw_stabilize(lat, row_in)
+        assert np.array_equal(row_out, ref) and np.array_equal(row_od, od_ref)
+
+
+def test_enumeration_relaxes_its_chunks_without_stabilize_many(grid22, monkeypatch):
+    # The scan's uint8 chunk relaxes in place through the rounds' kernel:
+    # no site topples twice, so nothing wraps and no int64 copy is needed.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration copied its chunk through stabilize_many")
+
+    monkeypatch.setattr(btw, "stabilize_many", forbidden)
+    assert len(enumerate_recurrent(grid22)) == 192
+
+
 @pytest.mark.parametrize("amount", [1.5, True, np.float64(2.0), 2**63, 2**63 - 1])
 def test_add_rejects_bad_amounts(path2, amount):
     with pytest.raises(DomainError):
@@ -549,6 +642,30 @@ def test_bareiss_solution_is_det_times_inverse(data, n):
         assert z is None
     else:
         assert [sum(v * w for v, w in zip(row, z)) for row in a] == [det * v for v in b]
+
+
+def test_inverse_add_stabilizes_the_group_zero_once_per_lattice(monkeypatch):
+    # eps = 2m - stab(2m) is built by the first inverse with a positive
+    # power, never by the lattice, and every later inverse reuses it.
+    lat = build_lattice([4, 4])
+    twice = 2 * max_stable(lat)
+    calls = []
+    real = btw.btw_stabilize
+
+    def counting(lat_, heights):
+        calls.append(np.array_equal(heights, twice))
+        return real(lat_, heights)
+
+    monkeypatch.setattr(btw, "btw_stabilize", counting)
+    assert "group_zero" not in vars(lat)
+    h = btw_add(lat, max_stable(lat), 0)
+    backs = [btw_inverse_add(lat, h, x, power=p) for x, p in ((0, 1), (5, 3), (5, -2), (15, 40))]
+    assert calls == [True]
+    eps = lat.group_zero
+    assert not eps.flags.writeable and eps.dtype == np.int64
+    assert np.array_equal(eps, twice - real(lat, twice)[0]) and (eps >= max_stable(lat)).all()
+    assert np.array_equal(backs[0], max_stable(lat))
+    assert np.array_equal(btw_add(lat, backs[3], 15, amount=40), h)
 
 
 def test_inverse_add_rejects_power_beyond_int64(path2):
