@@ -75,6 +75,26 @@ def _relaxable(lat, heights):
     return h
 
 
+def _topplings_fit(lat, high, room):
+    """True when relaxing heights of at most `high` topples no site more
+    than `room` times. The odometer is at most Delta^-1 h <= high *
+    Delta^-1 1, and every entry of Delta^-1 1 is at most a*b/2, a =
+    floor((w+1)/2), b = ceil((w+1)/2), w the smallest side of the bounding
+    box (exact on a path). Each component lies in a box of side at most its
+    size, so w = n_sites bounds it too, and that bound is tried first."""
+    w = lat.n_sites
+    if high * (w + 1) ** 2 > 8 * room:
+        w = min(w, min(lat.dims) if lat.dims else int(np.ptp(lat.sites, axis=0).min()) + 1)
+    return high * ((w + 1) // 2) * ((w + 2) // 2) <= 2 * room
+
+
+def _rounds_fit(lat, high):
+    """True when parallel rounds relax heights of at most `high` >= 0 in
+    int64: no round lifts a height past high + 2d - 1, and no count past
+    the odometer."""
+    return high <= 2**63 - lat.threshold and _topplings_fit(lat, high, 2**63 - 1)
+
+
 def is_stable(lat, heights):
     """True iff every site holds fewer than 2d grains."""
     return bool((_as_heights(lat, heights) < lat.threshold).all())
@@ -126,18 +146,26 @@ def stabilize_from(lat, heights, seeds):
     """FIFO stabilization of `heights` in place, seeded from `seeds`.
 
     `heights` is a writable 1-D integer array of length n_sites (a strided
-    view, such as a column of a 2-D array, is fine); anything else raises
-    DomainError before any write. `seeds` are site indices, each an
-    integer in [0, n_sites), repeats allowed. Only unstable seeds start
-    the avalanche, and a site topples only when the avalanche reaches it:
-    an unstable site that no toppling touches stays as it is. The
-    interpreted work is proportional to the seeds plus the topplings times
-    2d, not to n_sites; only the zeroed odometer and queue flags have
-    n_sites entries, and `run_chain` sets those up once per run for the
-    shared loop `_relax`. Returns the odometer as an int64 array.
+    view, such as a column of a 2-D array, is fine) whose dtype, and
+    int64, hold every height and count the avalanche may reach (a height
+    never passes max(h) + 2d max(od)); anything else raises DomainError
+    before any write. `seeds` are site indices, each an integer in
+    [0, n_sites), repeats allowed. Only unstable seeds start the
+    avalanche, and a site topples only when the avalanche reaches it: an
+    unstable site that no toppling touches stays as it is. The interpreted
+    work is proportional to the seeds plus the topplings times 2d, not to
+    n_sites; only the check's maximum, the zeroed odometer and the queue
+    flags have n_sites entries, and `run_chain` sets the last two up once
+    per run for the shared loop `_relax`. Returns the odometer as an int64
+    array.
     """
     n, two_d = lat.n_sites, lat.threshold
     h = _relaxable(lat, heights)
+    view = np.asarray(heights)
+    high, top = int(view.max()), min(np.iinfo(view.dtype).max, 2**63 - 1)
+    # A FIFO height never passes high + 2d * max(od).
+    if not _topplings_fit(lat, high, (top - high) // two_d):
+        raise DomainError(f"heights up to {high} may overflow {view.dtype} while relaxing")
     od = np.zeros(n, dtype=np.int64)
     queued = bytearray(n)
     queue = []
@@ -152,33 +180,44 @@ def stabilize_from(lat, heights, seeds):
     return od
 
 
-def btw_stabilize(lat, heights):
-    """Topple until stable; returns (stable_heights, odometer).
-
-    Order-independent by abelianness; this implementation runs parallel
-    rounds: each round topples every unstable site floor(h/2d) times at
-    once, then every site gathers its inflow from the toppling counts of
-    its in-set neighbours through `lat.neighbour_table`, whose padding
-    points at a count that stays 0 (the sink). A whole configuration
-    relaxes in whole-array work per round instead of interpreted work per
-    toppling. It shares no code with the FIFO `stabilize_from` or with
-    `stabilize_many` (box slices or neighbour-table rounds), which tests
-    and the benchmark check against it.
-    """
-    h = _as_heights(lat, heights)
-    n, two_d = lat.n_sites, lat.threshold
-    od = np.zeros(n, dtype=np.int64)
-    # k[n] stays 0: the padding of the table gathers nothing from the sink.
-    k = np.zeros(n + 1, dtype=np.int64)
-    fired = k[:n]
-    table = lat.neighbour_table
+def _table_rounds(lat, h):
+    """Neighbour-table rounds, unchecked: relaxes site-major heights `h`,
+    of shape (n_sites,) or (n_sites, replicas), in place, in their own
+    dtype, which must hold every height and toppling count the rounds
+    reach, and returns the odometer in that dtype and shape. Each round
+    topples every unstable site floor(h/2d) times at once, then every site
+    gathers its inflow from the counts of its in-set neighbours through
+    `lat.neighbour_table`, whose padding points at a row of counts that
+    stays 0 (the sink)."""
+    two_d, rows = lat.threshold, tuple(lat.neighbour_table)  # views made once
+    od = np.zeros_like(h)
+    k = np.zeros((len(h) + 1,) + h.shape[1:], dtype=h.dtype)
+    fired = k[:len(h)]
     while True:
         np.floor_divide(h, two_d, out=fired)
         if not fired.any():
-            return h, od
-        h -= two_d * fired
+            return od
+        h -= fired * two_d
         od += fired
-        h += k[table].sum(axis=0)
+        for row in rows:
+            h += k[row]
+
+
+def btw_stabilize(lat, heights):
+    """Topple until stable; returns (stable_heights, odometer).
+
+    Order-independent by abelianness; this implementation runs the
+    neighbour-table rounds `_table_rounds` on the whole configuration, in
+    whole-array work per round instead of interpreted work per toppling.
+    It shares no code with the FIFO `stabilize_from` or with the box
+    slices of `stabilize_many`, which tests and the benchmark check
+    against it. Heights whose relaxation may pass int64 (`_rounds_fit`)
+    raise DomainError.
+    """
+    h = _as_heights(lat, heights)
+    if not _rounds_fit(lat, int(h.max())):
+        raise DomainError(f"heights up to {h.max()} may overflow int64 while relaxing")
+    return h, _table_rounds(lat, h)
 
 
 def _shifts(ndim):
@@ -200,31 +239,23 @@ def _relax_block(lat, quanta):
     unchecked: relaxes `quanta` in place, in its own dtype, which must
     hold every height and toppling count the rounds reach, and returns
     the odometer in that dtype and in the layout of the rounds (site-major
-    off a box, so column-major rows)."""
-    two_d = lat.threshold
+    off a box, so column-major rows). Off a box the block's transpose
+    runs `_table_rounds`, as a 1-D view when the block has one row."""
     box = lat.dims is not None
     h = quanta.reshape(quanta.shape[:1] + lat.dims) if box else np.ascontiguousarray(quanta.T)
-    od = np.zeros_like(h)
     if box:
-        k = np.empty_like(h)
-        shifts = _shifts(h.ndim)
-    else:
-        # One row more than h, which stays 0: the table's padding gathers the sink.
-        k = np.zeros((len(h) + 1, h.shape[1]), dtype=h.dtype)
-        table = lat.neighbour_table
-    fired = k[:len(h)]
-    while True:
-        np.floor_divide(h, two_d, out=fired)
-        if not fired.any():
-            break
-        h -= fired * two_d
-        od += fired
-        if box:
+        two_d, shifts = lat.threshold, _shifts(h.ndim)
+        od, k = np.zeros_like(h), np.empty_like(h)
+        while True:
+            np.floor_divide(h, two_d, out=k)
+            if not k.any():
+                break
+            h -= k * two_d
+            od += k
             for a, b in shifts:
                 h[a] += k[b]
-        else:
-            for row in table:
-                h += k[row]
+    else:
+        od = _table_rounds(lat, h[:, 0] if len(quanta) == 1 else h).reshape(h.shape)
     if not np.may_share_memory(h, quanta):
         quanta[...] = h.reshape(quanta.shape) if box else h.T
     return od.reshape(quanta.shape) if box else od.T
@@ -245,18 +276,19 @@ def stabilize_many(lat, quanta):
     scalar stabilizer exactly. The rows relax one block at a time, each of
     `_block_rows(n_sites)` rows (BLOCK_CELLS cells, so every working array
     of a round stays in cache); an int64 batch of one block returns the
-    rounds' own odometer. A box lattice relaxes a block as a grid of replicas
-    reshaped from it (a view where the layout allows), with sliced
-    neighbour additions. Any other lattice relaxes it site-major, on its
-    transpose (a view when `quanta` is column-major): every site gathers
-    its inflow through `lat.neighbour_table`, whose padding points at a
-    row of counts that stays 0 (the sink). The work is O(n_sites) per
-    replica-round either way; there is no bounding box. An int64 block
-    relaxes in place; a block of any other integer dtype relaxes in an
-    int64 copy whose stable heights are written back, so nothing wraps.
+    rounds' own odometer. A box lattice relaxes a block as a grid of
+    replicas reshaped from it (a view where the layout allows), with
+    sliced neighbour additions. Any other lattice runs `_table_rounds` on
+    its transpose (a view when `quanta` is column-major). The work is
+    O(n_sites) per replica-round either way; there is no bounding box. An
+    int64 block relaxes in place; a block of any other integer dtype
+    relaxes in an int64 copy whose stable heights are written back, so
+    nothing wraps.
     `quanta` must be a writable 2-D integer array with n_sites columns,
-    entries in [0, 2^63 - 2d] and a dtype that holds 2d - 1; anything else
-    raises DomainError before any write.
+    nonnegative entries whose heights and counts fit int64 while relaxing
+    (`_rounds_fit`: at most 2^63 - 2d, and less on a wide lattice) and a
+    dtype that holds 2d - 1; anything else raises DomainError before any
+    write.
     """
     if not (isinstance(quanta, np.ndarray) and quanta.ndim == 2 and quanta.dtype.kind in "iu"
             and quanta.shape[1] == lat.n_sites and quanta.flags.writeable):
@@ -267,9 +299,9 @@ def stabilize_many(lat, quanta):
         raise DomainError(f"{quanta.dtype} quanta cannot hold the stable height {two_d - 1}")
     if quanta.size and quanta.min() < 0:
         raise DomainError("quanta must be nonnegative")
-    # No round lifts a height past max + 2d - 1, so from here on all fit int64.
-    if top > 2**63 - two_d and quanta.size and quanta.max() > 2**63 - two_d:
-        raise DomainError(f"quanta above 2^63 - {two_d} may overflow int64 while relaxing")
+    # The dtype's top clears a narrow batch without a pass over it.
+    if quanta.size and not _rounds_fit(lat, top) and not _rounds_fit(lat, int(quanta.max())):
+        raise DomainError(f"quanta up to {quanta.max()} may overflow int64 while relaxing")
     rows, wide = _block_rows(lat.n_sites), quanta.dtype == np.int64
     if wide and len(quanta) <= rows:
         return _relax_block(lat, quanta)

@@ -69,8 +69,8 @@ class Histogram:
         Each row becomes one int64 cell code: mixed radix over the quanta
         columns (radix 2d), then over the bin columns (radix B), the first
         column most significant, so numeric code order is lexicographic
-        row order. The codes are sorted, counted with one diff, and only
-        the distinct codes are decoded back into (quanta, bins) keys, so
+        row order. The codes are counted by `np.unique`, and only the
+        distinct codes are decoded back into (quanta, bins) keys, so
         new cells enter `counts` in lexicographic order. Where the next
         column would take the radix product to 2^63, the code so far is
         replaced by its rank among its distinct values, which keeps the
@@ -98,12 +98,8 @@ class Histogram:
             code = code * radix + column
             span *= radix
             folded.append(radix)
-        code.sort()
-        first = np.ones(len(code), dtype=bool)
-        first[1:] = code[1:] != code[:-1]
-        starts = np.flatnonzero(first)
-        cnt = np.diff(starts, append=len(code))
-        for row, c in zip(_decode(code[starts], cells, folded).tolist(), cnt.tolist()):
+        distinct, cnt = np.unique(code, return_counts=True)
+        for row, c in zip(_decode(distinct, cells, folded).tolist(), cnt.tolist()):
             key = (tuple(row[:m]), tuple(row[m:]))
             self.counts[key] = self.counts.get(key, 0) + c
         self.total += int(quanta.shape[0])
@@ -188,10 +184,11 @@ def sample_rational_limit_batch(lat, base, amount, rng, n, t=None):
     g = int(np.gcd.reduce(lat.boundary_degree))
     if g > 1 and t is None:
         raise DomainError(f"the limit law has period {g} on this lattice; give the chain time t")
-    xi = _recurrent_rows(lat.recurrent, rng, n)
-    quanta = base.quanta[None, :] + l * xi
+    quanta = _recurrent_rows(lat.recurrent, rng, n)  # xi, shifted and scaled in place
     if g > 1:
-        quanta[:, 0] += l * ((t - xi.sum(axis=1)) % g)
+        quanta[:, 0] += (t - quanta.sum(axis=1)) % g
+    quanta *= l
+    quanta += base.quanta.astype(np.int64)  # stable, so exact in any integer dtype
     btw.stabilize_many(lat, quanta)
     return quanta, np.tile(base.frac, (n, 1))
 

@@ -33,16 +33,18 @@ def test_traced_layer_resolves(module, attribute):
 
 
 def test_relaxation_reference_uses_neither_checked_kernel(monkeypatch):
-    # large_box checks stabilize_many against a btw_stabilize reference and
-    # btw_add drops against stabilize_from; the reference must run neither.
+    # large_box checks stabilize_many on a box against a btw_stabilize
+    # reference and btw_add drops against stabilize_from; on a box the
+    # reference must run neither, nor the box slices (`_relax_block`, which
+    # builds them from `_shifts`).
     import numpy as np
     from sandpiles import btw, lattice
 
     def forbidden(*args, **kwargs):
         raise AssertionError("btw_stabilize called a kernel it is checked against")
 
-    monkeypatch.setattr(btw, "stabilize_many", forbidden)
-    monkeypatch.setattr(btw, "stabilize_from", forbidden)
+    for name in ("stabilize_many", "stabilize_from", "_relax_block", "_shifts"):
+        monkeypatch.setattr(btw, name, forbidden)
     lat = lattice.build_lattice([8, 8])
     stable, od = btw.btw_stabilize(lat, np.full(lat.n_sites, 6, dtype=np.int64))
     assert (stable < lat.threshold).all() and od.sum() > 0

@@ -19,6 +19,13 @@ def total_outflow(lat, odometer):
     return int(np.dot(odometer, lat.boundary_degree))
 
 
+def fifo_stabilize(lat, heights):
+    """The FIFO reference, `stabilize_from` seeded at every site: off a box
+    `stabilize_many` and `btw_stabilize` share `_table_rounds`."""
+    h = np.array(heights, dtype=np.int64)
+    return h, stabilize_from(lat, h, range(lat.n_sites))
+
+
 def test_topple_moves_grains(path3):
     new, legal = btw_topple(path3, [2, 0, 0], 0)
     assert legal
@@ -152,7 +159,7 @@ def test_stabilize_many_matches_scalar_on(lat, rows, high, rng):
     work = batch.copy()
     od = stabilize_many(lat, work)
     for row_in, row_out, row_od in zip(batch, work, od):
-        ref, od_ref = btw_stabilize(lat, row_in)
+        ref, od_ref = fifo_stabilize(lat, row_in)
         assert np.array_equal(row_out, ref)
         assert np.array_equal(row_od, od_ref)
 
@@ -177,7 +184,7 @@ def test_stabilize_many_relaxes_column_major_batch_in_place(lat, dtype, rng):
     od_f = stabilize_many(lat, f_order)
     od_c = stabilize_many(lat, c_order)
     assert f_order.flags.f_contiguous and f_order.dtype == dtype
-    assert np.array_equal(f_order, [btw_stabilize(lat, row)[0] for row in batch])
+    assert np.array_equal(f_order, [fifo_stabilize(lat, row)[0] for row in batch])
     assert np.array_equal(f_order, c_order)
     assert np.array_equal(od_f, od_c)
 
@@ -263,6 +270,59 @@ def test_stabilize_many_relaxes_heights_at_the_int64_bound(lat, top):
         assert int(np.dot(od[0], lat.boundary_degree)) + int(batch.sum()) == top
 
 
+def test_relaxations_reject_heights_whose_odometer_passes_int64():
+    # 2^62 grains per site on 16x16 topple the centre about 21 * 2^62
+    # times: the odometers wrapped to -9068450705162245648 silently.
+    lat = build_lattice([16, 16])
+    h = np.full(lat.n_sites, 2**62, dtype=np.int64)
+    batch = h[None, :].copy()
+    with pytest.raises(DomainError):
+        btw_stabilize(lat, h)
+    with pytest.raises(DomainError):
+        stabilize_many(lat, batch)
+    assert (h == 2**62).all() and (batch == 2**62).all()
+
+
+def test_relaxations_take_heights_up_to_the_odometer_bound():
+    # On a 16-site path Delta^-1 1 peaks at 36 = 8 * 9 / 2, the bound
+    # itself, so 72 * high <= 2^64 - 2 decides what the rounds take.
+    lat = build_lattice([16])
+    high = (2**64 - 2) // 72
+    for top in (high, high + 1):
+        h = np.full(lat.n_sites, top, dtype=np.int64)
+        if top > high:
+            with pytest.raises(DomainError):
+                btw_stabilize(lat, h)
+            continue
+        stable, od = btw_stabilize(lat, h)
+        assert od.max() > 2**62 and (stable < lat.threshold).all()
+        laplacian = 2 * od.astype(object)
+        laplacian[1:] -= od[:-1].astype(object)
+        laplacian[:-1] -= od[1:].astype(object)
+        assert list(h.astype(object) - stable.astype(object)) == list(laplacian)
+        batch = h[None, :].copy()
+        assert np.array_equal(stabilize_many(lat, batch)[0], od)
+        assert np.array_equal(batch[0], stable)
+
+
+def test_fifo_rejects_heights_it_may_overflow_before_any_write(grid33, path3):
+    # Eight sites at 2^63 - 100 and the centre at 3: the FIFO wrote a site
+    # and then failed in its memoryview with a bare ValueError.
+    h = np.full(9, 2**63 - 100, dtype=np.int64)
+    h[4] = 3
+    before = h.copy()
+    with pytest.raises(DomainError):
+        stabilize_from(grid33, h, range(9))
+    with pytest.raises(DomainError):
+        btw_add(grid33, h, 4)
+    assert np.array_equal(h, before)
+    # An int8 centre may reach 100 + 50 + 50 grains.
+    narrow = np.array([100, 100, 100], dtype=np.int8)
+    with pytest.raises(DomainError):
+        stabilize_from(path3, narrow, range(3))
+    assert list(narrow) == [100, 100, 100]
+
+
 @pytest.mark.parametrize("lat, rows", [
     (build_lattice([3, 3]), 100),
     (Lattice(2, [(i, j) for i in (2, 1, 0) for j in (0, 1, 2)]), 50),
@@ -289,7 +349,7 @@ def test_stabilize_many_is_blind_to_the_block_size(lat, rows, layout, each_block
         assert od.dtype == np.int64 and od.shape == batch.shape
         assert np.array_equal(work, outs[0][0]) and np.array_equal(od, outs[0][1])
     for row_in, row_out, row_od in zip(batch, *outs[0]):
-        ref, od_ref = btw_stabilize(lat, row_in)
+        ref, od_ref = fifo_stabilize(lat, row_in)
         assert np.array_equal(row_out, ref) and np.array_equal(row_od, od_ref)
 
 

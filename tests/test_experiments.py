@@ -701,6 +701,19 @@ def test_fold_temporaries_stay_within_a_few_blocks():
         assert peak < 4 * quanta.nbytes, (dims, peak / quanta.nbytes)
 
 
+def test_rational_limit_draws_hold_one_quanta_batch_of_temporaries():
+    # The drawn rows are shifted and scaled in place: with the frac batch and
+    # the odometer of stabilize_many the peak is 2.8 quanta batches on the
+    # path (g = 1) and 2.5 on 2x2 (g = 2); base + l * xi beside xi made 3.8
+    # and 3.5.
+    for dims, n, t in (([2], 100_000, None), ([2, 2], 50_000, 7)):
+        lat = build_lattice(dims)
+        lat.recurrent  # scanned and kept before tracing
+        peak = _traced_peak(sample_rational_limit_batch, lat, zero_config(lat), 0.5,
+                            np.random.default_rng(5), n, t)
+        assert peak < 3 * n * lat.n_sites * 8, (dims, peak / (n * lat.n_sites * 8))
+
+
 def test_fourier_frozen_values():
     # zero frequency integrates to 1
     assert translation_mixture_fourier(0.3, [0, 0], [0.1, 0.9], 50) == 1.0

@@ -254,11 +254,12 @@ class EveryIndex:
     ([2, 2], [0, 0, 0, 0], 2),
     ([2, 2], [0, 0, 0, 0], 3),
     ([2, 2], [3, 0, 1, 2], 1),
+    ([2, 2], np.array([3, 0, 1, 2], dtype=np.uint64), 1),
     ([2, 1], [0, 0], 1),
     ([2, 1], [3, 1], 2),
     ([1, 1], [0], 3),
-], ids=["1-l1", "2-l1", "2x2-l1", "2x2-l2", "2x2-l3", "2x2-l1-base", "2x1-l1", "2x1-l2-base",
-        "1x1-l3"])
+], ids=["1-l1", "2-l1", "2x2-l1", "2x2-l2", "2x2-l3", "2x2-l1-base", "2x2-l1-uint64-base",
+        "2x1-l1", "2x1-l2-base", "1x1-l3"])
 @pytest.mark.parametrize("t", [200, 201])
 def test_rational_limit_law_is_the_exact_chain_law(dims, base, l, t):
     # g = gcd(boundary degrees) is 1 on the 2-site path, 2 on the 1-site
