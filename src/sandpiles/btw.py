@@ -88,11 +88,32 @@ def _topplings_fit(lat, high, room):
     return high * ((w + 1) // 2) * ((w + 2) // 2) <= 2 * room
 
 
-def _rounds_fit(lat, high):
-    """True when parallel rounds relax heights of at most `high` >= 0 in
-    int64: no round lifts a height past high + 2d - 1, and no count past
-    the odometer."""
-    return high <= 2**63 - lat.threshold and _topplings_fit(lat, high, 2**63 - 1)
+# The signed dtypes parallel rounds may run in, narrowest first, with their tops.
+_ROUND_DTYPES = tuple((np.dtype(t), int(np.iinfo(t).max))
+                      for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _round_dtype(lat, high):
+    """The narrowest of int8, int16, int32 and int64 in which parallel
+    rounds relax heights of at most `high` >= 0, or None when even int64
+    may overflow. A dtype of maximum `top` serves when it holds the
+    divisor 2d, every height the rounds reach (high + 2d - 1 <= top) and
+    every toppling count (`_topplings_fit(lat, high, top)`).
+
+    The height bound: let K_t = max_x floor(h_t(x) / 2d) before round t,
+    which topples each x k_t(x) = floor(h_t(x) / 2d) <= K_t times. Then x
+    keeps h_t(x) - 2d k_t(x) <= 2d - 1 grains, and y gains k_t(x) from
+    each of its at most 2d in-set neighbours x, so
+    h_{t+1}(y) <= 2d - 1 + sum_{x~y} k_t(x) <= 2d - 1 + 2d K_t,
+    whence K_{t+1} <= K_t. K_t never grows, so no height passes
+    2d - 1 + 2d K_0 <= max(h) + 2d - 1. A round's intermediate values
+    (2d k_t(x) <= h_t(x), the partial sums of its inflow, an odometer on
+    its way to the final one) lie below these bounds."""
+    two_d = lat.threshold
+    for dtype, top in _ROUND_DTYPES:
+        if two_d <= top and high + two_d - 1 <= top and _topplings_fit(lat, high, top):
+            return dtype
+    return None
 
 
 def is_stable(lat, heights):
@@ -204,20 +225,24 @@ def _table_rounds(lat, h):
 
 
 def btw_stabilize(lat, heights):
-    """Topple until stable; returns (stable_heights, odometer).
+    """Topple until stable; returns int64 (stable_heights, odometer).
 
     Order-independent by abelianness; this implementation runs the
     neighbour-table rounds `_table_rounds` on the whole configuration, in
-    whole-array work per round instead of interpreted work per toppling.
-    It shares no code with the FIFO `stabilize_from` or with the box
-    slices of `stabilize_many`, which tests and the benchmark check
-    against it. Heights whose relaxation may pass int64 (`_rounds_fit`)
-    raise DomainError.
+    whole-array work per round instead of interpreted work per toppling,
+    and in the narrowest dtype that holds every height and count they
+    reach (`_round_dtype`). It shares no code with the FIFO
+    `stabilize_from` or with the box slices of `stabilize_many`, which
+    tests and the benchmark check against it. Heights whose relaxation
+    may pass int64 raise DomainError.
     """
     h = _as_heights(lat, heights)
-    if not _rounds_fit(lat, int(h.max())):
+    dtype = _round_dtype(lat, int(h.max()))
+    if dtype is None:
         raise DomainError(f"heights up to {h.max()} may overflow int64 while relaxing")
-    return h, _table_rounds(lat, h)
+    h = h.astype(dtype, copy=False)
+    od = _table_rounds(lat, h)
+    return h.astype(np.int64, copy=False), od.astype(np.int64, copy=False)
 
 
 def _shifts(ndim):
@@ -275,40 +300,38 @@ def stabilize_many(lat, quanta):
     which is a legal parallel schedule, so the fixed point matches the
     scalar stabilizer exactly. The rows relax one block at a time, each of
     `_block_rows(n_sites)` rows (BLOCK_CELLS cells, so every working array
-    of a round stays in cache); an int64 batch of one block returns the
-    rounds' own odometer. A box lattice relaxes a block as a grid of
-    replicas reshaped from it (a view where the layout allows), with
-    sliced neighbour additions. Any other lattice runs `_table_rounds` on
-    its transpose (a view when `quanta` is column-major). The work is
-    O(n_sites) per replica-round either way; there is no bounding box. An
-    int64 block relaxes in place; a block of any other integer dtype
-    relaxes in an int64 copy whose stable heights are written back, so
-    nothing wraps.
+    of a round stays in cache), in the narrowest dtype that holds every
+    height and count the rounds reach from the batch's largest entry
+    (`_round_dtype`): in place when that is the batch's dtype, otherwise in
+    a copy whose stable heights are written back, so nothing wraps. A box
+    lattice relaxes a block as a grid of replicas reshaped from it (a view
+    where the layout allows), with sliced neighbour additions. Any other
+    lattice runs `_table_rounds` on its transpose (a view when the block
+    is column-major). The work is O(n_sites) per replica-round either way;
+    there is no bounding box.
     `quanta` must be a writable 2-D integer array with n_sites columns,
     nonnegative entries whose heights and counts fit int64 while relaxing
-    (`_rounds_fit`: at most 2^63 - 2d, and less on a wide lattice) and a
-    dtype that holds 2d - 1; anything else raises DomainError before any
-    write.
+    (at most 2^63 - 2d, and less on a wide lattice) and a dtype that holds
+    2d - 1; anything else raises DomainError before any write.
     """
     if not (isinstance(quanta, np.ndarray) and quanta.ndim == 2 and quanta.dtype.kind in "iu"
             and quanta.shape[1] == lat.n_sites and quanta.flags.writeable):
         raise DomainError(
             f"quanta must be a writable 2-d integer array with {lat.n_sites} columns")
-    two_d, top = lat.threshold, np.iinfo(quanta.dtype).max
-    if top < two_d - 1:
+    two_d = lat.threshold
+    if np.iinfo(quanta.dtype).max < two_d - 1:
         raise DomainError(f"{quanta.dtype} quanta cannot hold the stable height {two_d - 1}")
     if quanta.size and quanta.min() < 0:
         raise DomainError("quanta must be nonnegative")
-    # The dtype's top clears a narrow batch without a pass over it.
-    if quanta.size and not _rounds_fit(lat, top) and not _rounds_fit(lat, int(quanta.max())):
-        raise DomainError(f"quanta up to {quanta.max()} may overflow int64 while relaxing")
-    rows, wide = _block_rows(lat.n_sites), quanta.dtype == np.int64
-    if wide and len(quanta) <= rows:
-        return _relax_block(lat, quanta)
+    high = int(quanta.max()) if quanta.size else 0
+    dtype = _round_dtype(lat, high)
+    if dtype is None:
+        raise DomainError(f"quanta up to {high} may overflow int64 while relaxing")
+    rows = _block_rows(lat.n_sites)
     od = np.empty(quanta.shape, dtype=np.int64)
     for start in range(0, len(quanta), rows):
         block = quanta[start:start + rows]
-        h = block if wide else block.astype(np.int64)
+        h = block.astype(dtype, copy=False)
         od[start:start + rows] = _relax_block(lat, h)
         if h is not block:
             block[...] = h
@@ -384,11 +407,12 @@ def enumerate_recurrent(lat):
     digits plus beta form one block, built once, and each chunk copies it
     into a reused buffer whose other columns hold the chunk's prefix
     digits plus beta. No site topples twice, so heights stay below
-    2 * 2d and the buffer takes the narrowest unsigned dtype that holds
-    2 * 2d - 1 (uint8 up to d = 64), in which the rounds run without
-    `stabilize_many`'s int64 copy. It is column-major, so the rounds
-    relax it in place through a view, and its box slices or
-    neighbour-table gathers run along the contiguous replica axis.
+    2 * 2d, tighter than `_round_dtype`'s general bound, and the buffer
+    takes the narrowest unsigned dtype that holds 2 * 2d - 1 (uint8 up to
+    d = 64), in which the rounds run without `stabilize_many`'s checks and
+    copy. It is column-major, so the rounds relax it in place through a
+    view, and its box slices or neighbour-table gathers run along the
+    contiguous replica axis.
     """
     two_d = lat.threshold
     n = lat.n_sites

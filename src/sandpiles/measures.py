@@ -189,7 +189,9 @@ def sample_rational_limit_batch(lat, base, amount, rng, n, t=None):
         quanta[:, 0] += (t - quanta.sum(axis=1)) % g
     quanta *= l
     quanta += base.quanta.astype(np.int64)  # stable, so exact in any integer dtype
-    btw.stabilize_many(lat, quanta)
+    rows = btw._block_rows(lat.n_sites)  # one block at a time: no (n, n_sites) odometer
+    for start in range(0, n, rows):
+        btw.stabilize_many(lat, quanta[start:start + rows])
     return quanta, np.tile(base.frac, (n, 1))
 
 

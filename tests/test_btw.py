@@ -219,7 +219,8 @@ def test_stabilize_many_rejects_read_only_batch(path2):
 
 def test_stabilize_many_counts_past_narrow_dtypes():
     # uint8 heights relax right, but 460,064 topplings in uint8 counts
-    # read 191,776 (mod 256) unless the rows relax in int64.
+    # read 191,776 (mod 256) unless the rows relax in a dtype that holds
+    # the counts (int16 here) and the odometer comes back in int64.
     lat = build_lattice([40, 40])
     batch = np.full((2, lat.n_sites), 7, dtype=np.uint8)
     od = stabilize_many(lat, batch)
@@ -305,6 +306,67 @@ def test_relaxations_take_heights_up_to_the_odometer_bound():
         assert np.array_equal(batch[0], stable)
 
 
+BOX33 = build_lattice([3, 3])
+# The largest height each lattice relaxes in int8, int16 and int32: on the
+# path the counts bind (Delta^-1 1 peaks at 3 = 2 * 3 / 2), on both 3x3
+# lattices the bound of their narrowest side, 2 = 2 * 2 / 2.
+ROUND_EDGES = [
+    (build_lattice([4]), (42, 10_922, 715_827_882)),
+    (BOX33, (63, 16_383, 1_073_741_823)),
+    (Lattice(2, [tuple(s) for s in BOX33.sites[:-1]]), (63, 16_383, 1_073_741_823)),
+]
+
+
+@pytest.mark.parametrize("lat, edges", ROUND_EDGES, ids=["path", "box", "box-minus-corner"])
+@pytest.mark.parametrize("width", [0, 1, 2], ids=["int8", "int16", "int32"])
+def test_rounds_at_each_dtype_edge_match_the_single_topplings(lat, edges, width):
+    # Both rows of the batch peak at `high`, the first at every site: at
+    # the edge the rounds run in the narrow dtype, one more grain widens
+    # them. At the int32 edge LIFO would take billions of single
+    # topplings, so the FIFO of `stabilize_from`, which topples h // 2d at
+    # once, stands in.
+    signed = (np.int8, np.int16, np.int32)[width]
+    wider = (np.int16, np.int32, np.int64)[width]
+    oracle = fifo_stabilize if signed is np.int32 else lifo_stabilize
+    for high, dtype in ((edges[width], signed), (edges[width] + 1, wider)):
+        assert btw._round_dtype(lat, high) == dtype
+        rows = np.full((2, lat.n_sites), high)
+        rows[1] = np.random.default_rng(high).integers(0, high + 1, size=lat.n_sites)
+        rows[1, -1] = high
+        refs = [oracle(lat, row) for row in rows]
+        stable, od = btw_stabilize(lat, rows[0])
+        assert stable.dtype == od.dtype == np.int64
+        assert np.array_equal(stable, refs[0][0]) and np.array_equal(od, refs[0][1])
+        for batch_dtype in (signed, np.dtype(signed).str.replace("i", "u")):
+            for order in ("C", "F"):
+                batch = np.array(rows, dtype=batch_dtype, order=order)
+                od = stabilize_many(lat, batch)
+                assert od.dtype == np.int64 and batch.dtype == batch_dtype
+                assert np.array_equal(batch, [s for s, _ in refs])
+                assert np.array_equal(od, [o for _, o in refs])
+
+
+def test_large_box_rounds_run_in_int16(monkeypatch):
+    # The benchmark's relaxations, 64x64 at 4 grains and 32x32 at 6: their
+    # heights stay at most 7 and 9 and their counts at most 2,112 and 816,
+    # so the rounds must not widen past int16.
+    seen = []
+
+    def recording(kernel):
+        def run(lat, h):
+            seen.append((kernel.__name__, h.dtype))
+            return kernel(lat, h)
+        return run
+
+    for name in ("_table_rounds", "_relax_block"):
+        monkeypatch.setattr(btw, name, recording(getattr(btw, name)))
+    big, small = build_lattice([64, 64]), build_lattice([32, 32])
+    assert btw._round_dtype(big, 4) == btw._round_dtype(small, 6) == np.int16
+    btw_stabilize(big, np.full(big.n_sites, 4))
+    stabilize_many(small, np.full((1, small.n_sites), 6))
+    assert seen == [("_table_rounds", np.int16), ("_relax_block", np.int16)]
+
+
 def test_fifo_rejects_heights_it_may_overflow_before_any_write(grid33, path3):
     # Eight sites at 2^63 - 100 and the centre at 3: the FIFO wrote a site
     # and then failed in its memoryview with a bare ValueError.
@@ -355,7 +417,7 @@ def test_stabilize_many_is_blind_to_the_block_size(lat, rows, layout, each_block
 
 def test_enumeration_relaxes_its_chunks_without_stabilize_many(grid22, monkeypatch):
     # The scan's uint8 chunk relaxes in place through the rounds' kernel:
-    # no site topples twice, so nothing wraps and no int64 copy is needed.
+    # no site topples twice, so nothing wraps and no copy is needed.
     def forbidden(*args, **kwargs):
         raise AssertionError("enumeration copied its chunk through stabilize_many")
 

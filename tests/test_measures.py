@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import oracles
+from sandpiles import btw
 from sandpiles import (Binning, CbtwConfig, DomainError, Histogram,
                        build_lattice, enumerate_recurrent, estimate_tv,
                        frac_bins, is_recurrent_burning, sample_rational_limit_batch,
@@ -186,6 +189,21 @@ def test_sample_rational_limit_support(path2, rng):
     assert (frac == base.frac).all()
     for row in np.unique(quanta, axis=0):
         assert is_recurrent_burning(path2, row)
+
+
+def test_sample_rational_limit_holds_the_result_plus_one_block(path2):
+    # 10^5 draws on the 2-site path relax one row block at a time, so no
+    # (n, n_sites) odometer is built beside the (quanta, frac) result.
+    n, base = 10**5, zero_config(path2)
+    path2.recurrent  # built before tracing, as every later call finds it
+    rng = np.random.default_rng(8)
+    tracemalloc.start()
+    try:
+        quanta, frac = sample_rational_limit_batch(path2, base, 0.5, rng, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= quanta.nbytes + frac.nbytes + btw.BLOCK_CELLS * 8
 
 
 def test_sample_rational_limit_validates_amount(path2, rng):
