@@ -247,10 +247,10 @@ def btw_stabilize(lat, heights):
 
 def _shifts(ndim):
     """(a, b) index pairs that add a grid's entries at b into the
-    neighbouring entries at a, for both directions of every axis after
-    the first (the replica axis)."""
+    neighbouring entries at a, for both directions of every axis before
+    the last (the replica axis)."""
     pairs = []
-    for axis in range(1, ndim):
+    for axis in range(ndim - 1):
         upper = [slice(None)] * ndim
         lower = [slice(None)] * ndim
         upper[axis] = slice(1, None)
@@ -259,31 +259,27 @@ def _shifts(ndim):
     return pairs
 
 
-def _relax_block(lat, quanta):
-    """The rounds of `stabilize_many` on one block of replica rows,
-    unchecked: relaxes `quanta` in place, in its own dtype, which must
-    hold every height and toppling count the rounds reach, and returns
-    the odometer in that dtype and in the layout of the rounds (site-major
-    off a box, so column-major rows). Off a box the block's transpose
-    runs `_table_rounds`, as a 1-D view when the block has one row."""
-    box = lat.dims is not None
-    h = quanta.reshape(quanta.shape[:1] + lat.dims) if box else np.ascontiguousarray(quanta.T)
-    if box:
-        two_d, shifts = lat.threshold, _shifts(h.ndim)
-        od, k = np.zeros_like(h), np.empty_like(h)
-        while True:
-            np.floor_divide(h, two_d, out=k)
-            if not k.any():
-                break
-            h -= k * two_d
-            od += k
-            for a, b in shifts:
-                h[a] += k[b]
-    else:
-        od = _table_rounds(lat, h[:, 0] if len(quanta) == 1 else h).reshape(h.shape)
-    if not np.may_share_memory(h, quanta):
-        quanta[...] = h.reshape(quanta.shape) if box else h.T
-    return od.reshape(quanta.shape) if box else od.T
+def _relax_block(lat, h):
+    """The rounds of `stabilize_many` on one block of replicas, unchecked,
+    with `_table_rounds`' contract: relaxes site-major heights `h`, a
+    C-contiguous (n_sites, rows) array, in place and returns the odometer
+    in their dtype and shape. A box lattice relaxes the grid view
+    h.reshape(lat.dims + (rows,)) with sliced neighbour additions along
+    its leading axes, each running along the contiguous replica axis; any
+    other lattice runs `_table_rounds`, on a 1-D view for one row."""
+    if lat.dims is None:
+        return _table_rounds(lat, h[:, 0] if h.shape[1] == 1 else h).reshape(h.shape)
+    g = h.reshape(lat.dims + h.shape[1:])
+    two_d, od, k = lat.threshold, np.zeros_like(g), np.empty_like(g)
+    shifts = [(g[a], k[b]) for a, b in _shifts(g.ndim)]  # views made once
+    while True:
+        np.floor_divide(g, two_d, out=k)
+        if not k.any():
+            return od.reshape(h.shape)
+        g -= k * two_d
+        od += k
+        for into, inflow in shifts:
+            into += inflow
 
 
 def _block_rows(n_sites):
@@ -295,20 +291,20 @@ def _block_rows(n_sites):
 def stabilize_many(lat, quanta):
     """Stabilize many configurations at once; rows of `quanta` are replicas.
 
-    Mutates `quanta` in place and returns the int64 odometer matrix. Each
-    round topples every unstable site of every replica floor(h/2d) times,
-    which is a legal parallel schedule, so the fixed point matches the
-    scalar stabilizer exactly. The rows relax one block at a time, each of
+    Mutates `quanta` in place and returns the int64 odometer matrix, of
+    the batch's shape and site-major (column-major rows). Each round
+    topples every unstable site of every replica floor(h/2d) times, which
+    is a legal parallel schedule, so the fixed point matches the scalar
+    stabilizer exactly. The rows relax one block at a time, each of
     `_block_rows(n_sites)` rows (BLOCK_CELLS cells, so every working array
     of a round stays in cache), in the narrowest dtype that holds every
     height and count the rounds reach from the batch's largest entry
-    (`_round_dtype`): in place when that is the batch's dtype, otherwise in
-    a copy whose stable heights are written back, so nothing wraps. A box
-    lattice relaxes a block as a grid of replicas reshaped from it (a view
-    where the layout allows), with sliced neighbour additions. Any other
-    lattice runs `_table_rounds` on its transpose (a view when the block
-    is column-major). The work is O(n_sites) per replica-round either way;
-    there is no bounding box.
+    (`_round_dtype`), so nothing wraps. A block's one working copy is its
+    site-major transpose in that dtype, a view when the block is already
+    column-major in it, and only a copy is written back. `_relax_block`
+    relaxes it with sliced grid additions on a box lattice and with
+    `_table_rounds` on any other. The work is O(n_sites) per
+    replica-round either way; there is no bounding box.
     `quanta` must be a writable 2-D integer array with n_sites columns,
     nonnegative entries whose heights and counts fit int64 while relaxing
     (at most 2^63 - 2d, and less on a wide lattice) and a dtype that holds
@@ -328,14 +324,14 @@ def stabilize_many(lat, quanta):
     if dtype is None:
         raise DomainError(f"quanta up to {high} may overflow int64 while relaxing")
     rows = _block_rows(lat.n_sites)
-    od = np.empty(quanta.shape, dtype=np.int64)
+    od = np.empty(quanta.shape[::-1], dtype=np.int64)
     for start in range(0, len(quanta), rows):
         block = quanta[start:start + rows]
-        h = block.astype(dtype, copy=False)
-        od[start:start + rows] = _relax_block(lat, h)
-        if h is not block:
-            block[...] = h
-    return od
+        h = np.ascontiguousarray(block.T, dtype=dtype)
+        od[:, start:start + rows] = _relax_block(lat, h)
+        if not np.may_share_memory(h, block):
+            block[...] = h.T
+    return od.T
 
 
 def btw_add(lat, heights, x, amount=1):
@@ -410,9 +406,8 @@ def enumerate_recurrent(lat):
     2 * 2d, tighter than `_round_dtype`'s general bound, and the buffer
     takes the narrowest unsigned dtype that holds 2 * 2d - 1 (uint8 up to
     d = 64), in which the rounds run without `stabilize_many`'s checks and
-    copy. It is column-major, so the rounds relax it in place through a
-    view, and its box slices or neighbour-table gathers run along the
-    contiguous replica axis.
+    copy. It is column-major, so its transpose is the site-major block
+    `_relax_block` relaxes in place, with no copy.
     """
     two_d = lat.threshold
     n = lat.n_sites
@@ -433,7 +428,7 @@ def enumerate_recurrent(lat):
     for prefix in np.ndindex((two_d,) * (n - k)):
         h[:, n - k:] = low
         h[:, :n - k] = beta[:n - k] + prefix
-        found.append(h[_relax_block(lat, h).all(axis=1)])
+        found.append(h[_relax_block(lat, h.T).all(axis=0)])
     return np.concatenate(found).astype(np.int64, order="C")
 
 

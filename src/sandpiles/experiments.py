@@ -294,16 +294,17 @@ def _coupling_epoch(lat, grid, eta_quanta, eta_frac, zeta_quanta, zeta_frac, rng
     base, extra = (v.ravel() for v in np.divmod(G, M))
     seen, eta_units, zeta_units = np.zeros((3, n * m), dtype=np.int64)
     all_mid = np.ones(n, dtype=bool)
+    fold = max(1, FOLD_LIMIT // (2 * lat.d))
     for t in range(1, L + 1):
         idx = rng.integers(m, size=n) + offsets
         us = rng.uniform(a, b, size=n)
         units = grid_units(us, lat.d)
         part = base[idx] + (seen[idx] < extra[idx])
-        eta_units[idx] += units
-        zeta_units[idx] += (units + part - A) % W + A
-        seen[idx] += 1
+        np.add.at(eta_units, idx, units)
+        np.add.at(zeta_units, idx, (units + part - A) % W + A)
+        np.add.at(seen, idx, 1)
         all_mid &= (us >= mid_lo) & (us <= mid_hi)
-        if t == L or t % max(1, FOLD_LIMIT // (2 * lat.d)) == 0:
+        if t == L or t % fold == 0:
             # Cells folded earlier in the epoch are on the grid, and
             # folding them again with no units leaves them unchanged.
             cells = seen.reshape(n, m) > 0

@@ -153,7 +153,13 @@ TWO_CLUSTERS = Lattice(2, [(0, 0), (0, 1), (1, 0), (200, 200), (200, 201), (201,
     (build_lattice([32, 32]), 8, 8),
     (Lattice(2, HOLE_AND_ISLAND), 200, 12),
     (TWO_CLUSTERS, 200, 12),
-], ids=["irregular", "box-out-of-order", "32x32", "hole-and-island", "two-clusters"])
+    # Many C-ordered int64 replicas: the box slices along the leading axes
+    # in 1, 2 and 3 dimensions, over two row blocks, the last one partial.
+    (build_lattice([2]), 20_000, 6),
+    (build_lattice([2, 2]), 10_000, 12),
+    (build_lattice([2, 2, 2]), 5000, 18),
+], ids=["irregular", "box-out-of-order", "32x32", "hole-and-island", "two-clusters",
+        "path2-many", "2x2-many", "2x2x2-many"])
 def test_stabilize_many_matches_scalar_on(lat, rows, high, rng):
     batch = rng.integers(0, high, size=(rows, lat.n_sites))
     work = batch.copy()
@@ -365,6 +371,35 @@ def test_large_box_rounds_run_in_int16(monkeypatch):
     btw_stabilize(big, np.full(big.n_sites, 4))
     stabilize_many(small, np.full((1, small.n_sites), 6))
     assert seen == [("_table_rounds", np.int16), ("_relax_block", np.int16)]
+
+
+def test_replica_blocks_relax_site_major_with_one_copy(monkeypatch):
+    # Both round kernels take one layout: a C-contiguous (n_sites, rows)
+    # block in the rounds' dtype. stabilize_many copies a C-ordered int64
+    # batch once into it and hands a column-major batch already in that
+    # dtype over as a view; the enumeration's buffer relaxes with no copy.
+    seen, relax = [], btw._relax_block
+
+    def recording(lat, h):
+        seen.append(h)
+        return relax(lat, h)
+
+    monkeypatch.setattr(btw, "_relax_block", recording)
+    for lat in (BOX33, Lattice(2, [tuple(s) for s in BOX33.sites[:-1]])):
+        batch = np.random.default_rng(5).integers(0, 3 * lat.threshold, size=(100, lat.n_sites))
+        dtype = btw._round_dtype(lat, int(batch.max()))
+        for work in (batch.copy(), np.asfortranarray(batch, dtype=dtype)):
+            seen.clear()
+            stabilize_many(lat, work)
+            [h] = seen
+            assert h.shape == (lat.n_sites, 100) and h.dtype == dtype and h.flags.c_contiguous
+            assert np.shares_memory(h, work) == (work.dtype == dtype)
+        seen.clear()
+        assert len(enumerate_recurrent(lat)) == determinant_exact(toppling_matrix(lat, "integer"))
+        assert len(seen) > 1
+        for h in seen:
+            assert h.flags.c_contiguous and h.shape[0] == lat.n_sites and h.dtype == np.uint8
+            assert np.shares_memory(h, seen[0]) and h.base is not None
 
 
 def test_fifo_rejects_heights_it_may_overflow_before_any_write(grid33, path3):
