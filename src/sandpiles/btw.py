@@ -20,10 +20,15 @@ ENUMERATION_CHUNK = 1 << 14
 # Replica batches relax and fold in row blocks of about this many cells:
 # 256 KB per int64 working array, so a round's arrays stay in a 2 MB L2.
 BLOCK_CELLS = 1 << 15
+# `btw_add` moves an avalanche from a memoryview to a Python list once one
+# of its waves topples more than this many sites.
+WIDE_WAVE = 16
 
 
 def _as_heights(lat, heights):
-    """Checked heights as a fresh int64 copy."""
+    """Checked heights as a fresh int64 copy: DomainError unless they are
+    nonnegative integers below 2^63 (a uint64 height past int64 would
+    wrap into a negative one)."""
     h = np.asarray(heights)
     if h.shape != (lat.n_sites,):
         raise DomainError(f"heights must have shape ({lat.n_sites},), got {h.shape}")
@@ -31,6 +36,8 @@ def _as_heights(lat, heights):
         raise DomainError("integer sandpile heights must be an integer array")
     if (h < 0).any():
         raise DomainError("heights must be nonnegative")
+    if h.dtype == np.uint64 and h.size and h.max() >= 2**63:
+        raise DomainError(f"heights up to {h.max()} do not fit int64")
     return h.astype(np.int64)
 
 
@@ -141,12 +148,18 @@ def btw_topple(lat, heights, x):
     return h, legal
 
 
-def _relax(h, fired, queued, queue, nbrs, two_d):
+def _relax(h, fired, queued, queue, nbrs, two_d, wide):
     """The FIFO loop of `stabilize_from`, unchecked: topples the flagged
-    sites of `queue` and all they make unstable, adds the topplings to
-    `fired` and clears `queued`. It works on Python ints through
-    memoryviews: indexing numpy scalars costs more than a toppling."""
+    sites of `queue` and all they make unstable, one wave at a time, adds
+    the topplings to `fired` and clears the flags of the sites it
+    topples. It returns [] once the avalanche is over, or the first wave
+    of more than `wide` sites unrelaxed, its sites still flagged, so that
+    a caller may go on in another container. It works on Python ints
+    through memoryviews or lists: indexing numpy scalars costs more than a
+    toppling."""
     while queue:
+        if len(queue) > wide:
+            return queue
         later = []
         enqueue = later.append
         for x in queue:
@@ -161,6 +174,7 @@ def _relax(h, fired, queued, queue, nbrs, two_d):
                     queued[y] = 1
                     enqueue(y)
         queue = later
+    return queue
 
 
 def stabilize_from(lat, heights, seeds):
@@ -176,9 +190,13 @@ def stabilize_from(lat, heights, seeds):
     unstable site that no toppling touches stays as it is. The interpreted
     work is proportional to the seeds plus the topplings times 2d, not to
     n_sites; only the check's maximum, the zeroed odometer and the queue
-    flags have n_sites entries, and `run_chain` sets the last two up once
-    per run for the shared loop `_relax`. Returns the odometer as an int64
-    array.
+    flags have n_sites entries. The loop is `_relax`, given n_sites as its
+    wave width so that it never hands a wave back; `run_chain` runs it
+    too, with the odometer and flags set up once per run, and `btw_add`
+    runs it on its own copy (`_drop`), finishing wide avalanches on a
+    list. This function stays the pure memoryview FIFO, the reference
+    that tests and the benchmark check `btw_add` against. Returns the
+    odometer as an int64 array.
     """
     n, two_d = lat.n_sites, lat.threshold
     h = _relaxable(lat, heights)
@@ -197,7 +215,7 @@ def stabilize_from(lat, heights, seeds):
             queue.append(i)
     # The views are released with this frame: `with` blocks cost about
     # 0.5 us per call, as much as relaxing a one-toppling avalanche.
-    _relax(h, od.data, queued, queue, lat.adjacency, two_d)
+    _relax(h, od.data, queued, queue, lat.adjacency, two_d, n)
     return od
 
 
@@ -334,15 +352,54 @@ def stabilize_many(lat, quanta):
     return od.T
 
 
+def _drop(lat, h, x, amount):
+    """Add `amount` grains at x to `btw_add`'s fresh int64 heights `h` and
+    relax them in place, with `stabilize_from`'s check and loop; the
+    odometer is not kept. One max serves the headroom check, which raises
+    DomainError before any toppling, and the seeds: x alone when the
+    input was stable, every unstable site otherwise, and no relaxation at
+    all when no site is unstable. `_relax` runs on a memoryview until a
+    wave has more than WIDE_WAVE sites, then goes on on `h.tolist()`: a
+    list item costs less per toppling than a memoryview item, which
+    repays the O(n) conversions on a wide avalanche. The list is written
+    back once, through a bytearray when 2d <= 256 (every relaxed height
+    is below 2d), four times faster than numpy's conversion of a list."""
+    n, two_d = lat.n_sites, lat.threshold
+    high = int(h.max())
+    stable = high < two_d
+    h[x] += amount
+    high = max(high, h.item(x))
+    if high < two_d:
+        return
+    if not _topplings_fit(lat, high, (2**63 - 1 - high) // two_d):
+        raise DomainError(f"heights up to {high} may overflow int64 while relaxing")
+    queued = bytearray(n)
+    queue = [x] if stable else np.flatnonzero(h >= two_d).tolist()
+    for s in queue:
+        queued[s] = 1
+    wave = _relax(h.data, np.zeros(n, dtype=np.int64).data, queued, queue, lat.adjacency,
+                  two_d, WIDE_WAVE)
+    if wave:
+        hl = h.tolist()
+        _relax(hl, [0] * n, queued, wave, lat.adjacency, two_d, n)
+        h[:] = bytearray(hl) if two_d <= 256 else hl
+
+
 def btw_add(lat, heights, x, amount=1):
-    """Drop `amount` grains (an integer >= 0) on site x and stabilize."""
+    """Drop `amount` grains (an integer >= 0) on site x and stabilize.
+
+    Returns the stable heights as a fresh int64 array. The relaxation is
+    `stabilize_from`'s FIFO, seeded at x when the input was stable and at
+    every unstable site otherwise, and it moves from a memoryview to a
+    Python list once an avalanche wave has more than WIDE_WAVE sites
+    (`_drop`). Heights whose relaxation may pass int64 raise DomainError.
+    """
     amount = _integer(amount, "amount", 0)
     x = _site(lat, x)
     h = _as_heights(lat, heights)
     if h.item(x) + amount >= 2**63:
         raise DomainError(f"{amount} grains at site {x} need more than int64 holds")
-    h[x] += amount
-    stabilize_from(lat, h, np.flatnonzero(h >= lat.threshold))
+    _drop(lat, h, x, amount)
     return h
 
 

@@ -207,7 +207,9 @@ def _add_inplace(lat, quanta, frac, x, u):
     """Add mass u at site x and stabilize, mutating the arrays in place:
     cbtw_add's kernel, and the one-step reference that run_chain's loop
     is tested against. A float u is converted to grid units rint(u * S);
-    an int is grid units already. Only an unstable x starts stabilize_from."""
+    an int is grid units already. Only an unstable x starts stabilize_from.
+    A carry that removes quanta or takes x past its dtype raises
+    DomainError before any write."""
     scale = grid_scale(lat.d)
     units = round(u * scale) if isinstance(u, float) else u
     carry, F = _carry(round(frac.item(x) * scale), units)
@@ -215,8 +217,10 @@ def _add_inplace(lat, quanta, frac, x, u):
         raise DomainError(
             f"addition at site {x} would remove quanta: fractional part {frac[x]} "
             f"lies outside [0, {1.0 / (2 * lat.d)})")
-    frac[x] = F / scale
     q = quanta.item(x) + carry
+    if q > np.iinfo(quanta.dtype).max:
+        raise DomainError(f"addition at site {x} carries quanta past {quanta.dtype}")
+    frac[x] = F / scale
     quanta[x] = q
     if q >= lat.threshold:
         btw.stabilize_from(lat, quanta, (x,))

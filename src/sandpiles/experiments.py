@@ -70,6 +70,13 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
     cfg = initial.copy()
     quanta, frac = cfg.quanta, cfg.frac
     n, two_d, scale = lat.n_sites, lat.threshold, grid_scale(lat.d)
+    # A step carries at most 2d quanta, so no site's quanta plus additions
+    # pass `high`, and `stabilize_from`'s bound for `high` holds every
+    # height and the run's whole odometer: one check per run.
+    high, top = int(quanta.max()) + two_d * steps, min(np.iinfo(quanta.dtype).max, 2**63 - 1)
+    if not btw._topplings_fit(lat, high, (top - high) // two_d):
+        raise DomainError(f"quanta up to {quanta.max()} and {steps} steps may overflow "
+                          f"{quanta.dtype} while relaxing")
     h, fired, queued = btw._relaxable(lat, quanta), np.zeros(n, dtype=np.int64).data, bytearray(n)
     theta = [0.0] * n
     for t, (x, u) in enumerate(_chain_draws(n, params, steps, rng), 1):
@@ -81,7 +88,7 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
         h[x] += carry
         if h[x] >= two_d:
             queued[x] = 1
-            btw._relax(h, fired, queued, [x], lat.adjacency, two_d)
+            btw._relax(h, fired, queued, [x], lat.adjacency, two_d, n)
         theta[x] += u
         if on_step is not None:
             on_step(t, x, u, quanta, frac)
@@ -97,13 +104,19 @@ FOLD_LIMIT, DRAW_BLOCK, COUNTS_MIN = 1 << 12, 1 << 20, 16
 def _add_units(lat, quanta, frac, cells, units):
     """Add units[k] grid units at the k-th True cell of the boolean mask
     `cells` (row-major order) through the carry rule, then stabilize.
-    Other cells keep their frac bits. A negative unit raises DomainError
-    before any write; the states the drivers check have frac >= 0, so no
-    other carry is negative. Then each row block of `btw._block_rows`
-    rows gathers its cells, carries, writes back and runs
-    `btw.stabilize_many`, so no temporary outlives its block."""
-    if (units < 0).any():
+    Other cells keep their frac bits. A negative unit, or quanta that the
+    carries may take past what `btw.stabilize_many` relaxes in int64,
+    raise DomainError before any write; the states the drivers check have
+    frac >= 0, so no other carry is negative, and grid_units(frac) <= 2^50,
+    so no carry passes 1 + max(units) // 2^50. Then each row block of
+    `btw._block_rows` rows gathers its cells, carries, writes back and
+    runs `btw.stabilize_many`, so no temporary outlives its block."""
+    if units.min(initial=0) < 0:
         raise DomainError("an addition would remove quanta: amounts must be nonnegative")
+    high = int(quanta.max(initial=0)) + 1 + (int(units.max(initial=0)) >> FRAC_BITS)
+    if btw._round_dtype(lat, high) is None:
+        raise DomainError(f"quanta up to {quanta.max()} plus their carries may overflow "
+                          f"int64 while relaxing")
     rows, scale, done = btw._block_rows(lat.n_sites), grid_scale(lat.d), 0
     for start in range(0, len(quanta), rows):
         q, f, c = quanta[start:start + rows], frac[start:start + rows], cells[start:start + rows]

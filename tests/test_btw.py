@@ -487,6 +487,95 @@ def test_add_to_unstable_input_stabilizes_fully(path3, grid33):
     assert is_stable(grid33, out)
 
 
+def _recording_handovers(monkeypatch):
+    """Spy on `btw._relax`: the list of the waves it hands over."""
+    waves, relax = [], btw._relax
+
+    def recording(*args):
+        wave = relax(*args)
+        if wave:
+            waves.append(list(wave))
+        return wave
+
+    monkeypatch.setattr(btw, "_relax", recording)
+    return waves
+
+
+def test_drops_match_the_fifo_and_conserve_mass(monkeypatch):
+    # Seeded single-grain drops on the relaxed 32x32 box of 4 grains a
+    # site: each equals `stabilize_from` seeded at the drop, loses exactly
+    # its boundary outflow, and some avalanche finishes on a list.
+    lat = build_lattice([32, 32])
+    h = btw_stabilize(lat, np.full(lat.n_sites, 4, dtype=np.int64))[0]
+    waves = _recording_handovers(monkeypatch)
+    for x in np.random.default_rng(31).integers(lat.n_sites, size=300).tolist():
+        out = btw_add(lat, h, x)
+        ref = h.copy()
+        ref[x] += 1
+        od = stabilize_from(lat, ref, (x,))
+        assert out.dtype == np.int64 and np.array_equal(out, ref)
+        assert int(h.sum()) + 1 == int(out.sum()) + total_outflow(lat, od)
+        h = out
+    assert waves and all(len(w) > btw.WIDE_WAVE for w in waves)
+
+
+@pytest.mark.parametrize("lat, high", [
+    (build_lattice([8, 8]), 4),
+    # 2d = 258 > 256: relaxed heights of 256 and 257 are written back
+    # without a bytearray.
+    (Lattice(129, [(i,) + (0,) * 128 for i in range(20)]), 512),
+], ids=["8x8", "path-in-Z^129"])
+def test_drop_on_an_all_unstable_input_hands_over_its_first_wave(lat, high, monkeypatch):
+    waves = _recording_handovers(monkeypatch)
+    h = np.full(lat.n_sites, high, dtype=np.int64)
+    out = btw_add(lat, h, 3)
+    h[3] += 1
+    assert waves[0] == list(range(lat.n_sites))
+    assert np.array_equal(out, btw_stabilize(lat, h)[0]) and out.max() == lat.threshold - 1
+
+
+def test_drops_of_many_grains_match_the_fifo(rng):
+    lat = build_lattice([16, 16])
+    h = btw_stabilize(lat, np.full(lat.n_sites, 4, dtype=np.int64))[0]
+    for amount in (2, 7, 50, 1000):
+        x = int(rng.integers(lat.n_sites))
+        ref = h.copy()
+        ref[x] += amount
+        od = stabilize_from(lat, ref, (x,))
+        out = btw_add(lat, h, x, amount=amount)
+        assert np.array_equal(out, ref)
+        assert int(h.sum()) + amount == int(out.sum()) + total_outflow(lat, od)
+        h = out
+
+
+def test_drops_leave_narrow_and_strided_inputs_unchanged():
+    lat = build_lattice([8, 8])
+    h = btw_stabilize(lat, np.full(lat.n_sites, 5, dtype=np.int64))[0]
+    narrow = h.astype(np.int8)
+    batch = np.stack([h, 3 - h % 4], axis=1)
+    before = batch.copy()
+    for x in range(lat.n_sites):
+        want = btw_add(lat, h, x)
+        for heights in (narrow, batch[:, 0]):
+            out = btw_add(lat, heights, x)
+            assert out.dtype == np.int64 and np.array_equal(out, want)
+            assert not np.shares_memory(out, heights)
+        assert np.array_equal(narrow, h) and np.array_equal(batch, before)
+
+
+def test_uint64_heights_past_int64_are_rejected(path2):
+    # They wrapped into negative int64: btw_add returned a negative
+    # height, btw_stabilize ([1, 0], [3, 2]), is_stable True and the
+    # burning test False.
+    h = np.array([2**63 + 5, 1], dtype=np.uint64)
+    for run in (lambda: btw_add(path2, h, 1), lambda: btw_stabilize(path2, h),
+                lambda: is_stable(path2, h), lambda: is_recurrent_burning(path2, h)):
+        with pytest.raises(DomainError):
+            run()
+    assert not is_stable(path2, np.array([2**63 - 1, 1], dtype=np.uint64))
+    assert list(btw_add(path2, np.array([0, 1], dtype=np.uint64), 1)) == [1, 0]
+
+
 def test_fifo_topples_reached_unstable_sites():
     # Site 1 is unstable but no seed: the avalanche from site 0 reaches it.
     lat = build_lattice([5])

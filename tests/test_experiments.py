@@ -394,6 +394,41 @@ def test_chain_drivers_reject_initial_off_the_lattice(path2, driver, state):
     assert rng.bit_generator.state == rng_before
 
 
+_CARRYING = ["cbtw_add", "run_chain", "ergodic_average", "run_coupling", "step_ensemble",
+             "run_chain_ensemble"]
+
+
+@pytest.mark.parametrize("driver", _CARRYING)
+def test_carries_past_int64_raise_before_any_write(path2, driver):
+    """Quanta 2^63 - 1 at site 0, its frac just under the cell: a carry
+    there raised a bare OverflowError (cbtw_add) or a memoryview
+    ValueError (run_chain), and the folds wrote -2^63 into the caller's
+    batch before "quanta must be nonnegative"."""
+    cfg = _state([2**63 - 1, 0], [0.49, 0.0])
+    rows = [np.tile(v, (2, 1)) for v in (cfg.quanta, cfg.frac)]
+    inputs = [cfg.quanta, cfg.frac, *rows]
+    before = [v.tobytes() for v in inputs]
+    with pytest.raises(DomainError):
+        _ENTRY_POINTS[driver](path2, cfg, rows, 0.3, np.random.default_rng(0))
+    assert [v.tobytes() for v in inputs] == before
+
+
+def test_carries_up_to_the_relaxation_bound_still_run(path2):
+    # The run's bound is exact: quanta plus 2d a step may reach what a
+    # path of two relaxes in int64, (2^63 - 1) // 3, and no more. A fold
+    # takes such quanta too.
+    high = (2**63 - 1) // 3
+    cfg = _state([high - 2 * 5, 0], [0.0, 0.0])
+    state = run_chain(path2, cfg, AdditionParams(0.3, 0.3), 5, np.random.default_rng(0))
+    assert state.config.is_stable()
+    with pytest.raises(DomainError):
+        run_chain(path2, _state([high - 2 * 5 + 1, 0], [0.0, 0.0]), AdditionParams(0.3, 0.3), 5,
+                  np.random.default_rng(0))
+    rows = [np.array([[high - 1, 0]]), np.zeros((1, 2))]
+    step_ensemble(path2, *rows, [0], [0.3])
+    assert (rows[0] < 2).all()
+
+
 def _assert_chain_matches_stepwise(lat, params, steps, snapshots, n, seed):
     quanta, frac = _offgrid_start(lat, n, seed)
     start = frac.copy()
