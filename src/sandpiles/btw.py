@@ -95,17 +95,33 @@ def _topplings_fit(lat, high, room):
     return high * ((w + 1) // 2) * ((w + 2) // 2) <= 2 * room
 
 
-# The signed dtypes parallel rounds may run in, narrowest first, with their tops.
-_ROUND_DTYPES = tuple((np.dtype(t), int(np.iinfo(t).max))
-                      for t in (np.int8, np.int16, np.int32, np.int64))
+# Integer dtype maxima capped at int64's, read once: np.iinfo costs 1.5 us.
+_TOPS = {np.dtype(c).newbyteorder(o): min(int(np.iinfo(c).max), 2**63 - 1)
+         for c in "bhilqBHILQ" for o in "<>"}
+_ROUND_DTYPES = tuple(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _check_fifo(lat, high, dtype=np.dtype(np.int64)):
+    """The FIFO rule: DomainError unless the FIFO `_relax` relaxes heights
+    of at most `high` in `dtype` and in int64, its odometer's dtype. A
+    site holds at most `high`, less 2d per toppling of its own, plus one
+    per toppling of each of its at most 2d neighbours, so no height passes
+    high + 2d max(od), which `_topplings_fit(lat, high, (top - high) // 2d)`
+    keeps at most `top`, the dtype's maximum capped at int64's. Heights
+    below 2d never topple, so they need only be at most `top`."""
+    top = _TOPS[dtype]
+    if high > top or high >= lat.threshold and not _topplings_fit(
+            lat, high, (top - high) // lat.threshold):
+        raise DomainError(f"heights up to {high} may overflow {dtype} while relaxing")
 
 
 def _round_dtype(lat, high):
-    """The narrowest of int8, int16, int32 and int64 in which parallel
-    rounds relax heights of at most `high` >= 0, or None when even int64
-    may overflow. A dtype of maximum `top` serves when it holds the
-    divisor 2d, every height the rounds reach (high + 2d - 1 <= top) and
-    every toppling count (`_topplings_fit(lat, high, top)`).
+    """The rounds rule: the narrowest of int8, int16, int32 and int64 in
+    which parallel rounds relax heights of at most `high` >= 0;
+    DomainError when even int64 may overflow. A dtype of maximum `top`
+    serves when it holds the divisor 2d, every height the rounds reach
+    (high + 2d - 1 <= top) and every toppling count
+    (`_topplings_fit(lat, high, top)`).
 
     The height bound: let K_t = max_x floor(h_t(x) / 2d) before round t,
     which topples each x k_t(x) = floor(h_t(x) / 2d) <= K_t times. Then x
@@ -117,10 +133,11 @@ def _round_dtype(lat, high):
     (2d k_t(x) <= h_t(x), the partial sums of its inflow, an odometer on
     its way to the final one) lie below these bounds."""
     two_d = lat.threshold
-    for dtype, top in _ROUND_DTYPES:
+    for dtype in _ROUND_DTYPES:
+        top = _TOPS[dtype]
         if two_d <= top and high + two_d - 1 <= top and _topplings_fit(lat, high, top):
             return dtype
-    return None
+    raise DomainError(f"heights up to {high} may overflow int64 while relaxing")
 
 
 def is_stable(lat, heights):
@@ -181,11 +198,10 @@ def stabilize_from(lat, heights, seeds):
     """FIFO stabilization of `heights` in place, seeded from `seeds`.
 
     `heights` is a writable 1-D integer array of length n_sites (a strided
-    view, such as a column of a 2-D array, is fine) whose dtype, and
-    int64, hold every height and count the avalanche may reach (a height
-    never passes max(h) + 2d max(od)); anything else raises DomainError
-    before any write. `seeds` are site indices, each an integer in
-    [0, n_sites), repeats allowed. Only unstable seeds start the
+    view, such as a column of a 2-D array, is fine) whose max(h) passes
+    the FIFO rule `_check_fifo` in its dtype; anything else raises
+    DomainError before any write. `seeds` are site indices, each an
+    integer in [0, n_sites), repeats allowed. Only unstable seeds start the
     avalanche, and a site topples only when the avalanche reaches it: an
     unstable site that no toppling touches stays as it is. The interpreted
     work is proportional to the seeds plus the topplings times 2d, not to
@@ -201,10 +217,7 @@ def stabilize_from(lat, heights, seeds):
     n, two_d = lat.n_sites, lat.threshold
     h = _relaxable(lat, heights)
     view = np.asarray(heights)
-    high, top = int(view.max()), min(np.iinfo(view.dtype).max, 2**63 - 1)
-    # A FIFO height never passes high + 2d * max(od).
-    if not _topplings_fit(lat, high, (top - high) // two_d):
-        raise DomainError(f"heights up to {high} may overflow {view.dtype} while relaxing")
+    _check_fifo(lat, int(view.max()), view.dtype)
     od = np.zeros(n, dtype=np.int64)
     queued = bytearray(n)
     queue = []
@@ -248,17 +261,13 @@ def btw_stabilize(lat, heights):
     Order-independent by abelianness; this implementation runs the
     neighbour-table rounds `_table_rounds` on the whole configuration, in
     whole-array work per round instead of interpreted work per toppling,
-    and in the narrowest dtype that holds every height and count they
-    reach (`_round_dtype`). It shares no code with the FIFO
-    `stabilize_from` or with the box slices of `stabilize_many`, which
-    tests and the benchmark check against it. Heights whose relaxation
-    may pass int64 raise DomainError.
+    and in the dtype the rounds rule `_round_dtype` picks (DomainError
+    when none serves). It shares no code with the FIFO `stabilize_from`
+    or with the box slices of `stabilize_many`, which tests and the
+    benchmark check against it.
     """
     h = _as_heights(lat, heights)
-    dtype = _round_dtype(lat, int(h.max()))
-    if dtype is None:
-        raise DomainError(f"heights up to {h.max()} may overflow int64 while relaxing")
-    h = h.astype(dtype, copy=False)
+    h = h.astype(_round_dtype(lat, int(h.max())), copy=False)
     od = _table_rounds(lat, h)
     return h.astype(np.int64, copy=False), od.astype(np.int64, copy=False)
 
@@ -315,17 +324,15 @@ def stabilize_many(lat, quanta):
     is a legal parallel schedule, so the fixed point matches the scalar
     stabilizer exactly. The rows relax one block at a time, each of
     `_block_rows(n_sites)` rows (BLOCK_CELLS cells, so every working array
-    of a round stays in cache), in the narrowest dtype that holds every
-    height and count the rounds reach from the batch's largest entry
-    (`_round_dtype`), so nothing wraps. A block's one working copy is its
-    site-major transpose in that dtype, a view when the block is already
-    column-major in it, and only a copy is written back. `_relax_block`
-    relaxes it with sliced grid additions on a box lattice and with
-    `_table_rounds` on any other. The work is O(n_sites) per
-    replica-round either way; there is no bounding box.
+    of a round stays in cache), in the dtype the rounds rule
+    `_round_dtype` picks for the batch's largest entry. A block's one
+    working copy is its site-major transpose in that dtype, a view when
+    the block is already column-major in it, and only a copy is written
+    back. `_relax_block` relaxes it with sliced grid additions on a box
+    lattice and with `_table_rounds` on any other. The work is O(n_sites)
+    per replica-round either way; there is no bounding box.
     `quanta` must be a writable 2-D integer array with n_sites columns,
-    nonnegative entries whose heights and counts fit int64 while relaxing
-    (at most 2^63 - 2d, and less on a wide lattice) and a dtype that holds
+    nonnegative entries that pass the rounds rule and a dtype that holds
     2d - 1; anything else raises DomainError before any write.
     """
     if not (isinstance(quanta, np.ndarray) and quanta.ndim == 2 and quanta.dtype.kind in "iu"
@@ -337,10 +344,7 @@ def stabilize_many(lat, quanta):
         raise DomainError(f"{quanta.dtype} quanta cannot hold the stable height {two_d - 1}")
     if quanta.size and quanta.min() < 0:
         raise DomainError("quanta must be nonnegative")
-    high = int(quanta.max()) if quanta.size else 0
-    dtype = _round_dtype(lat, high)
-    if dtype is None:
-        raise DomainError(f"quanta up to {high} may overflow int64 while relaxing")
+    dtype = _round_dtype(lat, int(quanta.max()) if quanta.size else 0)
     rows = _block_rows(lat.n_sites)
     od = np.empty(quanta.shape[::-1], dtype=np.int64)
     for start in range(0, len(quanta), rows):
@@ -354,25 +358,23 @@ def stabilize_many(lat, quanta):
 
 def _drop(lat, h, x, amount):
     """Add `amount` grains at x to `btw_add`'s fresh int64 heights `h` and
-    relax them in place, with `stabilize_from`'s check and loop; the
-    odometer is not kept. One max serves the headroom check, which raises
-    DomainError before any toppling, and the seeds: x alone when the
-    input was stable, every unstable site otherwise, and no relaxation at
-    all when no site is unstable. `_relax` runs on a memoryview until a
+    relax them in place with `stabilize_from`'s loop; the odometer is not
+    kept. One max serves the FIFO rule, checked for max(max(h), h[x] +
+    amount) before any write (DomainError), and the seeds: x alone when
+    the input was stable, every unstable site otherwise, and no relaxation
+    at all when no site is unstable. `_relax` runs on a memoryview until a
     wave has more than WIDE_WAVE sites, then goes on on `h.tolist()`: a
     list item costs less per toppling than a memoryview item, which
     repays the O(n) conversions on a wide avalanche. The list is written
     back once, through a bytearray when 2d <= 256 (every relaxed height
     is below 2d), four times faster than numpy's conversion of a list."""
     n, two_d = lat.n_sites, lat.threshold
-    high = int(h.max())
+    high, hx = int(h.max()), h.item(x) + amount
     stable = high < two_d
-    h[x] += amount
-    high = max(high, h.item(x))
-    if high < two_d:
+    _check_fifo(lat, max(high, hx))
+    h[x] = hx
+    if stable and hx < two_d:
         return
-    if not _topplings_fit(lat, high, (2**63 - 1 - high) // two_d):
-        raise DomainError(f"heights up to {high} may overflow int64 while relaxing")
     queued = bytearray(n)
     queue = [x] if stable else np.flatnonzero(h >= two_d).tolist()
     for s in queue:
@@ -392,13 +394,11 @@ def btw_add(lat, heights, x, amount=1):
     `stabilize_from`'s FIFO, seeded at x when the input was stable and at
     every unstable site otherwise, and it moves from a memoryview to a
     Python list once an avalanche wave has more than WIDE_WAVE sites
-    (`_drop`). Heights whose relaxation may pass int64 raise DomainError.
+    (`_drop`). Heights the FIFO rule `_check_fifo` refuses raise DomainError.
     """
     amount = _integer(amount, "amount", 0)
     x = _site(lat, x)
     h = _as_heights(lat, heights)
-    if h.item(x) + amount >= 2**63:
-        raise DomainError(f"{amount} grains at site {x} need more than int64 holds")
     _drop(lat, h, x, amount)
     return h
 
@@ -578,8 +578,8 @@ def btw_inverse_add(lat, heights, x, power=1):
         raise DomainError("inverse addition is defined only on recurrent configurations")
     c = -(-k // (lat.threshold - 1)) if k > 0 else 0
     eps = lat.group_zero if c else np.zeros_like(h)
-    if int(h.max()) + c * int(eps.max()) + max(-k, 0) >= 2**63:
-        raise DomainError(f"{abs(k)} additions at site {x} need more grains than int64 holds")
+    # No height passes this before the FIFO; it is exact when c = 0.
+    _check_fifo(lat, max(int(h.max()) + c * int(eps.max()), h.item(x) - k))
     h += c * eps
     h[x] -= k
     stabilize_from(lat, h, np.flatnonzero(h >= lat.threshold))

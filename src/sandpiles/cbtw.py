@@ -23,9 +23,8 @@ and runs in integers through `_carry`: F + U splits into whole quanta and
 a new F, so chains never accumulate rounding error, an addition is
 inverted bit for bit, and coupled chains coalesce exactly.
 
-Configurations may hold arbitrarily large mass before stabilization;
-`quanta` is an unbounded int64 array, so additions that push a height
-past 1 need no special handling.
+Configurations may hold any mass before stabilization that `btw`'s
+relaxation bounds take in int64 quanta; heights past 1 need no care.
 """
 
 from dataclasses import dataclass
@@ -208,8 +207,8 @@ def _add_inplace(lat, quanta, frac, x, u):
     cbtw_add's kernel, and the one-step reference that run_chain's loop
     is tested against. A float u is converted to grid units rint(u * S);
     an int is grid units already. Only an unstable x starts stabilize_from.
-    A carry that removes quanta or takes x past its dtype raises
-    DomainError before any write."""
+    A carry that removes quanta or that the FIFO rule `btw._check_fifo`
+    refuses raises DomainError before any write."""
     scale = grid_scale(lat.d)
     units = round(u * scale) if isinstance(u, float) else u
     carry, F = _carry(round(frac.item(x) * scale), units)
@@ -218,8 +217,7 @@ def _add_inplace(lat, quanta, frac, x, u):
             f"addition at site {x} would remove quanta: fractional part {frac[x]} "
             f"lies outside [0, {1.0 / (2 * lat.d)})")
     q = quanta.item(x) + carry
-    if q > np.iinfo(quanta.dtype).max:
-        raise DomainError(f"addition at site {x} carries quanta past {quanta.dtype}")
+    btw._check_fifo(lat, q, quanta.dtype)
     frac[x] = F / scale
     quanta[x] = q
     if q >= lat.threshold:
@@ -227,11 +225,12 @@ def _add_inplace(lat, quanta, frac, x, u):
 
 
 def cbtw_add(lat, config, x, u):
-    """Add mass u in [0, 1) at site x, then stabilize.
+    """Add mass u in [0, 1) at site x, then relax the avalanche it starts.
 
     Total mass quanta/2d + frac is conserved by the add itself: the
     fractional overflow is carried into quanta before stabilization.
-    The amount is rounded to the grid, u -> rint(u * S) / S.
+    The amount is rounded to the grid, u -> rint(u * S) / S. A stable
+    start ends stable; unstable sites the avalanche never reaches stay.
     """
     _check_config(lat, config)
     x = btw._site(lat, x)

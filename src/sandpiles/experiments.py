@@ -58,7 +58,9 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
 
     Each step draws the site first, then the amount, and carries it in
     grid units rint(u * S) at x as `_add_inplace` does; only an unstable
-    x starts the FIFO `btw._relax`, whose buffers are set up once per run.
+    x starts the FIFO `btw._relax`, whose buffers are set up once per run
+    after one FIFO rule check (`btw._check_fifo`, before any draw) for
+    max(quanta) + 2d steps, since a step carries at most 2d quanta.
     A fixed amount moves the fractional parts by the same integer every
     step, so long runs cannot drift; it draws its sites in blocks ahead
     of the steps, so on_step must not draw from `rng`.
@@ -70,13 +72,7 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
     cfg = initial.copy()
     quanta, frac = cfg.quanta, cfg.frac
     n, two_d, scale = lat.n_sites, lat.threshold, grid_scale(lat.d)
-    # A step carries at most 2d quanta, so no site's quanta plus additions
-    # pass `high`, and `stabilize_from`'s bound for `high` holds every
-    # height and the run's whole odometer: one check per run.
-    high, top = int(quanta.max()) + two_d * steps, min(np.iinfo(quanta.dtype).max, 2**63 - 1)
-    if not btw._topplings_fit(lat, high, (top - high) // two_d):
-        raise DomainError(f"quanta up to {quanta.max()} and {steps} steps may overflow "
-                          f"{quanta.dtype} while relaxing")
+    btw._check_fifo(lat, int(quanta.max()) + two_d * steps, quanta.dtype)
     h, fired, queued = btw._relaxable(lat, quanta), np.zeros(n, dtype=np.int64).data, bytearray(n)
     theta = [0.0] * n
     for t, (x, u) in enumerate(_chain_draws(n, params, steps, rng), 1):
@@ -101,31 +97,33 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
 FOLD_LIMIT, DRAW_BLOCK, COUNTS_MIN = 1 << 12, 1 << 20, 16
 
 
-def _add_units(lat, quanta, frac, cells, units):
-    """Add units[k] grid units at the k-th True cell of the boolean mask
-    `cells` (row-major order) through the carry rule, then stabilize.
-    Other cells keep their frac bits. A negative unit, or quanta that the
-    carries may take past what `btw.stabilize_many` relaxes in int64,
-    raise DomainError before any write; the states the drivers check have
-    frac >= 0, so no other carry is negative, and grid_units(frac) <= 2^50,
-    so no carry passes 1 + max(units) // 2^50. Then each row block of
-    `btw._block_rows` rows gathers its cells, carries, writes back and
-    runs `btw.stabilize_many`, so no temporary outlives its block."""
-    if units.min(initial=0) < 0:
-        raise DomainError("an addition would remove quanta: amounts must be nonnegative")
-    high = int(quanta.max(initial=0)) + 1 + (int(units.max(initial=0)) >> FRAC_BITS)
-    if btw._round_dtype(lat, high) is None:
-        raise DomainError(f"quanta up to {quanta.max()} plus their carries may overflow "
-                          f"int64 while relaxing")
-    rows, scale, done = btw._block_rows(lat.n_sites), grid_scale(lat.d), 0
-    for start in range(0, len(quanta), rows):
-        q, f, c = quanta[start:start + rows], frac[start:start + rows], cells[start:start + rows]
-        end = done + np.count_nonzero(c)
-        carry, F = _carry(grid_units(f[c], lat.d), units[done:end])
-        f[c] = F / scale
-        q[c] += carry
-        btw.stabilize_many(lat, q)
-        done = end
+def _add_units(lat, cells, *chains):
+    """Fold chains that share the boolean mask `cells`, each a (quanta,
+    frac, units) triple: add units[k] grid units at the k-th True cell
+    (row-major order) through the carry rule, then stabilize. Other cells
+    keep their frac bits. A negative unit, or carries the rounds rule
+    (`btw._round_dtype`) refuses, raise DomainError before any write to
+    any chain: checked frac >= 0 makes no other carry negative, and
+    grid_units(frac) <= 2^50 keeps each at most 1 + max(units) // 2^50.
+    Each row block of `btw._block_rows` rows then gathers its cells,
+    carries, writes back and runs `btw.stabilize_many`."""
+    for quanta, frac, units in chains:
+        if units.min(initial=0) < 0:
+            raise DomainError("an addition would remove quanta: amounts must be nonnegative")
+        btw._round_dtype(lat, int(quanta.max(initial=0)) + 1
+                         + (int(units.max(initial=0)) >> FRAC_BITS))
+    rows, scale = btw._block_rows(lat.n_sites), grid_scale(lat.d)
+    for quanta, frac, units in chains:
+        done = 0
+        for start in range(0, len(quanta), rows):
+            block = slice(start, start + rows)
+            q, f, c = quanta[block], frac[block], cells[block]
+            end = done + np.count_nonzero(c)
+            carry, F = _carry(grid_units(f[c], lat.d), units[done:end])
+            f[c] = F / scale
+            q[c] += carry
+            btw.stabilize_many(lat, q)
+            done = end
 
 
 def _check_replicas(lat, *states):
@@ -150,8 +148,9 @@ def step_ensemble(lat, quanta, frac, xs, us):
     per row), in grid units rint(us[i] * S); all rows are then stabilized
     together. The rows and the additions are checked before any write
     (DomainError). The carry is the integer rule of run_chain and
-    _add_inplace, so a row evolves bit for bit like one run_chain step on
-    that replica.
+    _add_inplace, so from a stable start a row evolves bit for bit like
+    one run_chain step on that replica; from an unstable one the rows
+    relax every site, a scalar step only the avalanche it starts.
     """
     _check_replicas(lat, quanta, frac)
     xs, us = np.asarray(xs), np.asarray(us)
@@ -162,7 +161,7 @@ def step_ensemble(lat, quanta, frac, xs, us):
                           f"and {n} amounts in [0, 1)")
     cells = np.zeros(quanta.shape, dtype=bool)
     cells[np.arange(n), xs] = True
-    _add_units(lat, quanta, frac, cells, grid_units(us, lat.d))
+    _add_units(lat, cells, (quanta, frac, grid_units(us, lat.d)))
 
 
 def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
@@ -207,7 +206,7 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
             cells = hits > 0
             units = hits[cells] * U
             del hits
-            _add_units(lat, quanta, frac, cells, units)
+            _add_units(lat, cells, (quanta, frac, units))
         return
     # An interval step reuses these buffers: its amounts are
     # rint((a + (b - a) * rng.random()) * S), the bits of grid_units(rng.uniform(a, b)).
@@ -227,7 +226,7 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
             np.add.at(total, idx, units)
             hits[idx] = True
         cells = hits.reshape(n, m)
-        _add_units(lat, quanta, frac, cells, total.reshape(n, m)[cells])
+        _add_units(lat, cells, (quanta, frac, total.reshape(n, m)[cells]))
         hits[:] = False
         total[:] = 0
 
@@ -293,10 +292,11 @@ def _coupling_epoch(lat, grid, eta_quanta, eta_frac, zeta_quanta, zeta_frac, rng
     ((U + part - A) mod W) + A, where the M visits of a site split the
     gap G = eta - zeta frozen at the epoch start: floor(G/M) each, plus
     one on the first G mod M. Both chains sum their units per (row, site)
-    and stabilize once at the epoch end and every 2^12/2d steps, which
-    abelianness makes exact. Returns per-row bool arrays (occurred, same):
-    the event (every site drawn exactly M times, every amount in the
-    middle half of [a, b]) and bit-for-bit equality at the epoch end.
+    and stabilize in one fold, which checks both before it writes either,
+    at the epoch end and every 2^12/2d steps, which abelianness makes
+    exact. Returns per-row bool arrays (occurred, same): the event (every
+    site drawn exactly M times, every amount in the middle half of
+    [a, b]) and bit-for-bit equality at the epoch end.
     """
     M, L, a, b, A, W = grid
     mid_lo, mid_hi = (3 * a + b) / 4, (a + 3 * b) / 4
@@ -321,8 +321,8 @@ def _coupling_epoch(lat, grid, eta_quanta, eta_frac, zeta_quanta, zeta_frac, rng
             # Cells folded earlier in the epoch are on the grid, and
             # folding them again with no units leaves them unchanged.
             cells = seen.reshape(n, m) > 0
-            _add_units(lat, eta_quanta, eta_frac, cells, eta_units.reshape(n, m)[cells])
-            _add_units(lat, zeta_quanta, zeta_frac, cells, zeta_units.reshape(n, m)[cells])
+            _add_units(lat, cells, (eta_quanta, eta_frac, eta_units.reshape(n, m)[cells]),
+                       (zeta_quanta, zeta_frac, zeta_units.reshape(n, m)[cells]))
             eta_units[:] = zeta_units[:] = 0
     occurred = all_mid & (seen.reshape(n, m) == M).all(axis=1)
     same = (eta_quanta == zeta_quanta).all(axis=1) & (eta_frac == zeta_frac).all(axis=1)

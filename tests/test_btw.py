@@ -420,6 +420,23 @@ def test_fifo_rejects_heights_it_may_overflow_before_any_write(grid33, path3):
     assert list(narrow) == [100, 100, 100]
 
 
+def test_fifo_rule_takes_stable_narrow_heights_on_a_long_path():
+    # Heights below 2d topple nowhere, so the FIFO rule asks only that they
+    # fit their dtype. On a 40-site path the odometer bound alone refuses
+    # uint8 heights of 1, which no relaxation needs; one of 2 may topple.
+    lat = build_lattice([40])
+    stable = np.ones(40, dtype=np.uint8)
+    assert not stabilize_from(lat, stable, range(40)).any()
+    with pytest.raises(DomainError):
+        stabilize_from(lat, np.full(40, 2, dtype=np.uint8), range(40))
+    cfg = CbtwConfig(1, np.zeros(40, dtype=np.uint8), np.full(40, 0.49))
+    assert list(cbtw_add(lat, cfg, 0, 0.3).quanta[:2]) == [1, 0]
+    # A stable height must still fit: a carry to 128 in int8 quanta in Z^65.
+    cfg = CbtwConfig(65, np.array([127], dtype=np.int8), np.array([0.0075]))
+    with pytest.raises(DomainError):
+        cbtw_add(Lattice(65, [(0,) * 65]), cfg, 0, 0.003)
+
+
 @pytest.mark.parametrize("lat, rows", [
     (build_lattice([3, 3]), 100),
     (Lattice(2, [(i, j) for i in (2, 1, 0) for j in (0, 1, 2)]), 50),

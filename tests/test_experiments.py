@@ -18,7 +18,7 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        translation_mixture_fourier,
                        translation_mixture_fourier_mc, tv_decay_experiment,
                        zero_config)
-from sandpiles import Lattice, experiments
+from sandpiles import Lattice, btw_add, btw_inverse_add, experiments
 from sandpiles.cbtw import FRAC_MASK, _add_inplace, grid_scale, grid_units
 from sandpiles.measures import Histogram, estimate_tv, tv_noise_floor
 
@@ -427,6 +427,37 @@ def test_carries_up_to_the_relaxation_bound_still_run(path2):
     rows = [np.array([[high - 1, 0]]), np.zeros((1, 2))]
     step_ensemble(path2, *rows, [0], [0.3])
     assert (rows[0] < 2).all()
+    # So do the single additions: each takes heights up to the bound and
+    # refuses one grain or quantum more, leaving its input as it was.
+    for top, accepted in ((high, True), (high + 1, False)):
+        h = np.array([top - 1, 0])
+        cfg = _state([top - 1, 0], [0.49, 0.0])  # a carry of one quantum
+        recurrent = np.array([1, 1])
+        calls = [lambda: btw_add(path2, h, 0),
+                 lambda: cbtw_add(path2, cfg, 0, 0.3),
+                 lambda: btw_inverse_add(path2, recurrent, 0, power=-(top - 1))]
+        inputs = [h, cfg.quanta, cfg.frac, recurrent]
+        before = [v.tobytes() for v in inputs]
+        for call in calls:
+            if accepted:
+                call()
+            else:
+                with pytest.raises(DomainError):
+                    call()
+        assert [v.tobytes() for v in inputs] == before
+
+
+def test_coupling_checks_both_chains_before_writing_either(path2):
+    # eta folds without trouble, but zeta's carry at the int64 top must
+    # stop the epoch before eta's batch is carried into and stabilized.
+    eta = [np.array([[0, 0]]), np.array([[0.0, 0.0]])]
+    zeta = [np.array([[2**63 - 1, 0]]), np.array([[0.49, 0.0]])]
+    before = [v.copy() for v in eta + zeta]
+    with pytest.raises(DomainError):
+        run_coupling_ensemble(path2, *eta, *zeta, AdditionParams(0.2, 0.8), 1,
+                              np.random.default_rng(0))
+    for v, w in zip(eta + zeta, before):
+        assert v.dtype == w.dtype and np.array_equal(v, w)
 
 
 def _assert_chain_matches_stepwise(lat, params, steps, snapshots, n, seed):
