@@ -86,12 +86,8 @@ def _topplings_fit(lat, high, room):
     """True when relaxing heights of at most `high` topples no site more
     than `room` times. The odometer is at most Delta^-1 h <= high *
     Delta^-1 1, and every entry of Delta^-1 1 is at most a*b/2, a =
-    floor((w+1)/2), b = ceil((w+1)/2), w the smallest side of the bounding
-    box (exact on a path). Each component lies in a box of side at most its
-    size, so w = n_sites bounds it too, and that bound is tried first."""
-    w = lat.n_sites
-    if high * (w + 1) ** 2 > 8 * room:
-        w = min(w, min(lat.dims) if lat.dims else int(np.ptp(lat.sites, axis=0).min()) + 1)
+    floor((w+1)/2), b = ceil((w+1)/2), w = `lat.width` (exact on a path)."""
+    w = lat.width
     return high * ((w + 1) // 2) * ((w + 2) // 2) <= 2 * room
 
 

@@ -12,6 +12,12 @@ settings accept decimal literals or the token "sqrt2-1". All randomness
 derives from --seed, outputs carry no timestamps, and a rerun with
 identical arguments writes identical bytes.
 
+One runner, `main`, reads the settings, builds the lattice of --dims,
+spawns three generators from --seed, calls the command, writes the report
+it returns once (to --out, else stdout) and maps its verdict to the exit
+code. rngs[0] draws the initial state (or is the only generator), rngs[1]
+runs the chain or draws couple's second start, and rngs[2] runs couple.
+
 Exit codes: 0 success (thresholds met), 1 a checked threshold failed,
 2 configuration error, 3 capacity exceeded (a lattice too large for
 recurrent enumeration).
@@ -189,132 +195,103 @@ def build_initial(lat, spec, rng):
     return cfg
 
 
-def write_text(out, text):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def dump_json(out, obj):
-    write_text(out, json.dumps(obj, indent=2) + "\n")
-
-
 def metadata_lines(pairs):
     return [f"# {key}={value}" for key, value in pairs]
 
 
 # ---------------------------------------------------------------------------
-# Subcommands. Each takes the namespace read_settings resolved.
+# Subcommands. Each takes the resolved settings, the lattice of --dims (None
+# for fourier) and the three generators, and returns (report, passed): a
+# dict written as indented JSON or a list of lines, and whether it passed.
 
-def cmd_enumerate(args):
+def cmd_enumerate(args, lat, rngs):
     dims = args.dims
-    lat = build_lattice(dims)
-    recurrent = btw.enumerate_recurrent(lat)
+    recurrent = lat.recurrent
     det_int = determinant_exact(toppling_matrix(lat, "integer"))
     det_cont = determinant_exact(toppling_matrix(lat, "continuous"))
     orders = [btw.addition_order(lat, x) for x in range(lat.n_sites)]
     match = (len(recurrent) == det_int
              and det_int == det_cont * (2 * lat.d) ** lat.n_sites)
-    if args.format == "json":
-        dump_json(args.out, {
-            "command": "enumerate",
-            "dims": dims,
-            "n_sites": lat.n_sites,
-            "n_recurrent": len(recurrent),
-            "det_integer": int(det_int),
-            "det_continuous": str(det_cont),
-            "det_continuous_float": float(det_cont),
-            "addition_orders": [int(v) for v in orders],
-            "identity_match": bool(match),
-        })
-    else:
-        lines = metadata_lines([
-            ("command", "enumerate"),
-            ("dims", ",".join(map(str, dims))),
-            ("n_recurrent", len(recurrent)),
-            ("det_integer", int(det_int)),
-            ("det_continuous", det_cont),
-            ("addition_orders", ",".join(str(int(v)) for v in orders)),
-            ("identity_match", bool(match)),
-        ])
-        lines.append(",".join(f"q{i}" for i in range(lat.n_sites)))
-        lines.extend(",".join(map(str, row)) for row in recurrent.tolist())
-        write_text(args.out, "\n".join(lines) + "\n")
     if not match:
         print("error: recurrent count does not equal the exact determinant; "
               "this indicates an implementation bug", file=sys.stderr)
-        return 1
-    return 0
+    if args.format == "json":
+        return {
+            "command": "enumerate", "dims": dims, "n_sites": lat.n_sites,
+            "n_recurrent": len(recurrent), "det_integer": int(det_int),
+            "det_continuous": str(det_cont), "det_continuous_float": float(det_cont),
+            "addition_orders": [int(v) for v in orders], "identity_match": bool(match),
+        }, match
+    lines = metadata_lines([
+        ("command", "enumerate"),
+        ("dims", ",".join(map(str, dims))),
+        ("n_recurrent", len(recurrent)),
+        ("det_integer", int(det_int)),
+        ("det_continuous", det_cont),
+        ("addition_orders", ",".join(str(int(v)) for v in orders)),
+        ("identity_match", bool(match)),
+    ])
+    lines.append(",".join(f"q{i}" for i in range(lat.n_sites)))
+    lines.extend(",".join(map(str, row)) for row in recurrent.tolist())
+    return lines, match
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, lat, rngs):
     a, steps = args.a, args.steps
     b = a if args.b is None else args.b
-    lat = build_lattice(args.dims)
     params = cbtw.AdditionParams(a, b)
-    rng_init, rng_run = spawn_rngs(args.seed, 2)
-    initial = build_initial(lat, args.init, rng_init)
+    initial = build_initial(lat, args.init, rngs[0])
     meta = [("command", "simulate"), ("dims", ",".join(map(str, args.dims))),
             ("a", repr(a)), ("b", repr(b)), ("mode", params.mode),
             ("steps", steps), ("seed", args.seed), ("init", args.init)]
     m = lat.n_sites
     if args.format == "csv":
-        lines = metadata_lines(meta)
+        report = metadata_lines(meta)
         header = ["t", "site_added", "u"]
         header += [f"quanta_{i}" for i in range(m)]
         header += [f"frac_{i}" for i in range(m)]
-        lines.append(",".join(header))
+        report.append(",".join(header))
 
         # A step changes frac at x only, so each site keeps its repr.
         frac_text = [repr(v) for v in initial.frac.tolist()]
 
         def on_step(t, x, u, quanta, frac):
             frac_text[x] = repr(frac.item(x))
-            lines.append(",".join([str(t), str(x), repr(u),
-                                   *map(str, quanta.tolist()), *frac_text]))
-
-        experiments.run_chain(lat, initial, params, steps, rng_run, on_step=on_step)
-        write_text(args.out, "\n".join(lines) + "\n")
+            report.append(",".join([str(t), str(x), repr(u),
+                                    *map(str, quanta.tolist()), *frac_text]))
     else:
         trajectory, frac_now = [], initial.frac.tolist()
+        report = {"metadata": dict(meta), "trajectory": trajectory}
 
         def on_step(t, x, u, quanta, frac):
             frac_now[x] = frac.item(x)
             trajectory.append({"t": t, "site_added": x, "u": u,
                                "quanta": quanta.tolist(), "frac": frac_now.copy()})
 
-        experiments.run_chain(lat, initial, params, steps, rng_run, on_step=on_step)
-        dump_json(args.out, {"metadata": dict(meta), "trajectory": trajectory})
-    return 0
+    experiments.run_chain(lat, initial, params, steps, rngs[1], on_step=on_step)
+    return report, True
 
 
-def cmd_invariance(args):
-    lat = build_lattice(args.dims)
-    (rng,) = spawn_rngs(args.seed, 1)
+def cmd_invariance(args, lat, rngs):
     result = experiments.invariance_experiment(lat, measures.Binning(args.bins),
-                                               args.samples, rng)
+                                               args.samples, rngs[0])
     passed = result.tv <= result.noise_floor + args.tolerance
-    dump_json(args.out, {
+    return {
         "command": "invariance",
         "dims": args.dims, "samples": args.samples, "bins": args.bins, "seed": args.seed,
         "tv": result.tv, "noise_floor": result.noise_floor,
         "tolerance": args.tolerance, "pass": bool(passed),
-    })
-    return 0 if passed else 1
+    }, passed
 
 
-def cmd_couple(args):
+def cmd_couple(args, lat, rngs):
     a, b = args.a, args.b
     if not a < b:
         raise ConfigError(f"coupling needs a < b, got a={a}, b={b}")
-    lat = build_lattice(args.dims)
     params = cbtw.AdditionParams(a, b)
-    rng_init, rng_other, rng_run = spawn_rngs(args.seed, 3)
-    eta0 = build_initial(lat, args.init, rng_init)
-    zeta0 = measures.sample_uniform_allowed(lat, rng_other)
-    result = experiments.run_coupling(lat, eta0, zeta0, params, rng_run,
+    eta0 = build_initial(lat, args.init, rngs[0])
+    zeta0 = measures.sample_uniform_allowed(lat, rngs[1])
+    result = experiments.run_coupling(lat, eta0, zeta0, params, rngs[2],
                                       max_epochs=args.max_epochs)
     p = experiments.coupling_success_probability(lat, params)
     meta = [("command", "couple"), ("dims", ",".join(map(str, args.dims))),
@@ -326,50 +303,45 @@ def cmd_couple(args):
         lines.append("epoch,O_occurred,coalesced")
         lines.extend(f"{r.epoch},{int(r.o_occurred)},{int(r.coalesced)}"
                      for r in result.records)
-        write_text(args.out, "\n".join(lines) + "\n")
-    else:
-        dump_json(args.out, {
-            "metadata": {k: (str(v) if k == "p_success" else v) for k, v in meta},
-            "epochs": [{"epoch": r.epoch, "O_occurred": r.o_occurred,
-                        "coalesced": r.coalesced} for r in result.records],
-        })
-    return 0 if result.coalesced else 1
+        return lines, result.coalesced
+    return {
+        "metadata": {k: (str(v) if k == "p_success" else v) for k, v in meta},
+        "epochs": [{"epoch": r.epoch, "O_occurred": r.o_occurred,
+                    "coalesced": r.coalesced} for r in result.records],
+    }, result.coalesced
 
 
-def cmd_limit_rational(args):
+def cmd_limit_rational(args, lat, rngs):
     a = args.a
-    lat = build_lattice(args.dims)
     l = cbtw.quantum_multiple(a, lat.d)
     if l is None or not 1 <= l <= 2 * lat.d - 1:
         raise ConfigError(
             f"--a must be a quantum multiple l/{2*lat.d} with 0 < l < {2*lat.d}, got {a}")
-    rng_init, rng_run = spawn_rngs(args.seed, 2)
-    base = build_initial(lat, args.init, rng_init)
+    base = build_initial(lat, args.init, rngs[0])
     result = experiments.rational_limit_test(
-        lat, base, a, args.steps, args.samples, rng_run, binning=measures.Binning(args.bins))
+        lat, base, a, args.steps, args.samples, rngs[1], binning=measures.Binning(args.bins))
     passed = result.tv <= result.noise_floor + args.tolerance
-    dump_json(args.out, {
+    return {
         "command": "limit-rational",
         "dims": args.dims, "a": a, "quantum_multiple": l, "steps": args.steps,
         "samples": args.samples, "bins": args.bins, "seed": args.seed,
         "tv": result.tv, "noise_floor": result.noise_floor,
         "tolerance": args.tolerance, "pass": bool(passed),
-    })
-    return 0 if passed else 1
+    }, passed
 
 
-def cmd_fourier(args):
+def cmd_fourier(args, lat, rngs):
     a, k, n_terms = args.a, args.k, args.N
     x = [0.0] * len(k) if args.x is None else args.x
     if len(x) != len(k):
         raise ConfigError(f"--x has {len(x)} coordinates but --k has {len(k)}")
-    (rng,) = spawn_rngs(args.seed, 1)
     exact = experiments.translation_mixture_fourier(a, k, x, n_terms)
-    mc, se = experiments.translation_mixture_fourier_mc(a, k, x, n_terms, args.samples, rng)
+    mc, se = experiments.translation_mixture_fourier_mc(a, k, x, n_terms, args.samples,
+                                                        rngs[0])
     bound = experiments.translation_mixture_bound(a, k, n_terms)
     diff = abs(exact - mc)
     passed = diff <= 4.0 * se
-    dump_json(args.out, {
+    return {
         "command": "fourier",
         "a": a, "k": k, "x": x, "N": n_terms, "samples": args.samples, "seed": args.seed,
         "exact": {"re": exact.real, "im": exact.imag},
@@ -377,30 +349,27 @@ def cmd_fourier(args):
         "stderr": se, "abs_difference": diff,
         "modulus_bound": (None if math.isinf(bound) else bound),
         "pass": bool(passed),
-    })
-    return 0 if passed else 1
+    }, passed
 
 
-def cmd_ergodic(args):
+def cmd_ergodic(args, lat, rngs):
     a, steps = args.a, args.steps
-    lat = build_lattice(args.dims)
     if not 0.0 <= a < 1.0:
         raise ConfigError(f"--a must lie in [0, 1), got {a}")
-    rng_init, rng_run = spawn_rngs(args.seed, 2)
-    initial = build_initial(lat, args.init, rng_init)
+    initial = build_initial(lat, args.init, rngs[0])
     recurrent = lat.recurrent
     visits = Counter()
 
     def on_step(t, x, u, quanta, frac):
         visits[quanta.tobytes()] += 1
 
-    experiments.run_chain(lat, initial, cbtw.AdditionParams(a, a), steps, rng_run, on_step)
+    experiments.run_chain(lat, initial, cbtw.AdditionParams(a, a), steps, rngs[1], on_step)
     # Counts are exact, so count / steps equals the time average of 0/1 indicators.
     freqs = [visits[row.tobytes()] / steps for row in recurrent]
     expected = 1.0 / len(recurrent)
     max_dev = max(abs(f - expected) for f in freqs)
     passed = max_dev <= args.tolerance
-    dump_json(args.out, {
+    return {
         "command": "ergodic",
         "dims": args.dims, "a": a, "steps": steps, "seed": args.seed,
         "cells": [{"quanta": row, "frequency": f}
@@ -408,8 +377,7 @@ def cmd_ergodic(args):
         "expected_frequency": expected,
         "max_abs_deviation": max_dev,
         "tolerance": args.tolerance, "pass": bool(passed),
-    })
-    return 0 if passed else 1
+    }, passed
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +460,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     func, _, spec = COMMANDS[args.command]
     try:
-        return int(func(read_settings(args, spec)))
-    except (ConfigError, GeometryError, DomainError) as exc:
+        read_settings(args, spec)
+        lat = build_lattice(args.dims) if "dims" in spec else None
+        report, passed = func(args, lat, spawn_rngs(args.seed, 3))
+    except (ConfigError, GeometryError, DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, CapacityError) else 2
+    text = (json.dumps(report, indent=2) if isinstance(report, dict) else "\n".join(report)) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if passed else 1
 
 
 def main_script():

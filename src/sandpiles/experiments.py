@@ -141,6 +141,15 @@ def _check_replicas(lat, *states):
                           f"arrays of one shape")
 
 
+def _check_pair(lat, *states):
+    """_check_replicas on a coupled pair, whose rows must also be stable
+    (DomainError otherwise): then each gap G is below one unit of mass, so
+    G/M stays within (b-a)/4, as the event needs, and G fits in int64."""
+    _check_replicas(lat, *states)
+    if max(q.max(initial=0) for q in states[::2]) >= lat.threshold:
+        raise DomainError("coupling needs stable chains: every quanta entry below 2d")
+
+
 def step_ensemble(lat, quanta, frac, xs, us):
     """Apply one addition to every replica row, in place.
 
@@ -339,7 +348,8 @@ def run_coupling(lat, eta0, zeta0, params, rng, max_epochs=200000):
     of the second chain receives exactly the gap more than the first, and
     by abelianness the chains end the epoch bit-identical; the driver
     raises if that fails, since it would mean the dynamics are broken.
-    Equality is only ever checked at epoch boundaries.
+    Equality is only ever checked at epoch boundaries. Both chains must
+    start stable (`_check_pair`), or DomainError is raised before any draw.
     """
     max_epochs = btw._integer(max_epochs, "max_epochs", 1)
     grid = _coupling_grid(lat, params)
@@ -348,7 +358,7 @@ def run_coupling(lat, eta0, zeta0, params, rng, max_epochs=200000):
     _check_config(lat, zeta0)
     eta, zeta = eta0.copy(), zeta0.copy()
     rows = [v[None, :] for v in (eta.quanta, eta.frac, zeta.quanta, zeta.frac)]
-    _check_replicas(lat, *rows)
+    _check_pair(lat, *rows)
     records = []
     for epoch in range(1, max_epochs + 1):
         occurred, same = _coupling_epoch(lat, grid, *rows, rng)
@@ -381,12 +391,13 @@ def run_coupling_ensemble(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac,
     trial with the exact per-epoch probability; this is the driver for
     frequency statistics. o_events marks the cells where the event
     occurred, o_verified the subset where the pair really did agree bit
-    for bit at the epoch end (they must all match).
+    for bit at the epoch end (they must all match). Every row must start
+    stable (`_check_pair`), or DomainError is raised before any draw or write.
     """
     n_epochs = btw._integer(n_epochs, "n_epochs", 0)
     grid = _coupling_grid(lat, params)
     M, L = grid[:2]
-    _check_replicas(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac)
+    _check_pair(lat, eta_quanta, eta_frac, zeta_quanta, zeta_frac)
     n = eta_quanta.shape[0]
     o_events = np.zeros((n_epochs, n), dtype=bool)
     o_verified = np.zeros((n_epochs, n), dtype=bool)

@@ -44,6 +44,10 @@ class Lattice:
         n_sites: number of sites.
         adjacency: tuple of tuples of ints; adjacency[i] lists the
             indices of the in-set nearest neighbours of site i.
+        width: a bound on the narrowest side of each connected
+            component's bounding box, computed on first read: min(dims) on
+            a box, else the narrowest side of the lattice's bounding box or
+            n_sites, whichever is less (a component spans at most its size).
         boundary_degree: int array; boundary_degree[i] counts the nearest
             neighbours of site i that fall outside the set (mass lost per
             toppling through those bonds).
@@ -103,6 +107,12 @@ class Lattice:
         table = np.array(rows, dtype=np.intp).reshape(len(rows), self.n_sites)
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def width(self):
+        if self.dims is not None:
+            return min(self.dims)
+        return min(self.n_sites, int(np.ptp(self.sites, axis=0).min()) + 1)
 
     @functools.cached_property
     def recurrent(self):

@@ -19,25 +19,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import btw
-from .cbtw import CbtwConfig, _check_config, _check_state, grid_scale, quantum_multiple
+from .cbtw import (FRAC_BITS, FRAC_MASK, CbtwConfig, _check_config, _check_state, grid_scale,
+                   grid_units, quantum_multiple)
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class Binning:
-    """Discretization of the fractional parts: B equal bins per frac cell."""
+    """Discretization of the fractional parts: B equal bins per frac cell,
+    1 <= B < 2^38 (DomainError otherwise), which keeps binning exact in int64."""
 
     bins_per_site: int = 8
 
     def __post_init__(self):
-        btw._integer(self.bins_per_site, "bins_per_site", 1)
+        if btw._integer(self.bins_per_site, "bins_per_site", 1) >= 1 << 38:
+            raise DomainError(f"bins_per_site must be below 2^38, got {self.bins_per_site}")
 
 
 def frac_bins(frac, d, binning):
-    """Bin indices (0..B-1) of fractional parts in [0, 1/2d)."""
-    b = binning.bins_per_site
-    idx = np.floor(np.asarray(frac) * (2 * d) * b).astype(np.int64)
-    return np.clip(idx, 0, b - 1)
+    """Bin indices (0..B-1) of fractional parts in [0, 1/2d), exact on the
+    grid: floor(F B / 2^50) for F = min(rint(frac S), 2^50 - 1) grid units.
+    F B fits in int64 for B < 2^13; past that F is split at bit 25, which
+    keeps every product in int64 for B < 2^38."""
+    b, half = binning.bins_per_site, FRAC_BITS // 2
+    F = np.minimum(grid_units(frac, d), FRAC_MASK)
+    if b < 1 << (63 - FRAC_BITS):
+        return F * b >> FRAC_BITS
+    return ((F >> half) * b + ((F & ((1 << half) - 1)) * b >> half)) >> half
 
 
 def _decode(codes, cells, radices):

@@ -352,6 +352,35 @@ def test_rounds_at_each_dtype_edge_match_the_single_topplings(lat, edges, width)
                 assert np.array_equal(od, [o for _, o in refs])
 
 
+def _two_step_topplings_fit(lat, high, room):
+    # The rule before Lattice.width: the n_sites bound first, then the
+    # narrowest side of the box or of the bounding box, from the sites.
+    w = lat.n_sites
+    if high * (w + 1) ** 2 > 8 * room:
+        w = min(w, min(lat.dims) if lat.dims else int(np.ptp(lat.sites, axis=0).min()) + 1)
+    return high * ((w + 1) // 2) * ((w + 2) // 2) <= 2 * room
+
+
+BOX64 = build_lattice([64, 64])
+
+
+@pytest.mark.parametrize("lat, width", [
+    (BOX64, 64),
+    (Lattice(2, BOX64.sites[:-1]), 64),
+    (Lattice(2, IRREGULAR), 3),
+    (Lattice(2, HOLE_AND_ISLAND), 7),
+    (TWO_CLUSTERS, 6),
+    (build_lattice([7, 3, 5]), 3),
+], ids=["box", "box-minus-site", "irregular", "hole-and-island", "two-clusters", "box3"])
+def test_width_keeps_the_two_step_toppling_rule(lat, width):
+    assert lat.width == width
+    highs = [0, 1, 2, 3, 4, 7, 63, 64, 1000, 2**20, 2**40, 2**62]
+    rooms = [0, 1, 2, 3, 100, 1000, 2**15, 2**20, 2**31, 2**40, 2**62]
+    for high in highs:
+        for room in rooms + [high * k for k in (1, 2, 8, 100, 1000, 1100)]:
+            assert btw._topplings_fit(lat, high, room) == _two_step_topplings_fit(lat, high, room)
+
+
 def test_large_box_rounds_run_in_int16(monkeypatch):
     # The benchmark's relaxations, 64x64 at 4 grains and 32x32 at 6: their
     # heights stay at most 7 and 9 and their counts at most 2,112 and 816,

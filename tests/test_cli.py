@@ -95,25 +95,50 @@ def test_enumerate_count_mismatch_exits_1(monkeypatch, capsys):
     assert "recurrent count does not equal the exact determinant" in capsys.readouterr().err
 
 
+# Small settings for each subcommand that takes --dims.
+SMALL_RUNS = {
+    "enumerate": ["--dims", "2"],
+    "simulate": ["--dims", "2,2", "--a", "0.2", "--b", "0.8", "--steps", "5",
+                 "--init", "mu"],
+    "invariance": ["--dims", "2", "--samples", "200", "--tolerance", "1"],
+    "couple": ["--dims", "2", "--a", "0.2", "--b", "0.8", "--init", "mu",
+               "--max-epochs", "2"],
+    "limit-rational": ["--dims", "2", "--a", "0.5", "--steps", "10", "--samples", "200",
+                       "--init", "mu", "--tolerance", "1"],
+    "ergodic": ["--dims", "2,2", "--a", "0.25", "--steps", "50", "--init", "mu",
+                "--tolerance", "1"],
+}
+
+
 def test_each_subcommand_scans_the_recurrent_set_at_most_once(monkeypatch, tmp_path):
     scans, scan = Counter(), btw.enumerate_recurrent
-    commands = {
-        "enumerate": ["--dims", "2"],
-        "simulate": ["--dims", "2,2", "--a", "0.2", "--b", "0.8", "--steps", "5",
-                     "--init", "mu"],
-        "invariance": ["--dims", "2", "--samples", "200", "--tolerance", "1"],
-        "couple": ["--dims", "2", "--a", "0.2", "--b", "0.8", "--init", "mu",
-                   "--max-epochs", "2"],
-        "limit-rational": ["--dims", "2", "--a", "0.5", "--steps", "10", "--samples", "200",
-                           "--init", "mu", "--tolerance", "1"],
-        "ergodic": ["--dims", "2,2", "--a", "0.25", "--steps", "50", "--init", "mu",
-                    "--tolerance", "1"],
-    }
-    for command, args in commands.items():
+    for command, args in SMALL_RUNS.items():
         monkeypatch.setattr(btw, "enumerate_recurrent",
                             lambda lat, command=command: scans.update([command]) or scan(lat))
         assert run_cli([command, *args, "--out", str(tmp_path / command)]) in (0, 1)
     assert all(count <= 1 for count in scans.values()), scans
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, *args] for command, args in SMALL_RUNS.items()),
+    ["enumerate", "--dims", "2", "--format", "csv"],
+    ["simulate", "--dims", "2", "--a", "0.25", "--steps", "5", "--format", "json"],
+    ["couple", "--dims", "2", "--a", "0.2", "--b", "0.8", "--format", "json"],
+    ["fourier", "--a", "0.3", "--k", "1,2", "--N", "10", "--samples", "200"],
+    ["ergodic", "--dims", "2,2", "--a", "0.25", "--steps", "50", "--tolerance", "0"],
+])
+def test_stdout_and_out_get_the_same_bytes(argv, tmp_path, capsys):
+    # One writer: a report goes to --out or to stdout, byte for byte the
+    # same, and in full when its check fails.
+    code = run_cli(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert run_cli(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert printed.endswith("\n") and out.read_bytes() == printed.encode()
+    if "--tolerance" in argv and argv[argv.index("--tolerance") + 1] == "0":
+        report = json.loads(printed)
+        assert code == 1 and report["pass"] is False and len(report["cells"]) == 192
 
 
 def test_enumerate_capacity_exit_code(tmp_path, capsys):

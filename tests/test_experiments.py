@@ -460,6 +460,37 @@ def test_coupling_checks_both_chains_before_writing_either(path2):
         assert v.dtype == w.dtype and np.array_equal(v, w)
 
 
+def test_fold_checks_every_chain_before_writing_any(path2):
+    cells = np.array([[True, False]])
+    first = (np.array([[0, 0]]), np.array([[0.0, 0.0]]), np.array([2**50]))
+    second = (np.array([[2**63 - 1, 0]]), np.array([[0.0, 0.0]]), np.array([0]))
+    before = [v.copy() for v in first + second]
+    with pytest.raises(DomainError):
+        experiments._add_units(path2, cells, first, second)
+    assert all(np.array_equal(v, w) for v, w in zip(first + second, before))
+
+
+@pytest.mark.parametrize("quanta", [[3, 0], [100, 0], [8192, 0]])
+@pytest.mark.parametrize("unstable", ["eta", "zeta"])
+def test_coupling_refuses_unstable_starts_before_any_draw(path2, quanta, unstable):
+    # From [3, 0] or [100, 0] at [0.2, 0.8] the event no longer implies
+    # coalescence; at 8192 quanta the gap's shift to grid units wraps int64.
+    params, rng = AdditionParams(0.2, 0.8), np.random.default_rng(0)
+    state = rng.bit_generator.state
+    pair = [np.array([quanta]), np.array([[0.0, 0.0]]),
+            np.array([[0, 0]]), np.array([[0.0, 0.0]])]
+    if unstable == "zeta":
+        pair = pair[2:] + pair[:2]
+    before = [v.copy() for v in pair]
+    with pytest.raises(DomainError, match="stable"):
+        run_coupling_ensemble(path2, *pair, params, 1, rng)
+    eta, zeta = (CbtwConfig(1, q[0], f[0]) for q, f in (pair[:2], pair[2:]))
+    with pytest.raises(DomainError, match="stable"):
+        run_coupling(path2, eta, zeta, params, rng)
+    assert all(np.array_equal(v, w) for v, w in zip(pair, before))
+    assert rng.bit_generator.state == state
+
+
 def _assert_chain_matches_stepwise(lat, params, steps, snapshots, n, seed):
     quanta, frac = _offgrid_start(lat, n, seed)
     start = frac.copy()

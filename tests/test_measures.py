@@ -6,6 +6,7 @@ from scipy import stats
 
 import oracles
 from sandpiles import btw
+from sandpiles.cbtw import FRAC_BITS, grid_scale
 from sandpiles import (Binning, CbtwConfig, DomainError, Histogram,
                        build_lattice, enumerate_recurrent, estimate_tv,
                        frac_bins, is_recurrent_burning, sample_rational_limit_batch,
@@ -26,6 +27,24 @@ def test_frac_bins_frozen():
     assert out.tolist() == [0, 0, 1, 3]
     edge = frac_bins([np.nextafter(0.5, 0.0)], 1, Binning(4))
     assert edge.tolist() == [3]
+
+
+def test_frac_bins_are_exact_at_every_bin_edge():
+    # Grid value F sits in bin floor(F B / 2^50); float binning put some
+    # edge values one bin up, e.g. d = 1, B = 100, F = 517913957147607.
+    # From B = 2^13 on, F B no longer fits in int64 and F is split.
+    for d in (1, 2, 3, 5, 6, 7):
+        for b in [*range(1, 101), 2**13 - 1, 2**13, 10**6 + 3, 2**38 - 1]:
+            ks = {*range(1, min(b, 100)), *range(max(1, b - 99), b)}
+            edges = [-(-k * 2**FRAC_BITS // b) for k in ks]
+            units = sorted({F + s for F in edges for s in (-1, 0, 1)} | {0, 2**FRAC_BITS - 1})
+            frac = np.array(units, dtype=np.int64) / grid_scale(d)
+            assert frac_bins(frac, d, Binning(b)).tolist() == [F * b >> FRAC_BITS for F in units]
+            top = frac_bins([np.nextafter(1 / (2 * d), 0.0)], d, Binning(b))
+            assert top.tolist() == [b - 1]
+    assert frac_bins([517913957147607 / grid_scale(1)], 1, Binning(100)).tolist() == [45]
+    with pytest.raises(DomainError):
+        Binning(2**38)
 
 
 def test_histogram_batch_cells_in_lexicographic_order(grid22, rng):
