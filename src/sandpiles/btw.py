@@ -204,11 +204,10 @@ def stabilize_from(lat, heights, seeds):
     n_sites; only the check's maximum, the zeroed odometer and the queue
     flags have n_sites entries. The loop is `_relax`, given n_sites as its
     wave width so that it never hands a wave back; `run_chain` runs it
-    too, with the odometer and flags set up once per run, and `btw_add`
-    runs it on its own copy (`_drop`), finishing wide avalanches on a
-    list. This function stays the pure memoryview FIFO, the reference
-    that tests and the benchmark check `btw_add` against. Returns the
-    odometer as an int64 array.
+    too, with the odometer and flags set up once per run, and so does
+    `_drop`, finishing wide avalanches on a list. This function stays the
+    pure memoryview FIFO, the reference that tests and the benchmark check
+    `_drop` against. Returns the odometer as an int64 array.
     """
     n, two_d = lat.n_sites, lat.threshold
     h = _relaxable(lat, heights)
@@ -353,21 +352,20 @@ def stabilize_many(lat, quanta):
 
 
 def _drop(lat, h, x, amount):
-    """Add `amount` grains at x to `btw_add`'s fresh int64 heights `h` and
-    relax them in place with `stabilize_from`'s loop; the odometer is not
-    kept. One max serves the FIFO rule, checked for max(max(h), h[x] +
-    amount) before any write (DomainError), and the seeds: x alone when
-    the input was stable, every unstable site otherwise, and no relaxation
-    at all when no site is unstable. `_relax` runs on a memoryview until a
-    wave has more than WIDE_WAVE sites, then goes on on `h.tolist()`: a
-    list item costs less per toppling than a memoryview item, which
-    repays the O(n) conversions on a wide avalanche. The list is written
-    back once, through a bytearray when 2d <= 256 (every relaxed height
-    is below 2d), four times faster than numpy's conversion of a list."""
+    """The one single-site addition kernel (`btw_add`, `cbtw_add`'s carry,
+    `btw_inverse_add`'s -k): add `amount` grains at x to `h`, a writable
+    1-D native integer array with h[x] + amount >= 0, and relax every
+    unstable site in place with `_relax`; the odometer is not kept. One
+    max serves the FIFO rule, checked in h's dtype before any write
+    (DomainError), and the seeds: x alone when h was stable, every
+    unstable site otherwise. A wave of more than WIDE_WAVE sites moves the
+    avalanche to `h.tolist()`, whose items cost less per toppling than a
+    memoryview's, written back once (through a bytearray when 2d <= 256,
+    as every relaxed height is below 2d)."""
     n, two_d = lat.n_sites, lat.threshold
     high, hx = int(h.max()), h.item(x) + amount
     stable = high < two_d
-    _check_fifo(lat, max(high, hx))
+    _check_fifo(lat, max(high, hx), h.dtype)
     h[x] = hx
     if stable and hx < two_d:
         return
@@ -386,11 +384,9 @@ def _drop(lat, h, x, amount):
 def btw_add(lat, heights, x, amount=1):
     """Drop `amount` grains (an integer >= 0) on site x and stabilize.
 
-    Returns the stable heights as a fresh int64 array. The relaxation is
-    `stabilize_from`'s FIFO, seeded at x when the input was stable and at
-    every unstable site otherwise, and it moves from a memoryview to a
-    Python list once an avalanche wave has more than WIDE_WAVE sites
-    (`_drop`). Heights the FIFO rule `_check_fifo` refuses raise DomainError.
+    Returns the stable heights as a fresh int64 array, every unstable site
+    relaxed by the single-site kernel `_drop`. Heights the FIFO rule
+    `_check_fifo` refuses raise DomainError.
     """
     amount = _integer(amount, "amount", 0)
     x = _site(lat, x)
@@ -565,7 +561,8 @@ def btw_inverse_add(lat, heights, x, power=1):
     c = ceil(k / (2d - 1)): the argument is at least eta, so its
     stabilization is the recurrent representative of eta - k e_x. The
     grains added grow with k, not with the addition order. `power` is an
-    integer; a negative power adds grains.
+    integer; a negative power adds grains. The -k grains at x go through
+    `_drop`, so the burning test is the only `stabilize_from` run here.
     """
     x = _site(lat, x)
     k = _integer(power, "power")
@@ -573,10 +570,8 @@ def btw_inverse_add(lat, heights, x, power=1):
     if not is_recurrent_burning(lat, h):
         raise DomainError("inverse addition is defined only on recurrent configurations")
     c = -(-k // (lat.threshold - 1)) if k > 0 else 0
-    eps = lat.group_zero if c else np.zeros_like(h)
-    # No height passes this before the FIFO; it is exact when c = 0.
-    _check_fifo(lat, max(int(h.max()) + c * int(eps.max()), h.item(x) - k))
-    h += c * eps
-    h[x] -= k
-    stabilize_from(lat, h, np.flatnonzero(h >= lat.threshold))
+    if c:
+        _check_fifo(lat, int(h.max()) + c * int(lat.group_zero.max()))
+        h += c * lat.group_zero
+    _drop(lat, h, x, -k)
     return h

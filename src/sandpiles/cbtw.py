@@ -123,13 +123,14 @@ class CbtwConfig:
 def _check_state(d, n_sites, quanta, frac):
     """The one check of a continuous state, or of any array of states:
     DomainError unless quanta and frac are numpy arrays of one shape whose
-    last axis has n_sites entries, quanta of an integer dtype and
+    last axis has n_sites entries, quanta of a native integer dtype and
     nonnegative, frac float64 with every entry in [0, 1/2d)."""
     if not (isinstance(quanta, np.ndarray) and isinstance(frac, np.ndarray)
             and quanta.ndim and quanta.shape[-1] == n_sites and frac.shape == quanta.shape
-            and quanta.dtype.kind in "iu" and frac.dtype == np.float64):
-        raise DomainError(f"quanta and frac must be integer and float64 arrays of one "
-                          f"shape ending in {n_sites} sites")
+            and quanta.dtype.kind in "iu" and quanta.dtype.isnative
+            and frac.dtype == np.float64):
+        raise DomainError(f"quanta and frac must be native integer and float64 arrays of "
+                          f"one shape ending in {n_sites} sites")
     if quanta.size and quanta.min() < 0:
         raise DomainError("quanta must be nonnegative")
     # Written so that NaN, which fails every comparison, is rejected too.
@@ -206,9 +207,9 @@ def _add_inplace(lat, quanta, frac, x, u):
     """Add mass u at site x and stabilize, mutating the arrays in place:
     cbtw_add's kernel, and the one-step reference that run_chain's loop
     is tested against. A float u is converted to grid units rint(u * S);
-    an int is grid units already. Only an unstable x starts stabilize_from.
-    A carry that removes quanta or that the FIFO rule `btw._check_fifo`
-    refuses raises DomainError before any write."""
+    an int is grid units already. The carry goes through `btw._drop`,
+    which relaxes every unstable site. A carry that removes quanta or
+    that `_drop` refuses raises DomainError before any write."""
     scale = grid_scale(lat.d)
     units = round(u * scale) if isinstance(u, float) else u
     carry, F = _carry(round(frac.item(x) * scale), units)
@@ -216,21 +217,17 @@ def _add_inplace(lat, quanta, frac, x, u):
         raise DomainError(
             f"addition at site {x} would remove quanta: fractional part {frac[x]} "
             f"lies outside [0, {1.0 / (2 * lat.d)})")
-    q = quanta.item(x) + carry
-    btw._check_fifo(lat, q, quanta.dtype)
+    btw._drop(lat, quanta, x, carry)
     frac[x] = F / scale
-    quanta[x] = q
-    if q >= lat.threshold:
-        btw.stabilize_from(lat, quanta, (x,))
 
 
 def cbtw_add(lat, config, x, u):
-    """Add mass u in [0, 1) at site x, then relax the avalanche it starts.
+    """Add mass u in [0, 1) at site x, then relax every unstable site.
 
     Total mass quanta/2d + frac is conserved by the add itself: the
     fractional overflow is carried into quanta before stabilization.
-    The amount is rounded to the grid, u -> rint(u * S) / S. A stable
-    start ends stable; unstable sites the avalanche never reaches stay.
+    The amount is rounded to the grid, u -> rint(u * S) / S. Any start
+    ends stable.
     """
     _check_config(lat, config)
     x = btw._site(lat, x)

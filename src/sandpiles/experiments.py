@@ -56,11 +56,12 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
     """Run the randomized-addition chain for `steps` steps (>= 0) from
     `initial`, which must fit the lattice (DomainError before any draw).
 
-    Each step draws the site first, then the amount, and carries it in
-    grid units rint(u * S) at x as `_add_inplace` does; only an unstable
-    x starts the FIFO `btw._relax`, whose buffers are set up once per run
-    after one FIFO rule check (`btw._check_fifo`, before any draw) for
-    max(quanta) + 2d steps, since a step carries at most 2d quanta.
+    After one FIFO rule check (`btw._check_fifo`, before any draw) for
+    max(quanta) + 2d steps (a step carries at most 2d quanta), an unstable
+    start is relaxed once by `btw.stabilize_from`. Each step draws the
+    site first, then the amount, carries it in grid units rint(u * S) at
+    x as `_add_inplace` does and runs the FIFO `btw._relax`, its buffers
+    set up once per run, only when x becomes unstable.
     A fixed amount moves the fractional parts by the same integer every
     step, so long runs cannot drift; it draws its sites in blocks ahead
     of the steps, so on_step must not draw from `rng`.
@@ -73,6 +74,7 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
     quanta, frac = cfg.quanta, cfg.frac
     n, two_d, scale = lat.n_sites, lat.threshold, grid_scale(lat.d)
     btw._check_fifo(lat, int(quanta.max()) + two_d * steps, quanta.dtype)
+    btw.stabilize_from(lat, quanta, np.flatnonzero(quanta >= two_d))
     h, fired, queued = btw._relaxable(lat, quanta), np.zeros(n, dtype=np.int64).data, bytearray(n)
     theta = [0.0] * n
     for t, (x, u) in enumerate(_chain_draws(n, params, steps, rng), 1):
@@ -99,14 +101,14 @@ FOLD_LIMIT, DRAW_BLOCK, COUNTS_MIN = 1 << 12, 1 << 20, 16
 
 def _add_units(lat, cells, *chains):
     """Fold chains that share the boolean mask `cells`, each a (quanta,
-    frac, units) triple: add units[k] grid units at the k-th True cell
-    (row-major order) through the carry rule, then stabilize. Other cells
-    keep their frac bits. A negative unit, or carries the rounds rule
-    (`btw._round_dtype`) refuses, raise DomainError before any write to
-    any chain: checked frac >= 0 makes no other carry negative, and
-    grid_units(frac) <= 2^50 keeps each at most 1 + max(units) // 2^50.
-    Each row block of `btw._block_rows` rows then gathers its cells,
-    carries, writes back and runs `btw.stabilize_many`."""
+    frac, units) triple of its (replicas, sites) shape: add units[r, s]
+    grid units at each True cell (r, s) through the carry rule, then
+    stabilize. Other cells keep their frac bits. A negative unit, or
+    carries the rounds rule (`btw._round_dtype`) refuses, raise
+    DomainError before any write to any chain: checked frac >= 0 makes no
+    other carry negative, and grid_units(frac) <= 2^50 keeps each at most
+    1 + max(units) // 2^50. Each row block of `btw._block_rows` rows then
+    gathers its cells, carries, writes back and runs `btw.stabilize_many`."""
     for quanta, frac, units in chains:
         if units.min(initial=0) < 0:
             raise DomainError("an addition would remove quanta: amounts must be nonnegative")
@@ -114,16 +116,13 @@ def _add_units(lat, cells, *chains):
                          + (int(units.max(initial=0)) >> FRAC_BITS))
     rows, scale = btw._block_rows(lat.n_sites), grid_scale(lat.d)
     for quanta, frac, units in chains:
-        done = 0
         for start in range(0, len(quanta), rows):
             block = slice(start, start + rows)
             q, f, c = quanta[block], frac[block], cells[block]
-            end = done + np.count_nonzero(c)
-            carry, F = _carry(grid_units(f[c], lat.d), units[done:end])
+            carry, F = _carry(grid_units(f[c], lat.d), units[block][c])
             f[c] = F / scale
             q[c] += carry
             btw.stabilize_many(lat, q)
-            done = end
 
 
 def _check_replicas(lat, *states):
@@ -154,12 +153,10 @@ def step_ensemble(lat, quanta, frac, xs, us):
     """Apply one addition to every replica row, in place.
 
     Row i receives mass us[i] in [0, 1) at integer site xs[i] (one of each
-    per row), in grid units rint(us[i] * S); all rows are then stabilized
-    together. The rows and the additions are checked before any write
-    (DomainError). The carry is the integer rule of run_chain and
-    _add_inplace, so from a stable start a row evolves bit for bit like
-    one run_chain step on that replica; from an unstable one the rows
-    relax every site, a scalar step only the avalanche it starts.
+    per row), in grid units rint(us[i] * S); every unstable site of every
+    row is then relaxed. The rows and the additions are checked before
+    any write (DomainError). A row evolves bit for bit like one run_chain
+    step or one `cbtw_add` on that replica, from any start.
     """
     _check_replicas(lat, quanta, frac)
     xs, us = np.asarray(xs), np.asarray(us)
@@ -170,7 +167,9 @@ def step_ensemble(lat, quanta, frac, xs, us):
                           f"and {n} amounts in [0, 1)")
     cells = np.zeros(quanta.shape, dtype=bool)
     cells[np.arange(n), xs] = True
-    _add_units(lat, cells, (quanta, frac, grid_units(us, lat.d)))
+    # Row i's one cell gathers us[i]'s units from a view, not a dense batch.
+    units = np.broadcast_to(grid_units(us, lat.d)[:, None], quanta.shape)
+    _add_units(lat, cells, (quanta, frac, units))
 
 
 def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
@@ -213,9 +212,8 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
                 del idx  # freed before stabilization makes its temporaries
                 hits = hits.reshape(n, m)
             cells = hits > 0
-            units = hits[cells] * U
-            del hits
-            _add_units(lat, cells, (quanta, frac, units))
+            hits *= U
+            _add_units(lat, cells, (quanta, frac, hits))
         return
     # An interval step reuses these buffers: its amounts are
     # rint((a + (b - a) * rng.random()) * S), the bits of grid_units(rng.uniform(a, b)).
@@ -235,7 +233,7 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
             np.add.at(total, idx, units)
             hits[idx] = True
         cells = hits.reshape(n, m)
-        _add_units(lat, cells, (quanta, frac, total.reshape(n, m)[cells]))
+        _add_units(lat, cells, (quanta, frac, total.reshape(n, m)))
         hits[:] = False
         total[:] = 0
 
@@ -330,8 +328,8 @@ def _coupling_epoch(lat, grid, eta_quanta, eta_frac, zeta_quanta, zeta_frac, rng
             # Cells folded earlier in the epoch are on the grid, and
             # folding them again with no units leaves them unchanged.
             cells = seen.reshape(n, m) > 0
-            _add_units(lat, cells, (eta_quanta, eta_frac, eta_units.reshape(n, m)[cells]),
-                       (zeta_quanta, zeta_frac, zeta_units.reshape(n, m)[cells]))
+            _add_units(lat, cells, (eta_quanta, eta_frac, eta_units.reshape(n, m)),
+                       (zeta_quanta, zeta_frac, zeta_units.reshape(n, m)))
             eta_units[:] = zeta_units[:] = 0
     occurred = all_mid & (seen.reshape(n, m) == M).all(axis=1)
     same = (eta_quanta == zeta_quanta).all(axis=1) & (eta_frac == zeta_frac).all(axis=1)
@@ -445,6 +443,20 @@ def ergodic_average(lat, initial, amount, steps, observable, rng):
     return total / steps
 
 
+def _fourier_terms(step, k, start=None):
+    """(k, start, alpha = mean_j exp(2 pi i step k_j)) for the Fourier
+    tools; DomainError unless k is a non-empty 1-D vector of integers,
+    start (when given) a finite vector of its length and step finite."""
+    k, start = np.asarray(k), None if start is None else np.asarray(start, dtype=np.float64)
+    if not (k.ndim == 1 and k.size and k.dtype.kind in "iu"):
+        raise DomainError("the frequency vector must be a non-empty 1-d vector of integers")
+    if start is not None and (start.shape != k.shape or not np.isfinite(start).all()):
+        raise DomainError("the start point must be finite, of the frequency vector's length")
+    if not math.isfinite(step):
+        raise DomainError(f"the translation step must be finite, got {step}")
+    return k, start, complex(np.mean(np.exp(2j * np.pi * step * k)))
+
+
 def translation_mixture_fourier(step, k, start, n_terms):
     """Fourier coefficient of the random-translate mixture, in closed form.
 
@@ -453,15 +465,11 @@ def translation_mixture_fourier(step, k, start, n_terms):
     on {0..n_terms-1}. The coefficient at integer frequency vector k is
     f_k(start) * (1/n_terms) * (1 - alpha^n_terms)/(1 - alpha) with
     alpha = mean_j exp(2 pi i step k_j), and f_k(start) when alpha = 1.
-    n_terms is an integer >= 1.
+    n_terms is an integer >= 1; `_fourier_terms` checks the rest.
     """
     n_terms = btw._integer(n_terms, "n_terms", 1)
-    k = np.asarray(k, dtype=np.int64)
-    start = np.asarray(start, dtype=np.float64)
-    if k.shape != start.shape:
-        raise DomainError("frequency vector and start point must have the same length")
+    k, start, alpha = _fourier_terms(step, k, start)
     fk = np.exp(2j * np.pi * float(np.dot(k, start)))
-    alpha = complex(np.mean(np.exp(2j * np.pi * step * k)))
     if abs(1.0 - alpha) < 1e-14:
         return complex(fk)
     return complex(fk * (1.0 - alpha ** n_terms) / (n_terms * (1.0 - alpha)))
@@ -471,8 +479,7 @@ def translation_mixture_bound(step, k, n_terms):
     """Upper bound 2/(n_terms |1 - alpha|) on the coefficient modulus,
     infinite when alpha = 1; n_terms is an integer >= 1."""
     n_terms = btw._integer(n_terms, "n_terms", 1)
-    k = np.asarray(k, dtype=np.int64)
-    alpha = complex(np.mean(np.exp(2j * np.pi * step * k)))
+    alpha = _fourier_terms(step, k)[2]
     gap = abs(1.0 - alpha)
     if gap < 1e-14:
         return math.inf
@@ -487,8 +494,7 @@ def translation_mixture_fourier_mc(step, k, start, n_terms, n_samples, rng):
     if n_samples < 2:
         raise DomainError(f"a standard error needs at least 2 samples, got {n_samples}")
     n_terms = btw._integer(n_terms, "n_terms", 1)
-    k = np.asarray(k, dtype=np.int64)
-    start = np.asarray(start, dtype=np.float64)
+    k, start, _ = _fourier_terms(step, k, start)
     m = len(k)
     n = rng.integers(0, n_terms, size=n_samples)
     counts = rng.multinomial(n, [1.0 / m] * m)

@@ -284,12 +284,13 @@ def stepwise_coupling_ensemble(lat, eta_q, eta_f, zeta_q, zeta_f, params, n_epoc
 
 def row_histogram(counts, quanta, frac, d, bins_per_site):
     """Add a batch of configurations to the dict `counts` row by row: bins
-    are floor(frac * 2d * B) capped at B - 1, and the distinct
-    (quanta, bins) rows come from np.unique(axis=0), so new cells enter in
-    lexicographic order. Returns `counts`."""
-    m = quanta.shape[1]
-    bins = np.minimum(np.floor(frac * (2 * d) * bins_per_site).astype(np.int64),
-                      bins_per_site - 1)
+    are floor(F B / 2^50) in Python ints, F = min(round(frac S), 2^50 - 1)
+    the grid units of frac, and the distinct (quanta, bins) rows come from
+    np.unique(axis=0), so new cells enter in lexicographic order. Returns
+    `counts`."""
+    m, scale, top = quanta.shape[1], grid_scale(d), (1 << FRAC_BITS) - 1
+    bins = np.array([[min(round(f * scale), top) * bins_per_site >> FRAC_BITS for f in row]
+                     for row in frac.tolist()], dtype=np.int64).reshape(frac.shape)
     rows = np.concatenate([np.asarray(quanta, dtype=np.int64), bins], axis=1)
     uniq, cnt = np.unique(rows, axis=0, return_counts=True)
     for row, c in zip(uniq.tolist(), cnt.tolist()):

@@ -237,7 +237,7 @@ def test_inverse_add_requires_allowed(path2):
 
 
 def test_inverse_add_runs_one_burning_test(monkeypatch):
-    # One burning test and one relaxation, both on stabilize_from.
+    # One burning test on stabilize_from; the relaxation runs btw._drop.
     lat = build_lattice([2, 3])
     zeta = cbtw_add(lat, sample_uniform_allowed(lat, np.random.default_rng(4)), 1, 0.4)
     calls, real = [], btw.stabilize_from
@@ -248,7 +248,7 @@ def test_inverse_add_runs_one_burning_test(monkeypatch):
 
     monkeypatch.setattr(btw, "stabilize_from", counting)
     cbtw_inverse_add(lat, zeta, 1, 0.4)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_inverse_add_requires_stable(path2):

@@ -19,7 +19,7 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        translation_mixture_fourier_mc, tv_decay_experiment,
                        zero_config)
 from sandpiles import Lattice, btw_add, btw_inverse_add, experiments
-from sandpiles.cbtw import FRAC_MASK, _add_inplace, grid_scale, grid_units
+from sandpiles.cbtw import FRAC_BITS, FRAC_MASK, _add_inplace, grid_scale, grid_units
 from sandpiles.measures import Histogram, estimate_tv, tv_noise_floor
 
 from oracles import stepwise_chain, stepwise_chain_ensemble, stepwise_coupling_ensemble
@@ -288,8 +288,8 @@ def test_run_chain_matches_stepwise_draws(lat, params, start):
     # one site per step and each amount through rng.uniform, and adds it
     # through _add_inplace. The start is off the fixed-point grid. An
     # overfull start holds 2d + 1 quanta at site 0 and none elsewhere;
-    # site 0 must not topple until a step adds there or an avalanche
-    # reaches it.
+    # both chains relax it by the end of the first step, whichever site
+    # that step adds to.
     quanta, frac = _offgrid_start(lat, 1, 4)
     init = CbtwConfig(d=lat.d, quanta=quanta[0], frac=frac[0])
     if start == "overfull":
@@ -326,6 +326,57 @@ def test_run_chain_matches_stepwise_draws(lat, params, start):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+# Unstable starts with an addition (x, u): README's [5, 0] plus 0.1 at site
+# 1 on the 2-site path, and a 3x3 start off the grid whose only unstable
+# site is a corner, with the addition at the far corner.
+_UNSTABLE = [
+    (build_lattice([2]), CbtwConfig(d=1, quanta=np.array([5, 0]), frac=np.zeros(2)), 1, 0.1),
+    (build_lattice([3, 3]), CbtwConfig(d=2, quanta=np.array([9, 1, 0, 2, 3, 1, 0, 2, 1]),
+                                       frac=np.random.default_rng(9).uniform(0, 0.25, size=9)),
+     8, 0.3),
+]
+
+
+@pytest.mark.parametrize("lat, start, x, u", _UNSTABLE, ids=["path2-5-0", "box3x3"])
+def test_an_addition_relaxes_every_unstable_site(lat, start, x, u):
+    # cbtw_add, a one-row step_ensemble and btw_add of the carry on the
+    # quanta agree; cbtw_add relaxed only the avalanche its site started.
+    assert not start.is_stable()
+    end = cbtw_add(lat, start, x, u)
+    rows = [start.quanta[None, :].copy(), start.frac[None, :].copy()]
+    step_ensemble(lat, *rows, [x], [u])
+    scale = grid_scale(lat.d)
+    carry = (round(start.frac[x] * scale) + round(u * scale)) >> FRAC_BITS
+    assert end.is_stable()
+    assert np.array_equal(end.quanta, rows[0][0]) and np.array_equal(end.frac, rows[1][0])
+    assert np.array_equal(end.quanta, btw_add(lat, start.quanta, x, carry))
+    if lat.n_sites == 2:
+        assert end.quanta.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("params", [AdditionParams(SQRT2M1, SQRT2M1), AdditionParams(0.2, 0.8)],
+                         ids=["fixed", "interval"])
+@pytest.mark.parametrize("lat, start, x, u", _UNSTABLE, ids=["path2-5-0", "box3x3"])
+def test_chains_from_unstable_starts_agree_bit_for_bit(lat, start, x, u, params):
+    # run_chain relaxes an unstable start once, so after every step it
+    # equals the stepwise oracle and a one-row run_chain_ensemble continued
+    # one step a call; a scalar step relaxed only the avalanche it started.
+    steps = 15 * lat.n_sites
+    rngs = [np.random.default_rng(2) for _ in range(3)]
+    seen, ref_seen, ens_seen = [], [], []
+    state = run_chain(lat, start, params, steps, rngs[0],
+                      lambda t, x, u, q, f: seen.append(q.tobytes() + f.tobytes()))
+    stepwise_chain(lat, start, params, steps, rngs[1],
+                   lambda t, x, u, q, f: ref_seen.append(q.tobytes() + f.tobytes()))
+    rows = [start.quanta[None, :].copy(), start.frac[None, :].copy()]
+    for _ in range(steps):
+        run_chain_ensemble(lat, *rows, params, 1, rngs[2])
+        ens_seen.append(rows[0].tobytes() + rows[1].tobytes())
+    assert state.config.is_stable()
+    assert seen == ref_seen == ens_seen
+    assert len({str(r.bit_generator.state) for r in rngs}) == 1
+
+
 def _state(quanta, frac, d=1):
     return CbtwConfig(d=d, quanta=np.array(quanta), frac=np.array(frac))
 
@@ -345,6 +396,7 @@ _BAD_STATES = {
     "frac-above-cell": _state([0, 0], [0.7, 0.0]),
     "nan-frac": _state([0, 0], [0.0, np.nan]),
     "mismatched-shapes": _state([0, 0], [0.0, 0.0, 0.0]),
+    "big-endian-quanta": _state(np.array([0, 0], dtype=">i8"), [0.0, 0.0]),
 }
 _BAD_AMOUNTS = {"amount-1.7": 1.7, "nan-amount": np.nan}
 _INTERVAL = AdditionParams(0.2, 0.8)
@@ -462,8 +514,8 @@ def test_coupling_checks_both_chains_before_writing_either(path2):
 
 def test_fold_checks_every_chain_before_writing_any(path2):
     cells = np.array([[True, False]])
-    first = (np.array([[0, 0]]), np.array([[0.0, 0.0]]), np.array([2**50]))
-    second = (np.array([[2**63 - 1, 0]]), np.array([[0.0, 0.0]]), np.array([0]))
+    first = (np.array([[0, 0]]), np.array([[0.0, 0.0]]), np.array([[2**50, 0]]))
+    second = (np.array([[2**63 - 1, 0]]), np.array([[0.0, 0.0]]), np.array([[0, 0]]))
     before = [v.copy() for v in first + second]
     with pytest.raises(DomainError):
         experiments._add_units(path2, cells, first, second)
@@ -857,6 +909,39 @@ def test_fourier_mc_needs_two_samples(rng, n_samples):
 def test_fourier_rejects_bad_term_counts(call, n_terms):
     with pytest.raises(DomainError):
         call(n_terms)
+
+
+_FOURIER_CALLS = {
+    "closed-form": lambda step, k, start, rng: translation_mixture_fourier(step, k, start, 10),
+    "bound": lambda step, k, start, rng: translation_mixture_bound(step, k, 10),
+    "monte-carlo": lambda step, k, start, rng: translation_mixture_fourier_mc(
+        step, k, start, 10, 10, rng),
+}
+_BAD_FOURIER = {
+    "empty-k": (0.3, [], []),
+    "fractional-k": (0.3, [1.5], [0.0]),
+    "2d-k": (0.3, [[1, 2]], [[0.0, 0.0]]),
+    "nan-step": (np.nan, [1], [0.0]),
+    "inf-step": (np.inf, [1], [0.0]),
+    "short-start": (0.3, [1, 2], [0.0]),
+    "inf-start": (0.3, [1], [np.inf]),
+}
+_FOURIER_REJECTED = [(call, case) for call in _FOURIER_CALLS for case in _BAD_FOURIER
+                     if call != "bound" or "start" not in case]
+
+
+@pytest.mark.parametrize("call, case", _FOURIER_REJECTED,
+                         ids=[f"{c}-{a}" for c, a in _FOURIER_REJECTED])
+def test_fourier_rejects_bad_arguments(call, case):
+    # An empty k gave nan or a ZeroDivisionError, k = [1.5] was truncated,
+    # a 2-d k raised a bare ValueError, a NaN step gave nan, and the Monte
+    # Carlo form broadcast a short start against k; an infinite start gave
+    # nan. Nothing is drawn first.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        _FOURIER_CALLS[call](*_BAD_FOURIER[case], rng)
+    assert rng.bit_generator.state == state
 
 
 def test_fourier_mc_zero_frequency_is_exact(rng):

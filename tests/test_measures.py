@@ -57,15 +57,19 @@ def test_histogram_batch_cells_in_lexicographic_order(grid22, rng):
 
 
 # 16 sites at B = 1000 and 64 sites at d = 2, B = 3 take the radix product
-# of the cell code past 2^63, so their codes are ranked on the way.
+# of the cell code past 2^63, so their codes are ranked on the way. Every
+# pool holds F = 517913957147607 grid units at site 0 of its first rows: at
+# d = 1, B = 100 that is bin 45, where float floor(frac 2d B) gives 46.
 @pytest.mark.parametrize("dims, d, m, b", [
-    ([2], 1, 2, 8), ([3, 3], 2, 9, 8), (None, 1, 16, 1000), (None, 2, 64, 3)])
+    ([2], 1, 2, 8), ([3, 3], 2, 9, 8), (None, 1, 16, 1000), (None, 2, 64, 3),
+    (None, 1, 2, 100)])
 def test_histogram_matches_row_oracle(rng, dims, d, m, b):
     if dims:
         pool_q, pool_f = sample_uniform_allowed_batch(build_lattice(dims), rng, 300)
     else:
         pool_q = rng.integers(2 * d, size=(300, m))
         pool_f = rng.uniform(0.0, 1.0 / (2 * d), size=(300, m))
+    pool_f[:30, 0] = 517913957147607 / grid_scale(d)
     hist = Histogram(d, m, Binning(b))
     expected = {}
     # drawn with repeats from the pool, so cells hold counts above 1
