@@ -20,8 +20,8 @@ ENUMERATION_CHUNK = 1 << 14
 # Replica batches relax and fold in row blocks of about this many cells:
 # 256 KB per int64 working array, so a round's arrays stay in a 2 MB L2.
 BLOCK_CELLS = 1 << 15
-# `btw_add` moves an avalanche from a memoryview to a Python list once one
-# of its waves topples more than this many sites.
+# `_drop` and `run_chain` move an avalanche from a memoryview to a Python
+# list once one of its waves topples more than this many sites.
 WIDE_WAVE = 16
 
 
@@ -46,15 +46,17 @@ def _as_heights(lat, heights):
 _INTEGER_FORMATS = frozenset("bhilqBHILQ")
 
 
-def _integer(value, name, low=None):
-    """`value` as a Python int; DomainError unless it is an integer other
-    than a bool, and at least `low` when `low` is given."""
+def _integer(value, name, low=None, high=None, error=DomainError):
+    """`value` as a Python int; `error` unless it is an integer other than
+    a bool, at least `low` and at most `high` when they are given."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+            raise error(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if low is not None and value < low:
-        raise DomainError(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value}")
     return value
 
 
@@ -194,24 +196,25 @@ def stabilize_from(lat, heights, seeds):
     """FIFO stabilization of `heights` in place, seeded from `seeds`.
 
     `heights` is a writable 1-D integer array of length n_sites (a strided
-    view, such as a column of a 2-D array, is fine) whose max(h) passes
-    the FIFO rule `_check_fifo` in its dtype; anything else raises
-    DomainError before any write. `seeds` are site indices, each an
+    view, such as a column of a 2-D array, is fine), nonnegative, whose
+    max(h) passes the FIFO rule `_check_fifo` in its dtype; anything else
+    raises DomainError before any write. `seeds` are site indices, each an
     integer in [0, n_sites), repeats allowed. Only unstable seeds start the
     avalanche, and a site topples only when the avalanche reaches it: an
     unstable site that no toppling touches stays as it is. The interpreted
     work is proportional to the seeds plus the topplings times 2d, not to
-    n_sites; only the check's maximum, the zeroed odometer and the queue
+    n_sites; only the check's extremes, the zeroed odometer and the queue
     flags have n_sites entries. The loop is `_relax`, given n_sites as its
-    wave width so that it never hands a wave back; `run_chain` runs it
-    too, with the odometer and flags set up once per run, and so does
-    `_drop`, finishing wide avalanches on a list. This function stays the
-    pure memoryview FIFO, the reference that tests and the benchmark check
-    `_drop` against. Returns the odometer as an int64 array.
+    wave width so that it never hands a wave back. In the package only the
+    burning test runs this function: it is the pure memoryview FIFO, the
+    reference that tests and the benchmark check `_drop` and `run_chain`,
+    which run `_relax` with `_finish`, against. Returns the int64 odometer.
     """
     n, two_d = lat.n_sites, lat.threshold
     h = _relaxable(lat, heights)
     view = np.asarray(heights)
+    if view.min() < 0:
+        raise DomainError("heights must be nonnegative")
     _check_fifo(lat, int(view.max()), view.dtype)
     od = np.zeros(n, dtype=np.int64)
     queued = bytearray(n)
@@ -351,17 +354,24 @@ def stabilize_many(lat, quanta):
     return od.T
 
 
+def _finish(h, queued, wave, nbrs, two_d):
+    """Go on from the wave `_relax` handed back on `h.tolist()`, whose items
+    cost less per toppling than a memoryview's, and write the array `h`
+    back once (a bytearray when 2d <= 256: relaxed heights are below 2d)."""
+    hl = h.tolist()
+    _relax(hl, [0] * len(hl), queued, wave, nbrs, two_d, len(hl))
+    h[:] = bytearray(hl) if two_d <= 256 else hl
+
+
 def _drop(lat, h, x, amount):
     """The one single-site addition kernel (`btw_add`, `cbtw_add`'s carry,
-    `btw_inverse_add`'s -k): add `amount` grains at x to `h`, a writable
-    1-D native integer array with h[x] + amount >= 0, and relax every
-    unstable site in place with `_relax`; the odometer is not kept. One
-    max serves the FIFO rule, checked in h's dtype before any write
-    (DomainError), and the seeds: x alone when h was stable, every
-    unstable site otherwise. A wave of more than WIDE_WAVE sites moves the
-    avalanche to `h.tolist()`, whose items cost less per toppling than a
-    memoryview's, written back once (through a bytearray when 2d <= 256,
-    as every relaxed height is below 2d)."""
+    `btw_inverse_add`'s -k, `run_chain`'s start): add `amount` grains at
+    x to `h`, a writable 1-D native integer array with h[x] + amount >= 0,
+    and relax every unstable site in place with `_relax`; the odometer is
+    not kept. One max serves the FIFO rule, checked in h's dtype before
+    any write (DomainError), and the seeds: x alone when h was stable,
+    every unstable site otherwise. A wave of more than WIDE_WAVE sites
+    goes on through `_finish`."""
     n, two_d = lat.n_sites, lat.threshold
     high, hx = int(h.max()), h.item(x) + amount
     stable = high < two_d
@@ -376,9 +386,7 @@ def _drop(lat, h, x, amount):
     wave = _relax(h.data, np.zeros(n, dtype=np.int64).data, queued, queue, lat.adjacency,
                   two_d, WIDE_WAVE)
     if wave:
-        hl = h.tolist()
-        _relax(hl, [0] * n, queued, wave, lat.adjacency, two_d, n)
-        h[:] = bytearray(hl) if two_d <= 256 else hl
+        _finish(h, queued, wave, lat.adjacency, two_d)
 
 
 def btw_add(lat, heights, x, amount=1):

@@ -179,15 +179,10 @@ def max_config(lat):
 
 
 def cbtw_topple(lat, config, x):
-    """Topple site x once: mass 1 leaves x, 1/2d lands on each in-set
-    neighbour. Returns (new_config, legal); frac is untouched."""
+    """Topple site x once (`btw.btw_topple` on the quanta, as int64): mass 1
+    leaves x, 1/2d lands on each in-set neighbour. Returns (new_config, legal)."""
     _check_config(lat, config)
-    x = btw._site(lat, x)
-    legal = bool(config.quanta[x] >= 2 * lat.d)
-    quanta = config.quanta.copy()
-    if legal:
-        quanta[x] -= 2 * lat.d
-        quanta[list(lat.adjacency[x])] += 1
+    quanta, legal = btw.btw_topple(lat, config.quanta, x)
     return CbtwConfig(d=config.d, quanta=quanta, frac=config.frac.copy()), legal
 
 

@@ -58,10 +58,10 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
 
     After one FIFO rule check (`btw._check_fifo`, before any draw) for
     max(quanta) + 2d steps (a step carries at most 2d quanta), an unstable
-    start is relaxed once by `btw.stabilize_from`. Each step draws the
-    site first, then the amount, carries it in grid units rint(u * S) at
-    x as `_add_inplace` does and runs the FIFO `btw._relax`, its buffers
-    set up once per run, only when x becomes unstable.
+    start is relaxed once by `btw._drop`. Each step draws the site first,
+    then the amount, carries it in grid units rint(u * S) at x as
+    `_add_inplace` does and runs `btw._relax`, its buffers set up once per
+    run, when x becomes unstable, and `btw._finish` on a wave it hands back.
     A fixed amount moves the fractional parts by the same integer every
     step, so long runs cannot drift; it draws its sites in blocks ahead
     of the steps, so on_step must not draw from `rng`.
@@ -72,9 +72,9 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
     _check_config(lat, initial)
     cfg = initial.copy()
     quanta, frac = cfg.quanta, cfg.frac
-    n, two_d, scale = lat.n_sites, lat.threshold, grid_scale(lat.d)
+    n, two_d, scale, wide = lat.n_sites, lat.threshold, grid_scale(lat.d), btw.WIDE_WAVE
     btw._check_fifo(lat, int(quanta.max()) + two_d * steps, quanta.dtype)
-    btw.stabilize_from(lat, quanta, np.flatnonzero(quanta >= two_d))
+    btw._drop(lat, quanta, 0, 0)
     h, fired, queued = btw._relaxable(lat, quanta), np.zeros(n, dtype=np.int64).data, bytearray(n)
     theta = [0.0] * n
     for t, (x, u) in enumerate(_chain_draws(n, params, steps, rng), 1):
@@ -86,7 +86,8 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
         h[x] += carry
         if h[x] >= two_d:
             queued[x] = 1
-            btw._relax(h, fired, queued, [x], lat.adjacency, two_d, n)
+            if wave := btw._relax(h, fired, queued, [x], lat.adjacency, two_d, wide):
+                btw._finish(quanta, queued, wave, lat.adjacency, two_d)
         theta[x] += u
         if on_step is not None:
             on_step(t, x, u, quanta, frac)
@@ -97,6 +98,34 @@ def run_chain(lat, initial, params, steps, rng, on_step=None):
 # fixed-amount chains draw their sites in blocks of DRAW_BLOCK (memory), or,
 # in a fold of at least COUNTS_MIN steps per site, each row's hit counts.
 FOLD_LIMIT, DRAW_BLOCK, COUNTS_MIN = 1 << 12, 1 << 20, 16
+
+
+def _folds(lat, n, steps):
+    """Row offsets r * m of the flat cells of n rows, and the step count of
+    each fold of `steps` steps: FOLD_LIMIT/2d, the last one shorter."""
+    fold = max(1, FOLD_LIMIT // (2 * lat.d))
+    return np.arange(n) * lat.n_sites, (min(steps - t, fold) for t in range(0, steps, fold))
+
+
+def _interval_steps(lat, a, b, offsets, rng):
+    """Yield interval steps for the rows of `offsets` without end: (cells,
+    us, units), the flat cells r * m + site, drawn first, the amounts a +
+    (b - a) * rng.random(), which have the bits of rng.uniform(a, b), and
+    their grid units rint(us * S), in two buffers each step overwrites
+    (units rounds us * S as floats in its own bytes, then casts in place)."""
+    n, m, scale = len(offsets), lat.n_sites, grid_scale(lat.d)
+    a, width = float(a), float(b) - float(a)
+    us, units = np.empty(n), np.empty(n, dtype=np.int64)
+    while True:
+        cells = rng.integers(m, size=n)
+        cells += offsets
+        rng.random(out=us)
+        us *= width
+        us += a
+        scaled = np.multiply(us, scale, out=units.view(np.float64))
+        np.rint(scaled, out=scaled)
+        np.copyto(units, scaled, casting="unsafe")
+        yield cells, us, units
 
 
 def _add_units(lat, cells, *chains):
@@ -193,14 +222,12 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
     steps = btw._integer(steps, "steps", 0)
     _check_replicas(lat, quanta, frac)
     n, m = quanta.shape
-    offsets = np.arange(n) * m
-    fold = max(1, FOLD_LIMIT // (2 * lat.d))
+    offsets, folds = _folds(lat, n, steps)
     if params.mode == "fixed":
         U = int(grid_units(params.a, lat.d))
         # A fixed amount draws nothing else, so its sites come in blocks.
         block = max(1, DRAW_BLOCK // max(n, 1))
-        for t in range(0, steps, fold):
-            T = min(steps - t, fold)
+        for T in folds:
             if T >= COUNTS_MIN * m:
                 hits = rng.multinomial(T, np.full(m, 1.0 / m), size=n)
             else:
@@ -215,27 +242,14 @@ def run_chain_ensemble(lat, quanta, frac, params, steps, rng):
             hits *= U
             _add_units(lat, cells, (quanta, frac, hits))
         return
-    # An interval step reuses these buffers: its amounts are
-    # rint((a + (b - a) * rng.random()) * S), the bits of grid_units(rng.uniform(a, b)).
-    a, width, scale = float(params.a), float(params.b) - float(params.a), grid_scale(lat.d)
-    r, units = np.empty(n), np.empty(n, dtype=np.int64)
+    draws = _interval_steps(lat, params.a, params.b, offsets, rng)
     hits, total = np.zeros(n * m, dtype=bool), np.zeros(n * m, dtype=np.int64)
-    for t in range(0, steps, fold):
-        for _ in range(min(steps - t, fold)):
-            idx = rng.integers(m, size=n)
-            idx += offsets
-            rng.random(out=r)
-            r *= width
-            r += a
-            r *= scale
-            np.rint(r, out=r)
-            np.copyto(units, r, casting="unsafe")
+    for T in folds:
+        for _, (idx, _, units) in zip(range(T), draws):
             np.add.at(total, idx, units)
             hits[idx] = True
-        cells = hits.reshape(n, m)
-        _add_units(lat, cells, (quanta, frac, total.reshape(n, m)))
-        hits[:] = False
-        total[:] = 0
+        _add_units(lat, hits.reshape(n, m), (quanta, frac, total.reshape(n, m)))
+        hits[:] = total[:] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +299,7 @@ def _coupling_grid(lat, params):
     W = rint(b S) - A. Shifting amounts modulo W on [A, A + W) is a
     bijection of that grid, so it preserves their law."""
     M, L = epoch_shape(lat, params)
-    a, b = params.a, params.b
-    scale = grid_scale(lat.d)
+    a, b, scale = params.a, params.b, grid_scale(lat.d)
     A = round(a * scale)
     return M, L, a, b, A, round(b * scale) - A
 
@@ -308,29 +321,25 @@ def _coupling_epoch(lat, grid, eta_quanta, eta_frac, zeta_quanta, zeta_frac, rng
     M, L, a, b, A, W = grid
     mid_lo, mid_hi = (3 * a + b) / 4, (a + 3 * b) / 4
     n, m = eta_quanta.shape
-    offsets = np.arange(n) * m
+    offsets, folds = _folds(lat, n, L)
+    draws = _interval_steps(lat, a, b, offsets, rng)
     G = (((eta_quanta - zeta_quanta) << FRAC_BITS)
          + grid_units(eta_frac, lat.d) - grid_units(zeta_frac, lat.d))
     base, extra = (v.ravel() for v in np.divmod(G, M))
     seen, eta_units, zeta_units = np.zeros((3, n * m), dtype=np.int64)
     all_mid = np.ones(n, dtype=bool)
-    fold = max(1, FOLD_LIMIT // (2 * lat.d))
-    for t in range(1, L + 1):
-        idx = rng.integers(m, size=n) + offsets
-        us = rng.uniform(a, b, size=n)
-        units = grid_units(us, lat.d)
-        part = base[idx] + (seen[idx] < extra[idx])
-        np.add.at(eta_units, idx, units)
-        np.add.at(zeta_units, idx, (units + part - A) % W + A)
-        np.add.at(seen, idx, 1)
-        all_mid &= (us >= mid_lo) & (us <= mid_hi)
-        if t == L or t % fold == 0:
-            # Cells folded earlier in the epoch are on the grid, and
-            # folding them again with no units leaves them unchanged.
-            cells = seen.reshape(n, m) > 0
-            _add_units(lat, cells, (eta_quanta, eta_frac, eta_units.reshape(n, m)),
-                       (zeta_quanta, zeta_frac, zeta_units.reshape(n, m)))
-            eta_units[:] = zeta_units[:] = 0
+    for T in folds:
+        for _, (idx, us, units) in zip(range(T), draws):
+            part = base[idx] + (seen[idx] < extra[idx])
+            np.add.at(eta_units, idx, units)
+            np.add.at(zeta_units, idx, (units + part - A) % W + A)
+            np.add.at(seen, idx, 1)
+            all_mid &= (us >= mid_lo) & (us <= mid_hi)
+        # Cells folded earlier in the epoch are on the grid, and
+        # folding them again with no units leaves them unchanged.
+        _add_units(lat, seen.reshape(n, m) > 0, (eta_quanta, eta_frac, eta_units.reshape(n, m)),
+                   (zeta_quanta, zeta_frac, zeta_units.reshape(n, m)))
+        eta_units[:] = zeta_units[:] = 0
     occurred = all_mid & (seen.reshape(n, m) == M).all(axis=1)
     same = (eta_quanta == zeta_quanta).all(axis=1) & (eta_frac == zeta_frac).all(axis=1)
     return occurred, same
@@ -490,10 +499,10 @@ def translation_mixture_fourier_mc(step, k, start, n_terms, n_samples, rng):
     """Monte Carlo estimate of the same coefficient; returns (estimate,
     standard error), the latter combining real and imaginary spread, so
     it needs n_samples >= 2 and n_terms >= 1."""
-    n_samples = btw._integer(n_samples, "n_samples")
+    n_samples = btw._integer(n_samples, "n_samples", high=2**63 - 1)
     if n_samples < 2:
         raise DomainError(f"a standard error needs at least 2 samples, got {n_samples}")
-    n_terms = btw._integer(n_terms, "n_terms", 1)
+    n_terms = btw._integer(n_terms, "n_terms", 1, 2**63)
     k, start, _ = _fourier_terms(step, k, start)
     m = len(k)
     n = rng.integers(0, n_terms, size=n_samples)
@@ -520,7 +529,7 @@ def invariance_experiment(lat, binning, n_samples, rng):
     reported next to the resolution floor measured between two
     independent uniform-allowed sample sets of the same size.
     """
-    n = btw._integer(n_samples, "n_samples", 1)
+    n = btw._integer(n_samples, "n_samples", 1, 2**63 - 1)
     href = Histogram.from_samples(lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n))
     quanta, frac = sample_uniform_allowed_batch(lat, rng, n)
     xs = rng.integers(lat.n_sites, size=n)
@@ -551,7 +560,7 @@ def rational_limit_test(lat, base, amount, t_chain, n_samples, rng,
     to the floor between two independent draws of the prediction itself.
     `recurrent` is ignored; the ensemble_path benchmark still passes one.
     """
-    n_samples = btw._integer(n_samples, "n_samples", 1)
+    n_samples = btw._integer(n_samples, "n_samples", 1, 2**63 - 1)
     # Draws nothing: its checks and the recurrent scan fail before the chain runs.
     sample_rational_limit_batch(lat, base, amount, rng, 0, t_chain)
     quanta = np.tile(base.quanta, (n_samples, 1))
@@ -596,7 +605,7 @@ def tv_decay_experiment(lat, params, times, n_replicas, binning, rng, recurrent=
     if len(set(times)) < 2:
         raise DomainError(
             f"tv_decay_experiment needs two distinct snapshot times >= 1, got {times}")
-    n = btw._integer(n_replicas, "n_replicas", 1)
+    n = btw._integer(n_replicas, "n_replicas", 1, 2**63 - 1)
     lat.recurrent  # scanned here: CapacityError before the chain runs
     quanta = np.zeros((n, lat.n_sites), dtype=np.int64)
     frac = np.zeros((n, lat.n_sites), dtype=np.float64)

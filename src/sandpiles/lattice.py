@@ -19,16 +19,6 @@ from . import btw
 from .errors import DomainError, GeometryError
 
 
-def _integer(value, name):
-    """`value` as a Python int; GeometryError unless it is an integer
-    other than a bool (int() would truncate 2.5 and take True as 1)."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise GeometryError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
-    return value
-
-
 class Lattice:
     """Immutable finite subset of Z^d with in-set adjacency tables.
 
@@ -60,12 +50,10 @@ class Lattice:
     """
 
     def __init__(self, d, sites, dims=None):
-        d = _integer(d, "dimension")
-        if d < 1:
-            raise GeometryError("dimension must be >= 1")
+        d = btw._integer(d, "dimension", 1, error=GeometryError)
         pts = []
         for s in sites:
-            p = tuple([_integer(c, "site coordinate") for c in s])
+            p = tuple([btw._integer(c, "site coordinate", error=GeometryError) for c in s])
             if len(p) != d:
                 raise GeometryError(f"site {s!r} does not have {d} coordinates")
             pts.append(p)
@@ -73,9 +61,10 @@ class Lattice:
             raise GeometryError("lattice needs at least one site")
         if len(set(pts)) != len(pts):
             raise GeometryError("duplicate sites")
-        dims = tuple(_integer(n, "box side") for n in dims) if dims is not None else None
-        if dims is not None and pts != list(itertools.product(*map(range, dims))):
-            raise GeometryError(f"sites are not the box {dims} in row-major order")
+        if dims is not None:
+            dims = tuple(btw._integer(n, "box side", error=GeometryError) for n in dims)
+            if pts != list(itertools.product(*map(range, dims))):
+                raise GeometryError(f"sites are not the box {dims} in row-major order")
         self.d = d
         self.dims = dims
         self.sites = tuple(pts)
@@ -150,11 +139,9 @@ def build_lattice(dims):
     Site order is row-major (last coordinate varies fastest). Each side
     is an integer other than a bool (GeometryError otherwise).
     """
-    dims = tuple(_integer(n, "box side") for n in dims)
+    dims = tuple(btw._integer(n, "box side", 1, error=GeometryError) for n in dims)
     if len(dims) == 0:
         raise GeometryError("dims must be non-empty")
-    if any(n < 1 for n in dims):
-        raise GeometryError(f"box sides must be >= 1, got {dims}")
     sites = list(itertools.product(*(range(n) for n in dims)))
     return Lattice(len(dims), sites, dims=dims)
 

@@ -164,7 +164,7 @@ def sample_uniform_allowed_batch(lat, rng, n):
     """n independent uniform-allowed draws as (quanta, frac) matrices:
     quanta uniform over `lat.recurrent`, frac uniform per site, floored
     onto the fixed-point grid (floor keeps it below the cell width)."""
-    return _uniform_allowed(lat, rng, btw._integer(n, "replica count", 0), lat.recurrent)
+    return _uniform_allowed(lat, rng, btw._integer(n, "replica count", 0, 2**63 - 1), lat.recurrent)
 
 
 def sample_rational_limit_batch(lat, base, amount, rng, n, t=None):
@@ -181,7 +181,7 @@ def sample_rational_limit_batch(lat, base, amount, rng, n, t=None):
     when g > 1 the limit law depends on t mod g, so `t`, an integer >= 0,
     is required. The frac part of `base` is untouched.
     """
-    n = btw._integer(n, "replica count", 0)
+    n = btw._integer(n, "replica count", 0, 2**63 - 1)
     t = None if t is None else btw._integer(t, "time", 0)
     l = quantum_multiple(amount, lat.d)
     if l is None or not (1 <= l <= 2 * lat.d - 1):
@@ -194,7 +194,7 @@ def sample_rational_limit_batch(lat, base, amount, rng, n, t=None):
         raise DomainError(f"the limit law has period {g} on this lattice; give the chain time t")
     quanta = _recurrent_rows(lat.recurrent, rng, n)  # xi, shifted and scaled in place
     if g > 1:
-        quanta[:, 0] += (t - quanta.sum(axis=1)) % g
+        quanta[:, 0] += (t % g - quanta.sum(axis=1)) % g
     quanta *= l
     quanta += base.quanta.astype(np.int64)  # stable, so exact in any integer dtype
     rows = btw._block_rows(lat.n_sites)  # one block at a time: no (n, n_sites) odometer
@@ -207,7 +207,7 @@ def tv_noise_floor(lat, binning, n_samples, rng):
     """TV distance between two independent uniform-allowed sample sets of
     the given size: the Monte Carlo resolution limit for this
     discretization and sample budget."""
-    n_samples = btw._integer(n_samples, "n_samples", 1)
+    n_samples = btw._integer(n_samples, "n_samples", 1, 2**63 - 1)
     ha = Histogram.from_samples(lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples))
     hb = Histogram.from_samples(lat.d, binning, *sample_uniform_allowed_batch(lat, rng, n_samples))
     return estimate_tv(ha, hb)

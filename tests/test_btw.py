@@ -715,6 +715,19 @@ def test_fifo_rejects_heights_it_cannot_relax_in_place(path3):
         assert list(h) == [0, 1, 0]
 
 
+@pytest.mark.parametrize("heights, seed", [([-5, 9], 1), ([9, -1], 0), ([-1, 0], 0)])
+def test_fifo_rejects_negative_heights_before_any_write(path2, heights, seed):
+    # As btw_stabilize, stabilize_many and btw_add do.
+    h = np.array(heights, dtype=np.int64)
+    with pytest.raises(DomainError, match="nonnegative"):
+        stabilize_from(path2, h, [seed])
+    assert h.tolist() == heights
+    for relax in (lambda: btw_stabilize(path2, h), lambda: btw_add(path2, h, seed),
+                  lambda: stabilize_many(path2, h[None, :].copy())):
+        with pytest.raises(DomainError, match="nonnegative"):
+            relax()
+
+
 def test_allowed_bruteforce_frozen_path2(path2):
     assert not is_allowed_bruteforce(path2, [0, 0])
     assert is_allowed_bruteforce(path2, [0, 1])

@@ -88,6 +88,25 @@ def test_topple_moves_only_quanta(path2):
     assert stable_already.quanta.tolist() == [3, 0]
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+def test_topple_is_the_integer_topple_on_the_quanta(grid33, dtype, monkeypatch):
+    calls, topple = [], btw.btw_topple
+
+    def counting(*args):
+        calls.append(args[2])
+        return topple(*args)
+
+    monkeypatch.setattr(btw, "btw_topple", counting)
+    quanta = np.array([4, 0, 5, 1, 7, 0, 2, 3, 4], dtype=dtype)
+    cfg = CbtwConfig(d=2, quanta=quanta, frac=np.linspace(0.0, 0.2, 9))
+    for x in range(9):
+        new, legal = cbtw_topple(grid33, cfg, x)
+        want, want_legal = topple(grid33, quanta, x)
+        assert new.quanta.dtype == np.int64 and np.array_equal(new.quanta, want)
+        assert legal == want_legal and new.frac.tobytes() == cfg.frac.tobytes()
+    assert calls == list(range(9))
+
+
 def test_stabilize_is_integer_stabilization_with_frozen_frac(grid33, rng):
     for _ in range(30):
         quanta = rng.integers(0, 10, size=9)

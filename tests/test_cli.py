@@ -461,6 +461,24 @@ def test_too_few_samples_is_config_error(args, least, capsys):
     assert captured.out == ""
 
 
+HUGE = "99999999999999999999"  # past 2^63: numpy cannot draw that many
+
+
+@pytest.mark.parametrize("args, name", [
+    (["invariance", "--dims", "2", "--samples", HUGE], "n_samples"),
+    (["limit-rational", "--dims", "2", "--a", "0.5", "--samples", HUGE], "n_samples"),
+    (["fourier", "--a", "0.3", "--samples", HUGE], "n_samples"),
+    (["fourier", "--a", "0.3", "--N", HUGE], "n_terms"),
+    (["invariance", "--dims", "2", "--samples", str(2**63)], "n_samples"),
+], ids=["invariance", "limit-rational", "fourier-samples", "fourier-N", "invariance-2^63"])
+def test_count_past_int64_is_config_error(args, name, capsys):
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} must be <= {2**63 - (name == 'n_samples')}, " \
+                           f"got {args[-1]}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["limit-rational", "--dims", "2", "--a", "nan"],
     ["limit-rational", "--dims", "2", "--a", "inf"],

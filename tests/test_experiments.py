@@ -9,7 +9,7 @@ from sandpiles import (AdditionParams, Binning, CbtwConfig, DomainError,
                        build_lattice, cbtw_add, cbtw_inverse_add, cbtw_stabilize,
                        cbtw_topple, coupling_success_probability, decompose,
                        epoch_shape, ergodic_average, enumerate_recurrent,
-                       invariance_experiment, is_allowed_cbtw, phase_observable,
+                       invariance_experiment, is_allowed_cbtw, max_config, phase_observable,
                        rational_limit_test, run_chain,
                        run_chain_ensemble, run_coupling, run_coupling_ensemble,
                        sample_rational_limit_batch, sample_uniform_allowed,
@@ -252,6 +252,34 @@ def test_experiments_reject_empty_samples_before_any_work(monkeypatch, path2, ca
     with pytest.raises(DomainError):
         call(path2, n, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [2**63, 2**64, 10**20])
+@pytest.mark.parametrize("call", [
+    lambda lat, n, rng: invariance_experiment(lat, Binning(2), n, rng),
+    lambda lat, n, rng: rational_limit_test(lat, zero_config(lat), 0.5, 5, n, rng),
+    lambda lat, n, rng: tv_decay_experiment(lat, AdditionParams(0.2, 0.8), (1, 2), n,
+                                            Binning(2), rng),
+    lambda lat, n, rng: tv_noise_floor(lat, Binning(2), n, rng),
+    lambda lat, n, rng: sample_uniform_allowed_batch(lat, rng, n),
+    lambda lat, n, rng: sample_rational_limit_batch(lat, zero_config(lat), 0.5, rng, n),
+    lambda lat, n, rng: translation_mixture_fourier_mc(0.3, [1], [0.0], 10, n, rng),
+    # A term count of exactly 2^63 is drawable: numpy's bound is exclusive.
+    lambda lat, n, rng: translation_mixture_fourier_mc(0.3, [1], [0.0], n + (n == 2**63), 10,
+                                                       rng),
+], ids=["invariance", "rational-limit", "tv-decay", "noise-floor", "uniform-allowed",
+        "rational-samples", "fourier-samples", "fourier-terms"])
+def test_counts_past_int64_raise_before_any_draw(path2, call, n):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="must be <= 922337203685477580[78]"):
+        call(path2, n, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_fourier_mc_draws_up_to_2_63_terms(rng):
+    est, se = translation_mixture_fourier_mc(0.3, [1], [0.0], 2**63, 10, rng)
+    assert abs(est) <= 1 and se >= 0
 
 
 IRREGULAR5 = Lattice(2, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
@@ -801,6 +829,55 @@ def test_run_coupling_matches_stepwise(shape):
     for g, want in zip(got, ref):
         assert np.array_equal(g, want[0])
     assert result.coalesced == (np.array_equal(ref[0], ref[2]) and np.array_equal(ref[1], ref[3]))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("params", [AdditionParams(0.75, 0.75), AdditionParams(0.1, 0.9)],
+                         ids=["fixed", "interval"])
+def test_run_chain_finishes_wide_waves_like_the_stepwise_chain(params, monkeypatch):
+    # From max_config on 8x8 the first addition that carries a quantum sets
+    # off an avalanche with a wave of more than WIDE_WAVE sites: run_chain
+    # hands it to btw._finish, and every step's state matches _add_inplace's.
+    lat = build_lattice([8, 8])
+    finished, finish = [], experiments.btw._finish
+
+    def recording(h, queued, wave, nbrs, two_d):
+        finished.append(len(wave))
+        finish(h, queued, wave, nbrs, two_d)
+
+    monkeypatch.setattr(experiments.btw, "_finish", recording)
+    seen, ref_seen = [], []
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    state = run_chain(lat, max_config(lat), params, 400, rng,
+                      lambda t, x, u, q, f: seen.append((x, u, q.tobytes(), f.tobytes())))
+    chain_finishes, finished[:] = len(finished), []
+    quanta, frac, theta = stepwise_chain(
+        lat, max_config(lat), params, 400, ref_rng,
+        lambda t, x, u, q, f: ref_seen.append((x, u, q.tobytes(), f.tobytes())))
+    assert chain_finishes > 0 and all(n > experiments.btw.WIDE_WAVE for n in finished)
+    assert seen == ref_seen
+    assert np.array_equal(state.config.quanta, quanta) and np.array_equal(state.config.frac, frac)
+    assert np.array_equal(state.theta, theta)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dims, params, n_epochs", [
+    ([2], AdditionParams(0.2, 0.8), 3),
+    ([2, 2], AdditionParams(0.1, 0.9), 2),
+    ([3, 3], AdditionParams(0.2, 0.8), 2),
+    ([1], AdditionParams(0.9985, 0.9994), 1),  # one epoch of 4445 steps, folded mid-epoch
+], ids=["path2", "box2x2", "box3x3", "long-epoch"])
+def test_coupling_first_chain_is_the_interval_chain(dims, params, n_epochs):
+    # Both drivers draw interval steps through one routine, so the first
+    # chain of a coupling is run_chain_ensemble run for n_epochs * L steps.
+    lat = build_lattice(dims)
+    eta_q, eta_f = _offgrid_start(lat, 50, 3)
+    zeta_q, zeta_f = _offgrid_start(lat, 50, 4)
+    ref_q, ref_f = eta_q.copy(), eta_f.copy()
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    result = run_coupling_ensemble(lat, eta_q, eta_f, zeta_q, zeta_f, params, n_epochs, rng)
+    run_chain_ensemble(lat, ref_q, ref_f, params, n_epochs * result.L, ref_rng)
+    assert np.array_equal(eta_q, ref_q) and np.array_equal(eta_f, ref_f)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

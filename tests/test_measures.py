@@ -261,6 +261,14 @@ def test_sample_rational_limit_rejects_bad_time_before_any_draw(grid22, t):
     assert rng.bit_generator.state == state
 
 
+def test_sample_rational_limit_takes_times_past_int64(grid22):
+    # Only t mod 2 matters on 2x2, so t = 2^70 draws the rows of t = 0.
+    rows = [sample_rational_limit_batch(grid22, zero_config(grid22), 0.25,
+                                        np.random.default_rng(3), 40, t=t)[0]
+            for t in (2**70, 2**70 % 2, 1)]
+    assert np.array_equal(rows[0], rows[1]) and not np.array_equal(rows[0], rows[2])
+
+
 def test_samplers_reject_negative_replica_counts(path2):
     rng = np.random.default_rng(0)
     base = zero_config(path2)
